@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,8 +66,12 @@ def _out_dir(cfg: RunConfig, out_override) -> Path:
     return out
 
 
-def _family(cfg: RunConfig):
-    return build_resolvent_family(cfg.model, cfg.kernel, cfg.grid)
+def _family(cfg: RunConfig, grid=None):
+    """The config's resolvent family on grid (default: the config grid)."""
+    try:
+        return build_resolvent_family(cfg.model, cfg.kernel, cfg.grid if grid is None else grid)
+    except ValueError as exc:  # a table that is not finite for these inputs
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_resolvent(cfg: RunConfig, out: Path, workers: int) -> dict:
@@ -186,7 +191,7 @@ def cmd_verify_weak(cfg: RunConfig, out: Path, workers: int) -> dict:
     from .verification import bounded_A_identity_residual
 
     factors = _weak_factors(cfg)
-    fams = [build_resolvent_family(cfg.model, cfg.kernel, cfg.grid.coarsened(f)) for f in factors]
+    fams = [_family(cfg, cfg.grid.coarsened(f)) for f in factors]
     n_seeds = min(cfg.n_samples, 10)
     sup_table = np.zeros((n_seeds, len(factors)))
     route_gap = 0.0
@@ -279,21 +284,27 @@ def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int) -> dict:
 
 def cmd_study(cfg: RunConfig, out: Path, workers: int) -> dict:
     factors = _study_factors(cfg)
-    studies = {}
+    plans = {}
     if cfg.kernel.family == "exponential":
-        studies["resolvent_error"] = convergence_study(StudyConfig(
+        plans["resolvent_error"] = StudyConfig(
             target="resolvent_error", kernel=cfg.kernel, model=cfg.model,
-            fine_grid=cfg.grid, factors=factors))
-    studies["tag_discrepancy"] = convergence_study(StudyConfig(
+            fine_grid=cfg.grid, factors=factors)
+    plans["tag_discrepancy"] = StudyConfig(
         target="tag_discrepancy", kernel=cfg.kernel, model=cfg.model, fine_grid=cfg.grid,
         factors=factors, triplet=cfg.triplet,
-        seeds=tuple(range(min(cfg.n_samples, 50))), seed=cfg.seed))
+        seeds=tuple(range(min(cfg.n_samples, 50))), seed=cfg.seed)
     drift = cfg.triplet.drift if np.any(cfg.triplet.drift != 0.0) else np.ones(cfg.model.K)
     det_triplet = LevyTriplet(drift=drift, gauss_var=np.zeros(cfg.model.K))
-    studies["weak_residual"] = convergence_study(StudyConfig(
+    plans["weak_residual"] = StudyConfig(
         target="weak_residual", kernel=cfg.kernel, model=cfg.model, fine_grid=cfg.grid,
         factors=factors, triplet=det_triplet, seeds=(0,), seed=cfg.seed,
-        tag_rule=TagRule.MIDPOINT))
+        tag_rule=TagRule.MIDPOINT)
+    studies = {}
+    for name, plan in plans.items():
+        try:
+            studies[name] = convergence_study(plan)
+        except ValueError as exc:  # a table that is not finite, or a norm of exactly 0
+            raise ConfigError(f"study {name}: {exc}") from exc
 
     results, passed = {}, True
     for name, study in studies.items():
@@ -324,7 +335,17 @@ def cmd_study(cfg: RunConfig, out: Path, workers: int) -> dict:
     return report
 
 
-def cmd_all(cfg: RunConfig, out: Path, workers: int) -> dict:
+def _timed(timings: dict, name: str, fn, *args):
+    """fn(*args), recording its wall and CPU seconds under timings[name]."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    result = fn(*args)
+    timings[name] = {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
+    return result
+
+
+def cmd_all(cfg: RunConfig, out: Path, workers: int, timings=None) -> dict:
+    """Every stage in dependency order; stage times go into timings if given."""
+    timings = {} if timings is None else timings
     order = [
         ("resolvent", cmd_resolvent),
         ("simulate", cmd_simulate),
@@ -335,7 +356,7 @@ def cmd_all(cfg: RunConfig, out: Path, workers: int) -> dict:
     ]
     verdicts = {}
     for name, fn in order:
-        verdicts[name] = bool(fn(cfg, out, workers)["passed"])
+        verdicts[name] = bool(_timed(timings, name, fn, cfg, out, workers)["passed"])
     report = {
         "schema_version": 1,
         "subcommand": "all",
@@ -358,12 +379,13 @@ _COMMANDS = {
 }
 
 
-def _write_meta(out: Path, argv):
+def _write_meta(out: Path, argv, timings: dict):
     write_json(out / "run_meta.json", {
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "package_version": __version__,
         "numpy_version": np.__version__,
         "argv": list(argv),
+        "timings": timings,
     })
 
 
@@ -389,8 +411,13 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         out = _out_dir(cfg, args.out)
-        report = _COMMANDS[args.subcommand](cfg, out, args.workers)
-        _write_meta(out, argv if argv is not None else sys.argv[1:])
+        timings = {}  # stage -> {"wall_s", "cpu_s"}
+        if args.subcommand == "all":
+            report = cmd_all(cfg, out, args.workers, timings)
+        else:
+            report = _timed(timings, args.subcommand, _COMMANDS[args.subcommand],
+                            cfg, out, args.workers)
+        _write_meta(out, argv if argv is not None else sys.argv[1:], timings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,14 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
             raise ConfigError(f"missing key {key!r} in {where}")
 
 
+def _integer(value, where: str) -> int:
+    """An integer-valued JSON number; booleans, strings and fractions are refused."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration plus the raw dict echoed into reports."""
@@ -69,7 +77,7 @@ def _parse_model(section) -> SpectralModel:
         raise ConfigError("model must be an object")
     _require_keys(section, {"K", "rule", "mu"}, {"K", "rule"}, "model")
     try:
-        K = int(section["K"])
+        K = _integer(section["K"], "model.K")
         if section["rule"] == "dirichlet_laplacian":
             if "mu" in section:
                 raise ConfigError("model.mu is only valid with rule 'custom'")
@@ -138,7 +146,7 @@ def parse_config(data: dict) -> RunConfig:
     allowed = {"schema_version", "kernel", "model", "triplet", "grid", "mc", "panel_size", "output"}
     required = {"schema_version", "kernel", "model", "triplet", "grid", "mc"}
     _require_keys(data, allowed, required, "config")
-    if data["schema_version"] != SCHEMA_VERSION:
+    if isinstance(data["schema_version"], bool) or data["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data['schema_version']!r}")
 
     kernel = _parse_kernel(data["kernel"])
@@ -149,23 +157,28 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(gsec, dict):
         raise ConfigError("grid must be an object")
     _require_keys(gsec, {"t_end", "n_steps"}, {"t_end", "n_steps"}, "grid")
+    n_steps = _integer(gsec["n_steps"], "grid.n_steps")
     try:
-        grid = TimeGrid(float(gsec["t_end"]), int(gsec["n_steps"]))
+        grid = TimeGrid(float(gsec["t_end"]), n_steps)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+    # the same span tolerance eval_kernel applies to tabulated queries
+    if kernel.family == "tabulated" and grid.t_end > kernel.times[-1] * (1 + 1e-12):
+        raise ConfigError(f"tabulated kernel ends at t={kernel.times[-1]}, "
+                          f"before grid.t_end={grid.t_end}")
 
     msec = data["mc"]
     if not isinstance(msec, dict):
         raise ConfigError("mc must be an object")
     _require_keys(msec, {"n_samples", "seed"}, {"n_samples", "seed"}, "mc")
-    n_samples = int(msec["n_samples"])
-    seed = int(msec["seed"])
+    n_samples = _integer(msec["n_samples"], "mc.n_samples")
+    seed = _integer(msec["seed"], "mc.seed")
     if n_samples < 1:
         raise ConfigError("mc.n_samples must be >= 1")
     if not 0 <= seed < 2**64:
         raise ConfigError("mc.seed must be a 64-bit unsigned value")
 
-    panel_size = int(data.get("panel_size", 40))
+    panel_size = _integer(data.get("panel_size", 40), "panel_size")
     if panel_size < 1:
         raise ConfigError("panel_size must be >= 1")
 

@@ -10,8 +10,10 @@ Two routes compute int_0^t R(t - tau) dZ(tau) on the grid:
   to roundoff on every node and every outcome.
 
 The convolution re-weights all past increments at every output node (the
-resolvent is a genuine two-time kernel, so values are not a running sum);
-cost is O(n^2 K) per path.
+resolvent is a genuine two-time kernel, so values are not a running sum),
+so the arithmetic is O(n^2 K) per path.  It runs as O(n) vector operations,
+one per step increment spread over every later node and all modes, with
+O(n K) memory, plus O(n K) per jump for the exact-time jump weights.
 """
 
 from __future__ import annotations
@@ -82,53 +84,68 @@ def _lag_weights(family: ResolventFamily, tag_rule: TagRule) -> np.ndarray:
     return 0.5 * (s[:-1, :] + s[1:, :])
 
 
-def _fold(x: np.ndarray) -> float:
-    """Strict left-to-right accumulation (cumsum order), 0 for empty input."""
-    return float(np.cumsum(x)[-1]) if x.size else 0.0
+def _lag_fold(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[i] = sum_{j<i} w[i-1-j] * x[j] for i = 0..n, all columns at once.
+
+    One vector update per increment j spreads it over every later node, so
+    each node accumulates strictly left to right in j (the order of a
+    per-node cumsum) and identity weights reproduce cumulative sums bitwise.
+    """
+    n = x.shape[0]
+    # mode-major copies, so each update runs along the nodes rather than the K modes
+    wt, xt = w.T.copy(), x.T[:, :, None]
+    out = np.zeros((x.shape[1], n + 1))
+    for j in range(n):
+        out[:, j + 1 :] += wt[:, : n - j] * xt[:, j]
+    return out.T
 
 
-def _jump_state(path: SamplePath):
-    m_at_node = np.searchsorted(path.jump_times, path.grid.nodes(), side="right")
-    return m_at_node
+def _jump_weights(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):
+    """Exact-time jump weights for the given output nodes.
+
+    Returns (W, live): live[r, m] marks jump m at or before node
+    node_indices[r], and W[r, m, k] = s(t_i - tau_m, gamma_k) on live
+    entries and 0 elsewhere, interpolated once per mode.
+    """
+    nodes = family.grid.nodes()
+    t = nodes[node_indices]
+    live = path.jump_times[None, :] <= t[:, None]
+    elapsed = t[:, None] - path.jump_times[None, :]
+    W = np.empty(elapsed.shape + (family.K,))
+    for k in range(family.K):
+        W[..., k] = np.interp(elapsed, nodes, family.s_matrix[:, k])
+    W[~live] = 0.0
+    return W, live
+
+
+def _stieltjes_jumps(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):
+    """sum over jumps tau_m <= t_i of s(t_i - tau_m) * mark_m, folded left to right in m."""
+    W, _ = _jump_weights(family, path, node_indices)
+    acc = np.zeros((len(node_indices), family.K))
+    for m in range(path.jump_times.size):
+        acc += W[:, m] * path.jump_marks[m]
+    return acc
 
 
 def convolve_at(
     family: ResolventFamily, path: SamplePath, node_index: int, tag_rule: TagRule = TagRule.LEFT
 ) -> np.ndarray:
-    """Z_R(t_i) for a single output node, O(n K) work."""
+    """Z_R(t_i) for a single output node, O(n K) work.
+
+    The single-row form of stieltjes_convolution: the same products folded
+    in the same order, so it equals that route's row i bitwise.
+    """
     _check_shared_grid(family, path)
-    _, out = _convolve_nodes(family, path, [node_index], tag_rule)
-    return out[0]
-
-
-def _convolve_nodes(family: ResolventFamily, path: SamplePath, node_indices, tag_rule: TagRule):
-    grid = family.grid
-    n, K, dt = grid.n_steps, family.K, grid.dt
-    nodes = grid.nodes()
-    lagw = _lag_weights(family, tag_rule)  # (n, K), row m-1 is lag m
-    wcum = np.vstack([np.zeros((1, K)), np.cumsum(lagw, axis=0)])  # wcum[i] = sum_{m<=i} w_m
-    g = path.gauss_increments
-    m_at_node = _jump_state(path)
-
-    out = np.empty((len(node_indices), K))
-    for row, i in enumerate(node_indices):
-        if not 0 <= i <= n:
-            raise ValueError(f"node index {i} outside 0..{n}")
-        if i == 0:
-            out[row] = 0.0
-            continue
-        m_i = m_at_node[i]
-        elapsed = nodes[i] - path.jump_times[:m_i] if m_i else None
-        for k in range(K):
-            drift_part = path.drift[k] * (dt * wcum[i, k])
-            gauss_part = _fold(lagw[i - 1 :: -1, k] * g[:i, k])
-            if m_i:
-                jw = np.interp(elapsed, nodes, family.s_matrix[:, k])
-                jump_part = _fold(jw * path.jump_marks[:m_i, k])
-            else:
-                jump_part = 0.0
-            out[row, k] = (drift_part + gauss_part) + jump_part
-    return node_indices, out
+    n, dt = family.grid.n_steps, family.grid.dt
+    i = node_index
+    if not 0 <= i <= n:
+        raise ValueError(f"node index {i} outside 0..{n}")
+    if i == 0:
+        return np.zeros(family.K)
+    lagw = _lag_weights(family, tag_rule)
+    drift_part = path.drift * (dt * np.cumsum(lagw[:i], axis=0)[-1])
+    gauss_part = np.cumsum(lagw[i - 1 :: -1] * path.gauss_increments[:i], axis=0)[-1]
+    return (drift_part + gauss_part) + _stieltjes_jumps(family, path, np.array([i]))[0]
 
 
 def stieltjes_convolution(
@@ -145,8 +162,14 @@ def stieltjes_convolution(
     float.
     """
     _check_shared_grid(family, path)
-    _, vals = _convolve_nodes(family, path, range(family.grid.n_steps + 1), tag_rule)
-    return ConvolutionPath(grid=family.grid, values=vals, method="stieltjes", tag_rule=tag_rule)
+    grid = family.grid
+    lagw = _lag_weights(family, tag_rule)
+    wcum = np.vstack([np.zeros((1, family.K)), np.cumsum(lagw, axis=0)])  # wcum[i] = sum_{m<=i} w_m
+    drift_part = path.drift[None, :] * (grid.dt * wcum)
+    gauss_part = _lag_fold(lagw, path.gauss_increments)
+    jump_part = _stieltjes_jumps(family, path, np.arange(grid.n_steps + 1))
+    vals = (drift_part + gauss_part) + jump_part
+    return ConvolutionPath(grid=grid, values=vals, method="stieltjes", tag_rule=tag_rule)
 
 
 def parts_convolution(
@@ -159,8 +182,12 @@ def parts_convolution(
         s_0 Zc(t_i) - s_i Zc(0) - sum_{j<i} Zc(t_{j+1}) [s_{i-j-1} - s_{i-j}]
 
     and the jump sum rearranged the same way against its own exact-time
-    partition.  Both are pure rearrangements of the Stieltjes sums, so the
-    two routes agree to roundoff node by node.
+    partition:
+
+        w_last * (cumulative mark)_last - sum_m (cumulative mark)_m [w_{m+1} - w_m].
+
+    Both are pure rearrangements of the Stieltjes sums, so the two routes
+    agree to roundoff node by node.
     """
     _check_shared_grid(family, path)
     cert = total_variation_certificate(family, tolerance=variation_tolerance)
@@ -171,26 +198,18 @@ def parts_convolution(
             f"failed for modes {bad} (max increase {cert.monotone_violations.max():.3e})"
         )
     grid = family.grid
-    n, K = grid.n_steps, family.K
-    nodes = grid.nodes()
+    s = family.s_matrix
     zc = path.continuous_values()
-    m_at_node = _jump_state(path)
+    vals = s[0] * zc - s * zc[0] - _lag_fold(s[:-1] - s[1:], zc[1:])
 
-    vals = np.zeros((n + 1, K))
-    for k in range(K):
-        s = family.tables[k].values
-        jh = path.jump_marks[:, k]
-        for i in range(1, n + 1):
-            s_rev = s[: i + 1][::-1]  # s at lags i, i-1, ..., 0
-            cont = s[0] * zc[i, k] - s[i] * zc[0, k] - float(np.dot(zc[1 : i + 1, k], np.diff(s_rev)))
-            m_i = m_at_node[i]
-            if m_i:
-                w = np.interp(nodes[i] - path.jump_times[:m_i], nodes, s)
-                cummarks = np.cumsum(jh[:m_i])
-                jump = w[-1] * cummarks[-1] - float(np.dot(cummarks[:-1], np.diff(w)))
-            else:
-                jump = 0.0
-            vals[i, k] = cont + jump
+    if path.jump_times.size:
+        W, live = _jump_weights(family, path, np.arange(grid.n_steps + 1))
+        cummarks = np.cumsum(path.jump_marks, axis=0)
+        rows = np.flatnonzero(live[:, 0])
+        last = live[rows].sum(axis=1) - 1  # index of the latest jump at or before t_i
+        dW = np.diff(W[rows], axis=1)
+        dW[~live[rows, 1:]] = 0.0  # no step from the latest jump to one after t_i
+        vals[rows] += W[rows, last] * cummarks[last] - np.einsum("rmk,mk->rk", dW, cummarks[:-1])
     return ConvolutionPath(grid=grid, values=vals, method="parts", tag_rule=None)
 
 
@@ -227,7 +246,7 @@ def functional_projection_check(
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes()
     lagw = _lag_weights(family, tag_rule)
-    m_at_node = _jump_state(path)
+    m_at_node = np.searchsorted(path.jump_times, nodes, side="right")
     scalar_route = np.zeros(n + 1)
     for k in range(family.K):
         dz = path.drift[k] * dt + path.gauss_increments[:, k]

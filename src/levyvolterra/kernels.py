@@ -124,50 +124,58 @@ class ScalarResolventTable:
         return np.interp(t, self.grid.nodes(), self.values)
 
 
-def _gregory_step_weights(i: int) -> np.ndarray:
-    """Composite quadrature weights over nodes 0..i (order-3 Gregory).
+def solve_resolvent_modes(kernel: KernelSpec, gammas, grid: TimeGrid) -> np.ndarray:
+    """Solve s(t) + gamma * int_0^t a(t-tau) s(tau) dtau = 1 for every gamma at once.
 
-    Starts from the trapezoid weights and applies the first Gregory end
-    correction when there are at least three nodes; for i == 1 this is the
-    plain trapezoid step.
+    Returns the (n_steps + 1, K) array of s(t_i, gamma_k).  The memory
+    integral is discretized by the order-3 Gregory product rule (trapezoid
+    weights with end corrections -1/12 at both ends and +1/12 next to them
+    once there are three nodes); each step solves the resulting implicit
+    equation exactly (in exact arithmetic) for all modes, so every column
+    satisfies the discrete equation to roundoff.  The implicit coefficient
+    1 + gamma*dt*w_i*a(0) is >= 1 for gamma, a(0) >= 0, so every step is
+    solvable.  Raises ValueError when a solved table is not finite.
     """
-    w = np.ones(i + 1)
-    w[0] = w[i] = 0.5
-    if i >= 2:
-        w[0] -= 1.0 / 12.0
-        w[1] += 1.0 / 12.0
-        w[i] -= 1.0 / 12.0
-        w[i - 1] += 1.0 / 12.0
-    return w
-
-
-def solve_scalar_resolvent(kernel: KernelSpec, gamma: float, grid: TimeGrid) -> ScalarResolventTable:
-    """Solve s(t) + gamma * int_0^t a(t-tau) s(tau) dtau = 1 on the grid.
-
-    The memory integral is discretized by the order-3 Gregory product rule;
-    each step solves the resulting implicit scalar equation exactly (in
-    exact arithmetic), so the returned table satisfies the discrete
-    equation to roundoff.  The implicit coefficient 1 + gamma*dt*w_i*a(0)
-    is >= 1 for gamma, a(0) >= 0, so every step is solvable.
-    """
-    if not (gamma >= 0.0 and np.isfinite(gamma)):
-        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
+    gammas = np.asarray(gammas, dtype=float)
+    for gamma in gammas:
+        if not (gamma >= 0.0 and np.isfinite(gamma)):
+            raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     n, dt = grid.n_steps, grid.dt
     a_vals = np.asarray(eval_kernel(kernel, grid.nodes()), dtype=float)
     if not np.all(np.isfinite(a_vals)):
         raise ValueError("kernel evaluated to NaN/inf on the grid")
 
-    s = np.empty(n + 1)
+    a_rev = a_vals[::-1].copy()  # a_rev[n - m] = a(t_m)
+    a_twelfth = a_vals / 12.0
+    gdt = gammas * dt
+    s = np.empty((n + 1, gammas.size))
     s[0] = 1.0
-    for i in range(1, n + 1):
-        w = _gregory_step_weights(i)
-        # sum over known nodes j < i of w_j * a(t_i - t_j) * s_j
-        known = float(np.dot(w[:i] * a_vals[i:0:-1], s[:i]))
-        denom = 1.0 + gamma * dt * w[i] * a_vals[0]
-        if denom <= 0.0:
-            raise RuntimeError("implicit resolvent step became singular")  # unreachable for gamma, a(0) >= 0
-        s[i] = (1.0 - gamma * dt * known) / denom
-    return ScalarResolventTable(gamma=gamma, grid=grid, values=s)
+    row = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as not finite
+        # step 1 is the plain trapezoid, weights (1/2, 1/2)
+        s[1] = (1.0 - gdt * (0.5 * a_vals[1])) / (1.0 + gdt * 0.5 * a_vals[0])
+        denom = 1.0 + gdt * (5.0 / 12.0) * a_vals[0]
+        for i in range(2, n + 1):
+            # w_j * a(t_i - t_j) over the known nodes j < i
+            r = row[:i]
+            r[:] = a_rev[n - i : n]
+            r[0] *= 5.0 / 12.0
+            r[1] += a_twelfth[i - 1]
+            r[i - 1] += a_twelfth[1]
+            s[i] = (1.0 - gdt * (r @ s[:i])) / denom
+    if not np.all(np.isfinite(s)):
+        bad = gammas[~np.all(np.isfinite(s), axis=0)]
+        raise ValueError(f"resolvent table is not finite for gamma {bad.tolist()} on {grid}")
+    return s
+
+
+def solve_scalar_resolvent(kernel: KernelSpec, gamma: float, grid: TimeGrid) -> ScalarResolventTable:
+    """Solve s(t) + gamma * int_0^t a(t-tau) s(tau) dtau = 1 on the grid.
+
+    The single-mode case of solve_resolvent_modes.
+    """
+    values = solve_resolvent_modes(kernel, [gamma], grid)[:, 0]
+    return ScalarResolventTable(gamma=gamma, grid=grid, values=values)
 
 
 def closed_form_exponential_resolvent(mu: float, t) -> np.ndarray | float:

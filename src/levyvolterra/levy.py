@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import erf, exp, pi, sqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -95,7 +95,9 @@ class GaussianJumps:
         return self.mean.shape[0]
 
 
-JumpLaw = Union[PointMass, DiscreteMixture, GaussianJumps]
+# a PEP 604 union: typing.Union[...] would sit in typing's cache and keep
+# every imported copy of these classes (and this module) alive
+JumpLaw = PointMass | DiscreteMixture | GaussianJumps
 
 
 def jump_cf(law: JumpLaw, y: np.ndarray) -> complex | np.ndarray:

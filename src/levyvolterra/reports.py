@@ -51,7 +51,9 @@ def atomic_write_text(path, text: str):
 
 
 def write_json(path, payload: dict):
-    atomic_write_text(path, json.dumps(to_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    """Strict RFC 8259 JSON: a NaN or infinity raises instead of being written."""
+    text = json.dumps(to_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def _cell(value) -> str:

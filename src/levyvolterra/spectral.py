@@ -17,9 +17,10 @@ import numpy as np
 from .grid import TimeGrid
 from .kernels import (
     KernelSpec,
+    ScalarResolventTable,
     certify_resolvent_properties,
     eval_kernel,
-    solve_scalar_resolvent,
+    solve_resolvent_modes,
 )
 
 DIRICHLET_LAPLACIAN = "dirichlet_laplacian"
@@ -106,9 +107,15 @@ class ResolventFamily:
         return np.array([tab.gamma for tab in self.tables])
 
 
+def _solved_tables(kernel: KernelSpec, gammas: np.ndarray, grid: TimeGrid) -> tuple:
+    s = solve_resolvent_modes(kernel, gammas, grid)
+    return tuple(ScalarResolventTable(gamma=float(g), grid=grid, values=s[:, k].copy())
+                 for k, g in enumerate(gammas))
+
+
 def build_resolvent_family(model: SpectralModel, kernel: KernelSpec, grid: TimeGrid) -> ResolventFamily:
-    """Solve the scalar resolvent once per mode on the shared grid."""
-    tables = tuple(solve_scalar_resolvent(kernel, float(g), grid) for g in model.mu)
+    """Solve the scalar resolvent for all modes in one recurrence on the shared grid."""
+    tables = _solved_tables(kernel, model.mu, grid)
     return ResolventFamily(model=model, kernel=kernel, grid=grid, tables=tables)
 
 
@@ -119,7 +126,7 @@ def identity_resolvent_family(K: int, kernel: KernelSpec, grid: TimeGrid) -> Res
     eigenvalues and deliberately bypasses build_spectral_model validation.
     """
     model = SpectralModel(K=K, mu=np.zeros(K), rule=IDENTITY_SURROGATE)
-    tables = tuple(solve_scalar_resolvent(kernel, 0.0, grid) for _ in range(K))
+    tables = _solved_tables(kernel, model.mu, grid)
     return ResolventFamily(model=model, kernel=kernel, grid=grid, tables=tables)
 
 

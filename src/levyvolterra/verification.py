@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .convolution import ConvolutionPath, TagRule, convolve_at, stieltjes_convolution
 from .grid import TimeGrid
@@ -54,6 +55,10 @@ class ResidualProfile:
         return float(np.max(np.abs(self.residuals)))
 
 
+# rows of the Toeplitz product formed at once in weak_solution_residual
+_TOEPLITZ_BLOCK_ROWS = 64
+
+
 def _trap_row(i: int) -> np.ndarray:
     w = np.ones(i + 1)
     w[0] = w[i] = 0.5
@@ -71,7 +76,9 @@ def weak_solution_residual(
     with the trapezoid evaluated on convolution node values (jumps are
     already folded into those values).  The gamma per mode is read from the
     family tables, so an identity surrogate family scores a zero integral
-    term.
+    term.  The integrals for all nodes and modes are one lower-triangular
+    Toeplitz product, formed in blocks of rows, with the trapezoid end
+    weights applied as rank-1 corrections.
     """
     if zr.grid != z.grid or zr.grid != family.grid:
         raise ValueError("convolution, path, and family must share one grid")
@@ -80,13 +87,18 @@ def weak_solution_residual(
     grid = family.grid
     n, dt = grid.n_steps, grid.dt
     a_vals = np.asarray(eval_kernel(family.kernel, grid.nodes()), dtype=float)
-    gammas = family.gammas
-    res = np.zeros((n + 1, family.K))
-    for k in range(family.K):
-        zrk = zr.values[:, k]
-        for i in range(1, n + 1):
-            quad = dt * float(np.dot(_trap_row(i) * a_vals[: i + 1][::-1], zrk[: i + 1]))
-            res[i, k] = zrk[i] + gammas[k] * quad - z.values[i, k]
+    x = zr.values
+    # window p of the reversed, zero-padded kernel is row n - p of the
+    # lower-triangular Toeplitz matrix L[i, j] = a(t_i - t_j) (0 for j > i)
+    windows = sliding_window_view(np.concatenate([a_vals[::-1], np.zeros(n)]), n + 1)
+    quad = np.empty((n + 1, family.K))
+    for lo in range(0, n + 1, _TOEPLITZ_BLOCK_ROWS):
+        hi = min(lo + _TOEPLITZ_BLOCK_ROWS, n + 1)
+        quad[lo:hi] = (windows[n - hi + 1 : n - lo + 1, :hi] @ x[:hi])[::-1]
+    # trapezoid end weights: half of a(t_i) Z_R(0) and of a(0) Z_R(t_i)
+    quad -= 0.5 * np.outer(a_vals, x[0]) + 0.5 * a_vals[0] * x
+    res = x + family.gammas * (dt * quad) - z.values
+    res[0] = 0.0
     return ResidualProfile(grid=grid, residuals=res)
 
 

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from levyvolterra.cli import main
 from levyvolterra.config import ConfigError, load_config, parse_config
+from levyvolterra.reports import write_json
 
 
 def minimal_config(**overrides):
@@ -78,6 +80,59 @@ class TestConfigParsing:
     def test_seed_range(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(minimal_config(mc={"n_samples": 10, "seed": -1}))
+
+
+# one config mutation per input the parser must refuse
+BOUNDARY_CASES = {
+    "n_samples-string": {"mc": {"n_samples": "abc", "seed": 7}},
+    "n_samples-fraction": {"mc": {"n_samples": 1500.7, "seed": 7}},
+    "n_samples-bool": {"mc": {"n_samples": True, "seed": 7}},
+    "seed-fraction": {"mc": {"n_samples": 2000, "seed": 7.5}},
+    "seed-string": {"mc": {"n_samples": 2000, "seed": "7"}},
+    "seed-bool": {"mc": {"n_samples": 2000, "seed": False}},
+    "panel_size-fraction": {"panel_size": 8.5},
+    "panel_size-bool": {"panel_size": True},
+    "n_steps-fraction": {"grid": {"t_end": 1.0, "n_steps": 100.5}},
+    "n_steps-string": {"grid": {"t_end": 1.0, "n_steps": "100"}},
+    "n_steps-bool": {"grid": {"t_end": 1.0, "n_steps": True}},
+    "schema_version-bool": {"schema_version": True},
+    "tabulated-kernel-too-short": {
+        "kernel": {"family": "tabulated", "times": [0.0, 0.5, 0.9], "values": [1.0, 0.6, 0.4]}},
+}
+
+
+class TestConfigBoundaries:
+    @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+    def test_refused_by_parser(self, case):
+        with pytest.raises(ConfigError):
+            parse_config(minimal_config(**BOUNDARY_CASES[case]))
+
+    @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+    def test_exit_code_2(self, tmp_path, case, capsys):
+        path = write_config(tmp_path, minimal_config(**BOUNDARY_CASES[case]))
+        assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_integral_float_and_exact_span_accepted(self):
+        cfg = parse_config(minimal_config(
+            kernel={"family": "tabulated", "times": [0.0, 0.5, 1.0], "values": [1.0, 0.6, 0.4]},
+            grid={"t_end": 1.0, "n_steps": 100.0}))
+        assert cfg.grid.n_steps == 100 and isinstance(cfg.grid.n_steps, int)
+
+    def test_non_finite_resolvent_is_exit_2(self, tmp_path, capsys):
+        cfg = minimal_config(model={"K": 2, "rule": "custom", "mu": [1e300, 1e305]},
+                             triplet={"drift": [0.0, 0.0], "gauss_var": [1.0, 1.0]})
+        path = write_config(tmp_path, cfg)
+        for sub in ("resolvent", "study", "all"):
+            out = tmp_path / sub
+            assert main([sub, "--config", str(path), "--out", str(out)]) == 2
+            assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_reports_are_strict_json(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "r.json", {"x": [1.0, bad]})
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestCliExitCodes:
@@ -167,3 +222,17 @@ class TestCliExitCodes:
         assert main(["verify-ecf", "--config", str(path), "--out", str(out2), "--workers", "2"]) == 0
         assert (out1 / "ecf_report.json").read_bytes() == (out2 / "ecf_report.json").read_bytes()
         assert (out1 / "ecf_panel.csv").read_bytes() == (out2 / "ecf_panel.csv").read_bytes()
+
+    @pytest.mark.parametrize("sub", ["simulate", "all"])
+    def test_run_meta_records_stage_timings(self, tmp_path, sub):
+        path = write_config(tmp_path, minimal_config())
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 0
+        timings = json.loads((out / "run_meta.json").read_text())["timings"]
+        stages = (["resolvent", "simulate", "verify-parts", "verify-weak", "study", "verify-ecf"]
+                  if sub == "all" else [sub])
+        assert sorted(timings) == sorted(stages)
+        for stage in stages:
+            for key in ("wall_s", "cpu_s"):
+                value = timings[stage][key]
+                assert isinstance(value, float) and math.isfinite(value) and value >= 0.0

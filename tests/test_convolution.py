@@ -21,6 +21,7 @@ from levyvolterra import (
     sample_path,
     stieltjes_convolution,
 )
+from levyvolterra.cli import PARTS_REL_TOL
 
 KERNEL = KernelSpec.exponential(1.0)
 # int_0^1 s(tau, mu) dtau for the exponential kernel, by independent quadrature
@@ -227,3 +228,109 @@ class TestStructure:
         path = sample_path(LevyTriplet.zero(1), TimeGrid(1.0, 200), 0, seed=0)
         with pytest.raises(ValueError):
             stieltjes_convolution(fam, path)
+
+
+def reference_stieltjes(family, path, tag_rule):
+    """Per-node, per-mode loop form of the tagged sums, each folded by cumsum."""
+    grid = family.grid
+    n, K, dt = grid.n_steps, family.K, grid.dt
+    nodes = grid.nodes()
+    s = family.s_matrix
+    lagw = {TagRule.LEFT: s[1:], TagRule.RIGHT: s[:-1],
+            TagRule.MIDPOINT: 0.5 * (s[:-1] + s[1:])}[tag_rule]
+    wcum = np.vstack([np.zeros((1, K)), np.cumsum(lagw, axis=0)])
+    out = np.zeros((n + 1, K))
+    for i in range(1, n + 1):
+        m_i = int(np.searchsorted(path.jump_times, nodes[i], side="right"))
+        for k in range(K):
+            gauss = np.cumsum(lagw[i - 1 :: -1, k] * path.gauss_increments[:i, k])[-1]
+            jump = 0.0
+            if m_i:
+                jw = np.interp(nodes[i] - path.jump_times[:m_i], nodes, s[:, k])
+                jump = np.cumsum(jw * path.jump_marks[:m_i, k])[-1]
+            out[i, k] = (path.drift[k] * (dt * wcum[i, k]) + gauss) + jump
+    return out
+
+
+def reference_parts(family, path):
+    """Per-node, per-mode loop form of the summation-by-parts route."""
+    grid = family.grid
+    nodes = grid.nodes()
+    zc = path.continuous_values()
+    out = np.zeros((grid.n_steps + 1, family.K))
+    for i in range(1, grid.n_steps + 1):
+        m_i = int(np.searchsorted(path.jump_times, nodes[i], side="right"))
+        for k in range(family.K):
+            s = family.s_matrix[:, k]
+            cont = s[0] * zc[i, k] - s[i] * zc[0, k] - np.dot(zc[1 : i + 1, k], np.diff(s[i::-1]))
+            jump = 0.0
+            if m_i:
+                w = np.interp(nodes[i] - path.jump_times[:m_i], nodes, s)
+                cm = np.cumsum(path.jump_marks[:m_i, k])
+                jump = w[-1] * cm[-1] - np.dot(cm[:-1], np.diff(w))
+            out[i, k] = cont + jump
+    return out
+
+
+def path_with_jumps(grid, jump_times, K=3, seed=5):
+    gauss = sample_path(LevyTriplet(np.zeros(K), np.linspace(1.0, 0.3, K)), grid, 0, seed).gauss_increments
+    jump_times = np.asarray(jump_times, dtype=float)
+    marks = np.linspace(0.6, -0.5, K)[None, :] * (1.0 + np.arange(jump_times.size))[:, None]
+    return SamplePath(grid=grid, drift=np.linspace(0.3, -0.2, K), gauss_increments=gauss,
+                      jump_times=jump_times, jump_marks=marks)
+
+
+class TestVectorizedKernels:
+    @pytest.mark.parametrize("tag", list(TagRule))
+    def test_matches_loop_reference_bitwise(self, tag):
+        grid = TimeGrid(1.0, 150)
+        fam = dirichlet_family(3, grid)
+        path = sample_path(mixed_triplet(), grid, 2, seed=77)
+        assert path.jump_times.size > 0
+        zr = stieltjes_convolution(fam, path, tag)
+        assert np.array_equal(zr.values, reference_stieltjes(fam, path, tag))
+
+    @pytest.mark.parametrize("tag", list(TagRule))
+    def test_convolve_at_equals_route_row_bitwise(self, tag):
+        grid = TimeGrid(1.0, 120)
+        fam = dirichlet_family(3, grid)
+        path = sample_path(mixed_triplet(), grid, 4, seed=31)
+        zr = stieltjes_convolution(fam, path, tag).values
+        for i in range(grid.n_steps + 1):
+            assert np.array_equal(convolve_at(fam, path, i, tag), zr[i]), i
+
+    def test_convolve_at_rejects_out_of_range_node(self):
+        grid = TimeGrid(1.0, 20)
+        path = sample_path(mixed_triplet(), grid, 0, seed=1)
+        with pytest.raises(ValueError, match="outside"):
+            convolve_at(dirichlet_family(3, grid), path, 21)
+
+    @pytest.mark.parametrize("jump_times", [[], "on_node"], ids=["no-jumps", "jump-on-node"])
+    @pytest.mark.parametrize("tag", list(TagRule))
+    def test_identity_reproduction_edge_jumps(self, jump_times, tag):
+        grid = TimeGrid(1.0, 200)
+        if jump_times == "on_node":
+            jump_times = [grid.nodes()[37], 0.61234, grid.nodes()[150], grid.t_end]
+        path = path_with_jumps(grid, jump_times)
+        fam = identity_resolvent_family(3, KERNEL, grid)
+        assert np.array_equal(stieltjes_convolution(fam, path, tag).values, path.values)
+
+    def test_parts_matches_loop_reference(self):
+        grid = TimeGrid(1.0, 150)
+        fam = dirichlet_family(3, grid)
+        path = path_with_jumps(grid, [grid.nodes()[20], 0.3333, 0.75])
+        b = parts_convolution(fam, path).values
+        ref = reference_parts(fam, path)
+        assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_parts_agrees_with_stieltjes_at_high_jump_rate(self):
+        grid = TimeGrid(1.0, 400)
+        fam = dirichlet_family(4, grid)
+        trip = LevyTriplet(np.array([0.3, -0.2, 0.1, 0.05]), np.array([1.0, 0.7, 0.4, 0.2]),
+                           JumpPart(rate=50.0, law=PointMass(np.array([0.6, -0.4, 0.3, 0.2]))))
+        for idx in range(3):
+            path = sample_path(trip, grid, idx, seed=2024)
+            assert path.jump_times.size > 20
+            a = stieltjes_convolution(fam, path).values
+            b = parts_convolution(fam, path).values
+            assert np.max(np.abs(a - b)) <= PARTS_REL_TOL * np.max(np.abs(a))

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from levyvolterra import (
     KernelSpec,
     TimeGrid,
+    build_resolvent_family,
+    build_spectral_model,
     certify_resolvent_properties,
     closed_form_exponential_resolvent,
     eval_kernel,
     solve_scalar_resolvent,
 )
-from levyvolterra.kernels import default_property_tolerance
+from levyvolterra.kernels import default_property_tolerance, solve_resolvent_modes
 
 GAMMA_CATALOG = [0.0, 1.0, np.pi**2, 4 * np.pi**2, 9 * np.pi**2]
 
@@ -92,6 +94,31 @@ class TestSolveScalarResolvent:
                 errs.append(np.max(np.abs(tab.values - closed_form_exponential_resolvent(mu, grid.nodes()))))
             assert errs[0] / errs[1] >= 3.5
             assert errs[1] / errs[2] >= 3.5
+
+
+class TestModeSolve:
+    @pytest.mark.parametrize("kern", [KernelSpec.exponential(1.0), KernelSpec.constant(2.0)])
+    def test_family_columns_match_scalar_solves(self, kern):
+        grid = TimeGrid(1.0, 400)
+        fam = build_resolvent_family(build_spectral_model(6, "dirichlet_laplacian"), kern, grid)
+        for k, mu in enumerate(fam.model.mu):
+            scalar = solve_scalar_resolvent(kern, float(mu), grid).values
+            assert np.max(np.abs(fam.s_matrix[:, k] - scalar)) <= 1e-14
+
+    def test_first_steps_follow_gregory_weights(self):
+        # steps 1 and 2 use the weights (1/2, 1/2) and (5/12, 14/12, 5/12)
+        grid = TimeGrid(1.0, 10)
+        a = np.exp(-grid.nodes())
+        g, dt = 3.0, grid.dt
+        s = solve_resolvent_modes(KernelSpec.exponential(1.0), [g], grid)[:, 0]
+        s1 = (1.0 - g * dt * 0.5 * a[1]) / (1.0 + g * dt * 0.5)
+        s2 = (1.0 - g * dt * (5 / 12 * a[2] + 14 / 12 * a[1] * s1)) / (1.0 + g * dt * 5 / 12)
+        assert s[1] == pytest.approx(s1, rel=1e-14)
+        assert s[2] == pytest.approx(s2, rel=1e-14)
+
+    def test_non_finite_table_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            solve_resolvent_modes(KernelSpec.exponential(1.0), [1e300, 1e305], TimeGrid(1.0, 100))
 
 
 class TestClosedForm:

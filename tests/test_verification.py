@@ -19,6 +19,7 @@ from levyvolterra import (
     stieltjes_convolution,
     weak_solution_residual,
 )
+from levyvolterra.cli import ROUTE_CONSISTENCY_TOL
 
 KERNEL = KernelSpec.exponential(1.0)
 
@@ -90,6 +91,29 @@ class TestWeakResidual:
         other = sample_path(LevyTriplet.zero(1), TimeGrid(1.0, 50), 0, seed=0)
         with pytest.raises(ValueError):
             weak_solution_residual(zr, other, fam)
+
+    def test_matches_per_node_trapezoid_loop(self):
+        grid = TimeGrid(1.0, 300)
+        fam = build_resolvent_family(build_spectral_model(3, "dirichlet_laplacian"), KERNEL, grid)
+        path = sample_path(mixed_triplet(3), grid, 1, seed=12)
+        zr = stieltjes_convolution(fam, path)
+        a = np.exp(-grid.nodes())
+        ref = np.zeros_like(zr.values)
+        for i in range(1, grid.n_steps + 1):
+            w = np.ones(i + 1)
+            w[0] = w[i] = 0.5
+            quad = grid.dt * ((w * a[i::-1]) @ zr.values[: i + 1])
+            ref[i] = zr.values[i] + fam.gammas * quad - path.values[i]
+        assert np.max(np.abs(weak_solution_residual(zr, path, fam).residuals - ref)) <= 1e-12
+
+    def test_agrees_with_bounded_route_on_long_grid(self):
+        grid = TimeGrid(1.0, 4000)
+        fam = build_resolvent_family(build_spectral_model(8, "dirichlet_laplacian"), KERNEL, grid)
+        path = sample_path(mixed_triplet(8), grid, 0, seed=2024)
+        zr = stieltjes_convolution(fam, path)
+        weak = weak_solution_residual(zr, path, fam).residuals
+        joint = bounded_A_identity_residual(zr, path, fam).residuals
+        assert np.max(np.abs(weak - joint)) <= ROUTE_CONSISTENCY_TOL
 
 
 class TestBoundedIdentityResidual:
