@@ -10,7 +10,14 @@ import numpy as np
 
 from .grid import TimeGrid
 from .kernels import KernelSpec
-from .levy import DiscreteMixture, GaussianJumps, JumpPart, LevyTriplet, PointMass
+from .levy import (
+    DiscreteMixture,
+    GaussianJumps,
+    JumpPart,
+    LevyTriplet,
+    PointMass,
+    check_hermite_budget,
+)
 from .spectral import SpectralModel, build_spectral_model
 
 SCHEMA_VERSION = 1
@@ -109,8 +116,10 @@ def _parse_law(section):
         if kind == "gaussian":
             _require_keys(section, {"kind", "mean", "var"}, {"kind", "mean", "var"},
                           "triplet.jump.law")
-            return GaussianJumps(np.asarray(section["mean"], dtype=float),
-                                 np.asarray(section["var"], dtype=float))
+            law = GaussianJumps(np.asarray(section["mean"], dtype=float),
+                                np.asarray(section["var"], dtype=float))
+            check_hermite_budget(law.dim)  # every run takes the law's Hermite expectation
+            return law
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid triplet.jump.law: {exc}") from exc
     raise ConfigError(f"unknown jump law kind {kind!r}")

@@ -27,6 +27,9 @@ from .grid import TimeGrid
 
 # Gauss-Hermite nodes per dimension for Gaussian-jump ball expectations
 _HERMITE_NODES = {2: 64, 3: 24, 4: 16}
+# most points of the tensor Hermite grid; 10 nodes per axis pass at K = 6
+# and fail from K = 7, where the grid would take gigabytes
+HERMITE_NODE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,23 @@ def jump_cf(law: JumpLaw, y: np.ndarray) -> complex | np.ndarray:
     return out if np.asarray(y).ndim == 2 else complex(out[0])
 
 
+def check_hermite_budget(K: int) -> int:
+    """Nodes per axis of the K-dimensional Hermite grid; ValueError above the budget."""
+    n_nodes = _HERMITE_NODES.get(K, 10) if K > 1 else 96
+    if n_nodes**K > HERMITE_NODE_BUDGET:
+        raise ValueError(f"a Gaussian jump law of dimension {K} needs {n_nodes}**{K} Hermite "
+                         f"nodes, above the budget of {HERMITE_NODE_BUDGET}")
+    return n_nodes
+
+
 def jump_expectation(law: JumpLaw, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """E[fn(J)] where fn maps an (m, K) batch of jump values to (m, ...).
 
     Exact enumeration for discrete laws; tensorized Gauss-Hermite quadrature
     for Gaussian jumps (exact only for smooth integrands, so indicator-type
     integrands carry quadrature error that shrinks with the node table).
+    The tensor grid is refused with ValueError, before it is built, when it
+    would exceed HERMITE_NODE_BUDGET points.
     """
     if isinstance(law, PointMass):
         return np.asarray(fn(law.mark[None, :]))[0]
@@ -129,7 +143,7 @@ def jump_expectation(law: JumpLaw, fn: Callable[[np.ndarray], np.ndarray]) -> np
         vals = np.asarray(fn(law.atoms))
         return np.tensordot(law.weights, vals, axes=(0, 0))
     K = law.dim
-    n_nodes = _HERMITE_NODES.get(K, 10) if K > 1 else 96
+    n_nodes = check_hermite_budget(K)
     x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
     w = w / np.sqrt(2.0 * pi)
     grids = np.meshgrid(*([x] * K), indexing="ij")

@@ -1,6 +1,11 @@
+import json
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from levyvolterra import characterization, cli
 from levyvolterra import (
     JumpPart,
     KernelSpec,
@@ -33,6 +38,20 @@ ALPHA_CORRECTION_H2 = 0.24552603917867658
 def family(K, grid, mus=None):
     model = build_spectral_model(K, mus if mus is not None else "dirichlet_laplacian")
     return build_resolvent_family(model, KERNEL, grid)
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """(seed, index) of every stream characterization constructs."""
+    keys = []
+    original = characterization.sample_rng
+
+    def counting(seed, index):
+        keys.append((seed, index))
+        return original(seed, index)
+
+    monkeypatch.setattr(characterization, "sample_rng", counting)
+    return keys
 
 
 class TestPredictedTriplet:
@@ -193,6 +212,138 @@ class TestTerminalValues:
         assert np.array_equal(a, b)
 
 
+class TestSharedPass:
+    """Gaussian-only outcomes are drawn once and contracted with LEFT and MIDPOINT."""
+
+    GRID = TimeGrid(1.0, 100)
+    TRIP = LevyTriplet(np.array([0.3, -0.2]), np.array([1.0, 0.5]))
+
+    def test_hit_equals_fresh_pass(self, streams):
+        fam = family(2, self.GRID)
+        mid = terminal_values(fam, self.TRIP, 1.0, 64, seed=3, tag_rule=TagRule.MIDPOINT)
+        hit = terminal_values(fam, self.TRIP, 1.0, 64, seed=3, tag_rule=TagRule.LEFT)
+        assert len(streams) == 64
+        terminal_values(fam, self.TRIP, 1.0, 64, seed=4, tag_rule=TagRule.MIDPOINT)  # evicts
+        fresh = terminal_values(fam, self.TRIP, 1.0, 64, seed=3, tag_rule=TagRule.LEFT)
+        assert len(streams) == 3 * 64
+        assert np.array_equal(hit, fresh)
+        for idx in range(3):
+            path = sample_path(self.TRIP, self.GRID, idx, seed=3)
+            for rule, vals in ((TagRule.LEFT, hit), (TagRule.MIDPOINT, mid)):
+                direct = convolve_at(fam, path, self.GRID.n_steps, rule)
+                assert np.allclose(vals[idx], direct, atol=1e-12)
+
+    def test_right_pass_serves_both_checks(self, streams):
+        fam = family(2, self.GRID)
+        terminal_values(fam, self.TRIP, 1.0, 32, seed=8, tag_rule=TagRule.RIGHT)
+        hits = [terminal_values(fam, self.TRIP, 1.0, 32, seed=8, tag_rule=rule)
+                for rule in (TagRule.LEFT, TagRule.MIDPOINT)]
+        assert len(streams) == 32
+        terminal_values(fam, self.TRIP, 1.0, 32, seed=8, tag_rule=TagRule.MIDPOINT)
+        fresh_mid = terminal_values(fam, self.TRIP, 1.0, 32, seed=8, tag_rule=TagRule.MIDPOINT)
+        fresh_left = terminal_values(fam, self.TRIP, 1.0, 32, seed=8, tag_rule=TagRule.LEFT)
+        assert np.array_equal(hits[0], fresh_left) and np.array_equal(hits[1], fresh_mid)
+
+    def test_returned_arrays_are_private(self):
+        fam = family(2, self.GRID)
+        mid = terminal_values(fam, self.TRIP, 1.0, 16, seed=5, tag_rule=TagRule.MIDPOINT)
+        first = terminal_values(fam, self.TRIP, 1.0, 16, seed=5, tag_rule=TagRule.LEFT)
+        expected = first.copy()
+        first[:] = 0.0
+        mid[:] = 0.0
+        assert np.array_equal(
+            terminal_values(fam, self.TRIP, 1.0, 16, seed=5, tag_rule=TagRule.LEFT), expected)
+
+    @pytest.mark.parametrize("field", ["seed", "n_samples", "t", "family", "triplet"])
+    def test_other_key_misses(self, streams, field):
+        fam = family(2, self.GRID)
+        args = {"family": fam, "triplet": self.TRIP, "t": 1.0, "n_samples": 32, "seed": 5}
+        terminal_values(**args, tag_rule=TagRule.MIDPOINT)
+        hit = terminal_values(**args, tag_rule=TagRule.LEFT)
+        changed = {"seed": 6, "n_samples": 33, "t": 0.5, "family": family(2, self.GRID),
+                   "triplet": LevyTriplet(self.TRIP.drift, self.TRIP.gauss_var)}[field]
+        streams.clear()
+        out = terminal_values(**{**args, field: changed}, tag_rule=TagRule.LEFT)
+        assert len(streams) == (33 if field == "n_samples" else 32)
+        if field in ("family", "triplet"):  # equal inputs, distinct objects
+            assert np.array_equal(out, hit)
+
+    def test_hits_worker_count_invariant(self):
+        fam = family(2, self.GRID)
+        passes = []
+        for workers in (1, 4):
+            mid = terminal_values(fam, self.TRIP, 1.0, 64, seed=9, tag_rule=TagRule.MIDPOINT,
+                                  workers=workers)
+            left = terminal_values(fam, self.TRIP, 1.0, 64, seed=9, workers=workers)
+            passes.append((mid, left))
+        assert np.array_equal(passes[0][0], passes[1][0])
+        assert np.array_equal(passes[0][1], passes[1][1])
+
+    def test_jump_triplet_contracts_requested_rule_only(self, streams):
+        fam = family(2, self.GRID)
+        trip = LevyTriplet(np.zeros(2), np.array([1.0, 0.5]),
+                           JumpPart(2.0, PointMass(np.array([0.6, -0.4]))))
+        # a Gaussian-only entry for the same family and seed stays unused
+        terminal_values(fam, self.TRIP, 1.0, 32, seed=5, tag_rule=TagRule.MIDPOINT)
+        mid = terminal_values(fam, trip, 1.0, 32, seed=5, tag_rule=TagRule.MIDPOINT)
+        streams.clear()
+        left = terminal_values(fam, trip, 1.0, 32, seed=5, tag_rule=TagRule.LEFT)
+        assert len(streams) == 32
+        assert not np.array_equal(left, mid)
+        for idx in range(3):
+            path = sample_path(trip, self.GRID, idx, seed=5)
+            assert np.allclose(left[idx], convolve_at(fam, path, self.GRID.n_steps, TagRule.LEFT),
+                               atol=1e-12)
+
+    def test_concurrent_callers_get_their_own_pass(self):
+        fam = family(2, self.GRID)
+        cases = [(seed, rule) for seed in (1, 2, 3) for rule in (TagRule.LEFT, TagRule.MIDPOINT)]
+        expected = {}
+        for seed, rule in cases:
+            terminal_values(fam, self.TRIP, 1.0, 8, seed=99, tag_rule=TagRule.RIGHT)  # evicts
+            expected[seed, rule] = terminal_values(fam, self.TRIP, 1.0, 8, seed=seed, tag_rule=rule)
+        wrong = []
+
+        def caller(offset):
+            for step in range(40):
+                seed, rule = cases[(offset + step) % len(cases)]
+                got = terminal_values(fam, self.TRIP, 1.0, 8, seed=seed, tag_rule=rule)
+                if not np.array_equal(got, expected[seed, rule]):
+                    wrong.append((seed, rule))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+
+    def test_verify_ecf_draws_each_stream_once(self, tmp_path, streams):
+        cfg = {
+            "schema_version": 1,
+            "kernel": {"family": "exponential", "rate": 1.0},
+            "model": {"K": 2, "rule": "dirichlet_laplacian"},
+            "triplet": {"drift": [0.0, 0.0], "gauss_var": [1.0, 0.5]},
+            "grid": {"t_end": 1.0, "n_steps": 50},
+            "mc": {"n_samples": 1000, "seed": 21},
+            "panel_size": 10,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["verify-ecf", "--config", str(path), "--out", str(out)]) in (0, 1)
+        assert "covariance_check" in json.loads((out / "ecf_report.json").read_text())["results"]
+        # N sample streams plus the one panel stream
+        assert len(streams) == 1000 + 1
+        assert len(set(streams)) == len(streams)
+
+
 class TestPanel:
     def test_eigen_block_then_random_units(self):
         panel = build_panel(2, 10, seed=5)
@@ -244,6 +395,12 @@ class TestCovarianceCheck:
         trip = LevyTriplet(np.array([0.3, 0.0]), np.zeros(2))
         check = gaussian_covariance_check(fam, trip, 1.0, 500, seed=0)
         assert np.array_equal(check.z, np.zeros(2))
+
+    def test_needs_two_samples_before_drawing(self, streams):
+        fam = family(1, TimeGrid(1.0, 50), [1.0])
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            gaussian_covariance_check(fam, LevyTriplet(np.zeros(1), np.ones(1)), 1.0, 1, seed=0)
+        assert streams == []
 
     def test_identity_family_flat_variance(self):
         grid = TimeGrid(1.0, 100)

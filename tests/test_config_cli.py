@@ -82,6 +82,14 @@ class TestConfigParsing:
             parse_config(minimal_config(mc={"n_samples": 10, "seed": -1}))
 
 
+def gaussian_jumps_config(K):
+    """A consistent K-mode config whose jump law is Gaussian."""
+    return {"model": {"K": K, "rule": "dirichlet_laplacian"},
+            "triplet": {"drift": [0.0] * K, "gauss_var": [1.0] * K,
+                        "jump": {"rate": 1.0,
+                                 "law": {"kind": "gaussian", "mean": [0.0] * K, "var": [1.0] * K}}}}
+
+
 # one config mutation per input the parser must refuse
 BOUNDARY_CASES = {
     "n_samples-string": {"mc": {"n_samples": "abc", "seed": 7}},
@@ -98,6 +106,9 @@ BOUNDARY_CASES = {
     "schema_version-bool": {"schema_version": True},
     "tabulated-kernel-too-short": {
         "kernel": {"family": "tabulated", "times": [0.0, 0.5, 0.9], "values": [1.0, 0.6, 0.4]}},
+    # the Hermite expectation of these laws would need 10**7 and 10**8 nodes
+    "gaussian-jumps-K7": gaussian_jumps_config(7),
+    "gaussian-jumps-K8": gaussian_jumps_config(8),
 }
 
 
@@ -118,6 +129,9 @@ class TestConfigBoundaries:
             kernel={"family": "tabulated", "times": [0.0, 0.5, 1.0], "values": [1.0, 0.6, 0.4]},
             grid={"t_end": 1.0, "n_steps": 100.0}))
         assert cfg.grid.n_steps == 100 and isinstance(cfg.grid.n_steps, int)
+
+    def test_gaussian_jumps_within_hermite_budget_accepted(self):
+        assert parse_config(minimal_config(**gaussian_jumps_config(6))).triplet.jump.law.dim == 6
 
     def test_non_finite_resolvent_is_exit_2(self, tmp_path, capsys):
         cfg = minimal_config(model={"K": 2, "rule": "custom", "mu": [1e300, 1e305]},

@@ -91,6 +91,29 @@ class TestJumpLawHelpers:
         second = jump_expectation(law, lambda x: x**2)
         assert np.allclose(second, law.mean**2 + law.var, atol=1e-12)
 
+    @pytest.mark.parametrize("K", [7, 8])
+    def test_hermite_grid_over_budget_refused_before_allocation(self, K, monkeypatch):
+        from levyvolterra import levy
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the Hermite grid was built")
+
+        monkeypatch.setattr(levy.np, "meshgrid", no_grid)
+        monkeypatch.setattr(levy.np.polynomial.hermite_e, "hermegauss", no_grid)
+        law = GaussianJumps(np.zeros(K), np.ones(K))
+        with pytest.raises(ValueError, match="budget"):
+            levy.jump_expectation(law, no_grid)
+        # the sampler reaches the expectation through the compensator
+        trip = LevyTriplet(np.zeros(K), np.zeros(K), JumpPart(1.0, law))
+        with pytest.raises(ValueError, match="budget"):
+            trip.pathwise_drift()
+
+    def test_hermite_budget_admits_six_dimensions(self):
+        from levyvolterra.levy import HERMITE_NODE_BUDGET, check_hermite_budget
+
+        assert check_hermite_budget(6) ** 6 == HERMITE_NODE_BUDGET
+        assert [check_hermite_budget(K) for K in (1, 2, 3, 4)] == [96, 64, 24, 16]
+
 
 class TestSamplePath:
     def test_zero_triplet_is_identically_zero(self):
