@@ -36,7 +36,6 @@ from .grid import TimeGrid
 from .kernels import (
     KernelSpec,
     PropertyReport,
-    ScalarResolventTable,
     certify_resolvent_properties,
     closed_form_exponential_resolvent,
     eval_kernel,
@@ -62,7 +61,6 @@ from .spectral import (
     build_spectral_model,
     identity_resolvent_family,
     resolvent_equation_residual,
-    total_variation_certificate,
 )
 from .verification import (
     ConvergenceStudy,

@@ -27,14 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import TagRule, _lag_weights
-from .levy import (
-    LevyTriplet,
-    jump_expectation,
-    phi_batch,
-    sample_jumps,
-    sample_rng,
-)
+from .levy import LevyTriplet, jump_rule, phi_batch, sample_jumps, sample_rng
 from .spectral import ResolventFamily
+
+# ECF panel acceptance: at least ECF_FRACTION of the z-scores within
+# ECF_Z_SOFT and all of them within ECF_Z_HARD
+ECF_Z_SOFT, ECF_Z_HARD, ECF_FRACTION = 3.0, 5.0, 0.95
 
 # salt keeping panel-direction streams disjoint from per-sample streams
 _PANEL_SALT = 1 << 62
@@ -98,18 +96,14 @@ def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -
         jump_mass = lam * (i * dt)
         corr = np.zeros(family.K)
         if not _indicator_correction_vanishes(triplet.jump.law, s):
+            # one quadrature rule for every node: E[s_j J (1_{|s_j J| < 1} - 1_{|J| < 1})]
+            points, weights = jump_rule(triplet.jump.law)
+            inside = (np.linalg.norm(points, axis=1) < 1.0).astype(float)
             node_vals = np.empty((i + 1, family.K))
             for j in range(i + 1):
-                svec = s[j]
-
-                def integrand(x, svec=svec):
-                    scaled = x * svec[None, :]
-                    ind = (np.linalg.norm(scaled, axis=1) < 1.0).astype(float) - (
-                        np.linalg.norm(x, axis=1) < 1.0
-                    ).astype(float)
-                    return scaled * ind[:, None]
-
-                node_vals[j] = jump_expectation(triplet.jump.law, integrand)
+                scaled = points * s[j][None, :]
+                ind = (np.linalg.norm(scaled, axis=1) < 1.0).astype(float) - inside
+                node_vals[j] = np.tensordot(weights, scaled * ind[:, None], axes=(0, 0))
             corr = lam * (w @ node_vals)
         alpha = alpha + corr
     return PredictedTriplet(t=i * dt, alpha=alpha, q_diag=q_diag, jump_mass=jump_mass)
@@ -283,7 +277,8 @@ class EcfReport:
     """Panel comparison of predicted vs empirical characteristic functions.
 
     z = |empirical - predicted| / (1/sqrt(N)).  Acceptance convention:
-    at least frac_threshold of the panel within z_soft, all within z_hard.
+    at least ECF_FRACTION of the panel within ECF_Z_SOFT, all within
+    ECF_Z_HARD.
     """
 
     t: float
@@ -291,9 +286,6 @@ class EcfReport:
     seed: int
     tag_rule: TagRule
     rows: tuple
-    z_soft: float = 3.0
-    z_hard: float = 5.0
-    frac_threshold: float = 0.95
 
     @property
     def z_scores(self) -> np.ndarray:
@@ -306,11 +298,11 @@ class EcfReport:
     @property
     def frac_within_soft(self) -> float:
         z = self.z_scores
-        return float(np.mean(z <= self.z_soft))
+        return float(np.mean(z <= ECF_Z_SOFT))
 
     @property
     def passed(self) -> bool:
-        return self.frac_within_soft >= self.frac_threshold and self.max_abs_z <= self.z_hard
+        return self.frac_within_soft >= ECF_FRACTION and self.max_abs_z <= ECF_Z_HARD
 
 
 def ecf_comparison(

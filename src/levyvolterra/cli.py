@@ -21,18 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, characterization
 from .characterization import ecf_comparison, gaussian_covariance_check
 from .config import ConfigError, RunConfig, load_config
 from .convolution import TagRule, parts_convolution, stieltjes_convolution
-from .kernels import closed_form_exponential_resolvent
+from .kernels import certify_resolvent_properties, closed_form_exponential_resolvent
 from .levy import LevyTriplet, sample_path
 from .reports import series_csv, write_csv, write_json
-from .spectral import (
-    build_resolvent_family,
-    resolvent_equation_residual,
-    total_variation_certificate,
-)
+from .spectral import build_resolvent_family, resolvent_equation_residual
 from .verification import StudyConfig, convergence_study, weak_solution_residual
 
 RESOLVENT_ERROR_TOL = 1e-5
@@ -40,7 +36,6 @@ RESIDUAL_TOL = 5e-5
 CERTIFICATE_TOL = 1e-10
 PARTS_REL_TOL = 1e-12
 ROUTE_CONSISTENCY_TOL = 1e-10
-ECF_Z_SOFT, ECF_Z_HARD, ECF_FRACTION = 3.0, 5.0, 0.95
 COVARIANCE_Z_TOL = 4.0
 ORDER_THRESHOLDS = {"resolvent_error": 1.7, "tag_discrepancy": 0.4, "weak_residual": 1.7}
 
@@ -76,15 +71,12 @@ def _family(cfg: RunConfig, grid=None):
 
 def cmd_resolvent(cfg: RunConfig, out: Path, workers: int) -> dict:
     fam = _family(cfg)
-    cert = total_variation_certificate(fam, CERTIFICATE_TOL)
+    cert = certify_resolvent_properties(fam.s_matrix, CERTIFICATE_TOL)
     resid = resolvent_equation_residual(fam)
     closed = None
     if cfg.kernel.family == "exponential" and abs(cfg.kernel.rate - 1.0) < 1e-15:
-        nodes = cfg.grid.nodes()
-        errs = np.array([
-            float(np.max(np.abs(tab.values - closed_form_exponential_resolvent(tab.gamma, nodes))))
-            for tab in fam.tables
-        ])
+        exact = closed_form_exponential_resolvent(fam.gammas, cfg.grid.nodes()[:, None])
+        errs = np.max(np.abs(fam.s_matrix - exact), axis=0)
         # the strict bound is calibrated for mu <= 4 pi^2 at dt = 1e-3; the
         # envelope tracks the scheme's measured mu^3 dt^3 error growth with
         # a 2.5x margin, so it flags a broken solve at any resolution
@@ -110,7 +102,7 @@ def cmd_resolvent(cfg: RunConfig, out: Path, workers: int) -> dict:
         "results": {
             "gammas": fam.gammas,
             "total_variation": cert.total_variation,
-            "monotone_violations": cert.monotone_violations,
+            "monotone_violations": cert.max_increase,
             "residual_max_per_mode": resid.max_per_mode,
             "closed_form": closed,
         },
@@ -263,8 +255,10 @@ def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int) -> dict:
         "schema_version": 1,
         "subcommand": "verify-ecf",
         "config": cfg.raw,
-        "thresholds": {"z_soft": ECF_Z_SOFT, "z_hard": ECF_Z_HARD,
-                       "frac_within_soft": ECF_FRACTION, "covariance_z": COVARIANCE_Z_TOL},
+        "thresholds": {"z_soft": characterization.ECF_Z_SOFT,
+                       "z_hard": characterization.ECF_Z_HARD,
+                       "frac_within_soft": characterization.ECF_FRACTION,
+                       "covariance_z": COVARIANCE_Z_TOL},
         "results": results,
         "passed": passed,
     }

@@ -16,7 +16,6 @@ from .levy import (
     JumpPart,
     LevyTriplet,
     PointMass,
-    check_hermite_budget,
 )
 from .spectral import SpectralModel, build_spectral_model
 
@@ -116,10 +115,8 @@ def _parse_law(section):
         if kind == "gaussian":
             _require_keys(section, {"kind", "mean", "var"}, {"kind", "mean", "var"},
                           "triplet.jump.law")
-            law = GaussianJumps(np.asarray(section["mean"], dtype=float),
-                                np.asarray(section["var"], dtype=float))
-            check_hermite_budget(law.dim)  # every run takes the law's Hermite expectation
-            return law
+            return GaussianJumps(np.asarray(section["mean"], dtype=float),
+                                 np.asarray(section["var"], dtype=float))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid triplet.jump.law: {exc}") from exc
     raise ConfigError(f"unknown jump law kind {kind!r}")

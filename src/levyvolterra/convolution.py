@@ -25,8 +25,12 @@ from typing import Optional
 import numpy as np
 
 from .grid import TimeGrid
+from .kernels import certify_resolvent_properties
 from .levy import SamplePath
-from .spectral import ResolventFamily, total_variation_certificate
+from .spectral import ResolventFamily
+
+# largest increase of s, or excursion outside [0, 1], that the parts route accepts
+VARIATION_TOL = 1e-8
 
 
 class TagRule(Enum):
@@ -157,8 +161,8 @@ def stieltjes_convolution(
                + sum_{jump times tau <= t_i} s(t_i - tau, gamma_k) * mark_k,
 
     with dZcont the drift + Gaussian step increments and each jump weighted
-    at its exact recorded time through the mode table's interpolant.  With
-    all tables identically 1 this reproduces the path values float for
+    at its exact recorded time through the mode column's interpolant.  With
+    all columns identically 1 this reproduces the path values float for
     float.
     """
     _check_shared_grid(family, path)
@@ -172,9 +176,7 @@ def stieltjes_convolution(
     return ConvolutionPath(grid=grid, values=vals, method="stieltjes", tag_rule=tag_rule)
 
 
-def parts_convolution(
-    family: ResolventFamily, path: SamplePath, variation_tolerance: float = 1e-8
-) -> ConvolutionPath:
+def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionPath:
     """Summation-by-parts route, gated on the bounded-variation certificate.
 
     Continuous part per node (left tags):
@@ -190,12 +192,12 @@ def parts_convolution(
     agree to roundoff node by node.
     """
     _check_shared_grid(family, path)
-    cert = total_variation_certificate(family, tolerance=variation_tolerance)
+    cert = certify_resolvent_properties(family.s_matrix, VARIATION_TOL)
     if not cert.passed:
-        bad = [k for k, r in enumerate(cert.reports) if not r.passed]
+        bad = np.flatnonzero(~cert.mode_passed).tolist()
         raise ValueError(
             "integration by parts inapplicable: monotonicity/variation certificate "
-            f"failed for modes {bad} (max increase {cert.monotone_violations.max():.3e})"
+            f"failed for modes {bad} (max increase {cert.max_increase.max():.3e})"
         )
     grid = family.grid
     s = family.s_matrix

@@ -7,7 +7,7 @@ The central object is the solution s(t, gamma) of
 solved on a uniform grid by an order-3 Gregory product rule (composite
 trapezoid with end corrections).  For a completely positive kernel the
 solution is nonnegative and nonincreasing with s(0) = 1; those consequences
-are certified a posteriori on every solved table.
+are certified a posteriori on the solved values, all modes at once.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ class KernelSpec:
     Exponential and Constant evaluate for every t >= 0; Tabulated evaluates
     by linear interpolation and only inside its grid span.  All supported
     kernels are nonsingular: a(0) is finite.
-
-    ``claims_completely_positive`` is declared metadata, not enforced; the
-    consequences (s in [0, 1], nonincreasing) are certified on solved tables.
     """
 
     family: str
@@ -41,7 +38,6 @@ class KernelSpec:
     level: float = 1.0
     times: Optional[np.ndarray] = field(default=None, repr=False)
     values: Optional[np.ndarray] = field(default=None, repr=False)
-    claims_completely_positive: bool = True
 
     def __post_init__(self):
         if self.family not in (EXPONENTIAL, CONSTANT, TABULATED):
@@ -73,13 +69,9 @@ class KernelSpec:
         return cls(family=CONSTANT, level=level)
 
     @classmethod
-    def tabulated(cls, times, values, claims_completely_positive: bool = True) -> "KernelSpec":
-        return cls(
-            family=TABULATED,
-            times=np.asarray(times, dtype=float),
-            values=np.asarray(values, dtype=float),
-            claims_completely_positive=claims_completely_positive,
-        )
+    def tabulated(cls, times, values) -> "KernelSpec":
+        return cls(family=TABULATED, times=np.asarray(times, dtype=float),
+                   values=np.asarray(values, dtype=float))
 
 
 def eval_kernel(kernel: KernelSpec, t) -> np.ndarray | float:
@@ -102,26 +94,6 @@ def eval_kernel(kernel: KernelSpec, t) -> np.ndarray | float:
             )
         out = np.interp(arr, kernel.times, kernel.values)
     return out if arr.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class ScalarResolventTable:
-    """Solved values s_i = s(t_i, gamma) on a uniform grid, s_0 = 1."""
-
-    gamma: float
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_steps + 1,):
-            raise ValueError("table length must be n_steps + 1")
-        object.__setattr__(self, "values", v)
-        v.flags.writeable = False
-
-    def interp(self, t) -> np.ndarray | float:
-        """Linear interpolation of s between grid nodes (exact at nodes)."""
-        return np.interp(t, self.grid.nodes(), self.values)
 
 
 def solve_resolvent_modes(kernel: KernelSpec, gammas, grid: TimeGrid) -> np.ndarray:
@@ -169,66 +141,76 @@ def solve_resolvent_modes(kernel: KernelSpec, gammas, grid: TimeGrid) -> np.ndar
     return s
 
 
-def solve_scalar_resolvent(kernel: KernelSpec, gamma: float, grid: TimeGrid) -> ScalarResolventTable:
+def solve_scalar_resolvent(kernel: KernelSpec, gamma: float, grid: TimeGrid) -> np.ndarray:
     """Solve s(t) + gamma * int_0^t a(t-tau) s(tau) dtau = 1 on the grid.
 
-    The single-mode case of solve_resolvent_modes.
+    The single-mode case of solve_resolvent_modes: the (n_steps + 1,) values.
     """
-    values = solve_resolvent_modes(kernel, [gamma], grid)[:, 0]
-    return ScalarResolventTable(gamma=gamma, grid=grid, values=values)
+    return solve_resolvent_modes(kernel, [gamma], grid)[:, 0]
 
 
-def closed_form_exponential_resolvent(mu: float, t) -> np.ndarray | float:
-    """Oracle for a(t) = exp(-t): s(t, mu) = (1+mu)^-1 * (1 + mu*exp(-(1+mu)t))."""
-    if not (mu >= 0.0 and np.isfinite(mu)):
+def closed_form_exponential_resolvent(mu, t) -> np.ndarray | float:
+    """Oracle for a(t) = exp(-t): s(t, mu) = (1+mu)^-1 * (1 + mu*exp(-(1+mu)t)).
+
+    mu and t broadcast against each other, so nodes[:, None] against a
+    (K,) mu gives every mode's column at once.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if not (np.all(mu >= 0.0) and np.all(np.isfinite(mu))):
         raise ValueError(f"mu must be >= 0 and finite, got {mu}")
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("t must be >= 0 and finite")
     out = (1.0 + mu * np.exp(-(1.0 + mu) * arr)) / (1.0 + mu)
-    return out if arr.ndim else float(out)
+    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Certificate of the completely-positive consequences on a solved table.
+    """Certificate of the completely-positive consequences on solved values.
 
+    Each field holds one entry per mode (a scalar for a single column):
     max_range_violation: how far any s_i leaves [0, 1] (0 if none).
     max_increase: largest positive jump s_{i+1} - s_i (0 if nonincreasing).
-    total_variation: sum |s_{i+1} - s_i|; for a monotone table this equals
+    total_variation: sum |s_{i+1} - s_i|; for a monotone column this equals
     s_0 - s_n and is the bounded-variation certificate used by the
     integration-by-parts route.
     """
 
-    gamma: float
-    max_range_violation: float
-    max_increase: float
-    total_variation: float
+    max_range_violation: np.ndarray
+    max_increase: np.ndarray
+    total_variation: np.ndarray
     tolerance: float
 
     @property
+    def mode_passed(self) -> np.ndarray:
+        return (self.max_range_violation <= self.tolerance) & (self.max_increase <= self.tolerance)
+
+    @property
     def passed(self) -> bool:
-        return self.max_range_violation <= self.tolerance and self.max_increase <= self.tolerance
+        return bool(np.all(self.mode_passed))
 
 
-def certify_resolvent_properties(table: ScalarResolventTable, tolerance: float = 1e-10) -> PropertyReport:
-    """Check 0 <= s <= 1 and monotone nonincrease against a caller tolerance."""
-    s = table.values
-    diffs = np.diff(s)
-    range_viol = max(float(np.max(s - 1.0)), float(np.max(-s)), 0.0)
-    max_incr = max(float(np.max(diffs)), 0.0) if diffs.size else 0.0
-    tv = float(np.sum(np.abs(diffs)))
+def certify_resolvent_properties(values, tolerance: float = 1e-10) -> PropertyReport:
+    """Check 0 <= s <= 1 and monotone nonincrease of every column of values.
+
+    values is one (n_steps + 1,) column or an (n_steps + 1, K) array with one
+    column per mode.
+    """
+    # mode-major: each mode's variation is then summed along contiguous
+    # memory, so it equals the sum over that column alone bit for bit
+    s = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    diffs = np.diff(s, axis=-1)
     return PropertyReport(
-        gamma=table.gamma,
-        max_range_violation=range_viol,
-        max_increase=max_incr,
-        total_variation=tv,
+        max_range_violation=np.max(np.maximum(s - 1.0, -s), axis=-1, initial=0.0),
+        max_increase=np.max(diffs, axis=-1, initial=0.0),
+        total_variation=np.sum(np.abs(diffs), axis=-1),
         tolerance=float(tolerance),
     )
 
 
-def default_property_tolerance(table: ScalarResolventTable, kernel: KernelSpec) -> float:
+def default_property_tolerance(kernel: KernelSpec, gamma, grid: TimeGrid):
     """Roundoff-scale tolerance: 10 * eps * a conditioning guard for the solve."""
-    a_max = float(np.max(np.abs(eval_kernel(kernel, table.grid.nodes()))))
-    cond = 1.0 + table.gamma * table.grid.t_end * a_max
+    a_max = float(np.max(np.abs(eval_kernel(kernel, grid.nodes()))))
+    cond = 1.0 + gamma * grid.t_end * a_max
     return 10.0 * np.finfo(float).eps * cond

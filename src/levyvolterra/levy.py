@@ -128,20 +128,20 @@ def check_hermite_budget(K: int) -> int:
     return n_nodes
 
 
-def jump_expectation(law: JumpLaw, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """E[fn(J)] where fn maps an (m, K) batch of jump values to (m, ...).
+def jump_rule(law: JumpLaw) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature rule (points (m, K), weights (m,)) with E[f(J)] = sum_m w_m f(x_m).
 
-    Exact enumeration for discrete laws; tensorized Gauss-Hermite quadrature
-    for Gaussian jumps (exact only for smooth integrands, so indicator-type
-    integrands carry quadrature error that shrinks with the node table).
-    The tensor grid is refused with ValueError, before it is built, when it
-    would exceed HERMITE_NODE_BUDGET points.
+    The mark with weight 1 for a point mass, the atoms with their weights for
+    a mixture, and the tensorized Gauss-Hermite grid for Gaussian jumps (exact
+    only for smooth integrands, so indicator-type integrands carry quadrature
+    error that shrinks with the node table).  The tensor grid is refused with
+    ValueError, before it is built, when it would exceed HERMITE_NODE_BUDGET
+    points.
     """
     if isinstance(law, PointMass):
-        return np.asarray(fn(law.mark[None, :]))[0]
+        return law.mark[None, :], np.ones(1)
     if isinstance(law, DiscreteMixture):
-        vals = np.asarray(fn(law.atoms))
-        return np.tensordot(law.weights, vals, axes=(0, 0))
+        return law.atoms, law.weights
     K = law.dim
     n_nodes = check_hermite_budget(K)
     x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
@@ -151,9 +151,13 @@ def jump_expectation(law: JumpLaw, fn: Callable[[np.ndarray], np.ndarray]) -> np
     wts = np.ones(pts.shape[0])
     for axis in range(K):
         wts = wts * w[np.searchsorted(x, pts[:, axis])]
-    samples = law.mean[None, :] + np.sqrt(law.var)[None, :] * pts
-    vals = np.asarray(fn(samples))
-    return np.tensordot(wts, vals, axes=(0, 0))
+    return law.mean[None, :] + np.sqrt(law.var)[None, :] * pts, wts
+
+
+def jump_expectation(law: JumpLaw, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """E[fn(J)] where fn maps an (m, K) batch of jump values to (m, ...), by jump_rule."""
+    points, weights = jump_rule(law)
+    return np.tensordot(weights, np.asarray(fn(points)), axes=(0, 0))
 
 
 def jump_mean_inside_unit_ball(law: JumpLaw) -> np.ndarray:
@@ -187,14 +191,23 @@ def sample_jumps(law: JumpLaw, rng: np.random.Generator, count: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class JumpPart:
-    """Compound-Poisson jump component: arrival rate and mark law."""
+    """Compound-Poisson jump component: arrival rate and mark law.
+
+    compensator = E[J 1_{|J| < 1}] of the law, computed once here (for a
+    Gaussian law of dimension >= 2 it is a tensor Hermite quadrature, which
+    raises ValueError above the node budget).
+    """
 
     rate: float
     law: JumpLaw
+    compensator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.rate > 0.0 and np.isfinite(self.rate)):
             raise ValueError(f"jump rate must be positive and finite, got {self.rate}")
+        comp = np.asarray(jump_mean_inside_unit_ball(self.law), dtype=float)
+        comp.flags.writeable = False
+        object.__setattr__(self, "compensator", comp)
 
 
 @dataclass(frozen=True)
@@ -233,7 +246,7 @@ class LevyTriplet:
         """
         if self.jump is None:
             return self.drift
-        return self.drift - self.jump.rate * jump_mean_inside_unit_ball(self.jump.law)
+        return self.drift - self.jump.rate * self.jump.compensator
 
     @classmethod
     def zero(cls, K: int) -> "LevyTriplet":
@@ -246,8 +259,7 @@ def phi_batch(triplet: LevyTriplet, Y: np.ndarray) -> np.ndarray:
     out = 1j * (Y @ triplet.drift) - 0.5 * (Y**2 @ triplet.gauss_var)
     out = np.asarray(out, dtype=complex)
     if triplet.jump is not None:
-        lam = triplet.jump.rate
-        comp = jump_mean_inside_unit_ball(triplet.jump.law)
+        lam, comp = triplet.jump.rate, triplet.jump.compensator
         out = out + lam * (jump_cf(triplet.jump.law, Y) - 1.0) - 1j * lam * (Y @ comp)
     return out
 

@@ -3,8 +3,8 @@
 The state space is the span of the first K eigenmodes of a self-adjoint
 operator with eigenvalues -mu_1 > -mu_2 > ...; A acts as (Ax)_k = -mu_k x_k
 and is bounded on the truncation.  R(t) acts diagonally through the scalar
-resolvent: (R(t) x)_k = s(t, mu_k) x_k, so R(0) is the identity and each
-mode carries its own solved table on one shared grid.
+resolvent: (R(t) x)_k = s(t, mu_k) x_k, so R(0) is the identity and the
+family is one (n_steps + 1, K) array of solved values on one shared grid.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import TimeGrid
-from .kernels import (
-    KernelSpec,
-    ScalarResolventTable,
-    certify_resolvent_properties,
-    eval_kernel,
-    solve_resolvent_modes,
-)
+from .kernels import KernelSpec, eval_kernel, solve_resolvent_modes
 
 DIRICHLET_LAPLACIAN = "dirichlet_laplacian"
 CUSTOM = "custom"
@@ -71,26 +65,25 @@ def build_spectral_model(K: int, rule="dirichlet_laplacian") -> SpectralModel:
 
 @dataclass(frozen=True)
 class ResolventFamily:
-    """Diagonal resolvent operators on a shared grid: one s-table per mode.
+    """Diagonal resolvent operators on a shared grid: one s-column per mode.
 
-    s_matrix[i, k] = s(t_i, gamma_k); R(0) = identity because every table
-    starts at 1.  All convolution and residual computations read the
-    per-table gamma, so a gamma = 0 surrogate family acts as the identity.
+    s_matrix[i, k] = s(t_i, gamma_k) with gamma_k = model.mu[k]; R(0) is the
+    identity because every column starts at 1.  All convolution and residual
+    computations read these gammas, so a gamma = 0 surrogate family acts as
+    the identity.
     """
 
     model: SpectralModel
     kernel: KernelSpec
     grid: TimeGrid
-    tables: tuple
+    s_matrix: np.ndarray
 
     def __post_init__(self):
-        if len(self.tables) != self.model.K:
-            raise ValueError("one table per mode required")
-        for tab in self.tables:
-            if tab.grid != self.grid:
-                raise ValueError("all tables must share the family grid")
-        s = np.column_stack([tab.values for tab in self.tables])
-        object.__setattr__(self, "_s_matrix", s)
+        s = np.asarray(self.s_matrix, dtype=float)
+        if s.shape != (self.grid.n_steps + 1, self.model.K):
+            raise ValueError(f"s_matrix must be (n_steps + 1, K) = "
+                             f"{(self.grid.n_steps + 1, self.model.K)}, got {s.shape}")
+        object.__setattr__(self, "s_matrix", s)
         s.flags.writeable = False
 
     @property
@@ -98,25 +91,14 @@ class ResolventFamily:
         return self.model.K
 
     @property
-    def s_matrix(self) -> np.ndarray:
-        """(n_steps + 1, K) array of s(t_i, gamma_k)."""
-        return self._s_matrix
-
-    @property
     def gammas(self) -> np.ndarray:
-        return np.array([tab.gamma for tab in self.tables])
-
-
-def _solved_tables(kernel: KernelSpec, gammas: np.ndarray, grid: TimeGrid) -> tuple:
-    s = solve_resolvent_modes(kernel, gammas, grid)
-    return tuple(ScalarResolventTable(gamma=float(g), grid=grid, values=s[:, k].copy())
-                 for k, g in enumerate(gammas))
+        return self.model.mu
 
 
 def build_resolvent_family(model: SpectralModel, kernel: KernelSpec, grid: TimeGrid) -> ResolventFamily:
     """Solve the scalar resolvent for all modes in one recurrence on the shared grid."""
-    tables = _solved_tables(kernel, model.mu, grid)
-    return ResolventFamily(model=model, kernel=kernel, grid=grid, tables=tables)
+    s = solve_resolvent_modes(kernel, model.mu, grid)
+    return ResolventFamily(model=model, kernel=kernel, grid=grid, s_matrix=s)
 
 
 def identity_resolvent_family(K: int, kernel: KernelSpec, grid: TimeGrid) -> ResolventFamily:
@@ -126,8 +108,7 @@ def identity_resolvent_family(K: int, kernel: KernelSpec, grid: TimeGrid) -> Res
     eigenvalues and deliberately bypasses build_spectral_model validation.
     """
     model = SpectralModel(K=K, mu=np.zeros(K), rule=IDENTITY_SURROGATE)
-    tables = _solved_tables(kernel, model.mu, grid)
-    return ResolventFamily(model=model, kernel=kernel, grid=grid, tables=tables)
+    return build_resolvent_family(model, kernel, grid)
 
 
 def apply_resolvent(family: ResolventFamily, time_index: int, x: Sequence[float]) -> np.ndarray:
@@ -142,7 +123,7 @@ def apply_resolvent(family: ResolventFamily, time_index: int, x: Sequence[float]
 
 @dataclass(frozen=True)
 class ResolventResidualReport:
-    """Defect of each solved table in the discretized resolvent equation."""
+    """Defect of each solved column in the discretized resolvent equation."""
 
     residuals: np.ndarray  # (n_steps + 1, K)
     max_per_mode: np.ndarray  # (K,)
@@ -165,6 +146,7 @@ def resolvent_equation_residual(family: ResolventFamily) -> ResolventResidualRep
     n, dt = grid.n_steps, grid.dt
     a_vals = np.asarray(eval_kernel(family.kernel, grid.nodes()), dtype=float)
 
+    cols = np.ascontiguousarray(family.s_matrix.T)  # one contiguous row per mode
     res = np.zeros((n + 1, family.K))
     for i in range(1, n + 1):
         # direct tabulation of the composite weights, written independently
@@ -178,41 +160,10 @@ def resolvent_equation_residual(family: ResolventFamily) -> ResolventResidualRep
             w[1] += 1.0 / 12.0
             w[i - 1] += 1.0 / 12.0
         arow = a_vals[: i + 1][::-1]  # a(t_i - t_j), j = 0..i
-        for k, tab in enumerate(family.tables):
-            q = dt * float(np.sum(w * arow * tab.values[: i + 1]))
-            res[i, k] = tab.values[i] - 1.0 + tab.gamma * q
+        for k, (gamma, col) in enumerate(zip(family.gammas, cols)):
+            q = dt * float(np.sum(w * arow * col[: i + 1]))
+            res[i, k] = col[i] - 1.0 + gamma * q
     return ResolventResidualReport(residuals=res, max_per_mode=np.max(np.abs(res), axis=0))
-
-
-@dataclass(frozen=True)
-class VariationCertificate:
-    """Per-mode total variation and monotonicity: the bounded-variation gate."""
-
-    reports: tuple  # PropertyReport per mode
-    tolerance: float
-
-    @property
-    def total_variation(self) -> np.ndarray:
-        return np.array([r.total_variation for r in self.reports])
-
-    @property
-    def monotone_violations(self) -> np.ndarray:
-        return np.array([r.max_increase for r in self.reports])
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
-
-
-def total_variation_certificate(family: ResolventFamily, tolerance: float = 1e-10) -> VariationCertificate:
-    """Certify finite variation mode by mode.
-
-    Monotone tables have total variation s_0 - s_n; any mode increasing
-    beyond the tolerance is flagged, which for a completely positive kernel
-    indicates a solver defect.
-    """
-    reports = tuple(certify_resolvent_properties(tab, tolerance) for tab in family.tables)
-    return VariationCertificate(reports=reports, tolerance=float(tolerance))
 
 
 def eigenfunction_values(model: SpectralModel, xs) -> np.ndarray:

@@ -75,7 +75,7 @@ def weak_solution_residual(
 
     with the trapezoid evaluated on convolution node values (jumps are
     already folded into those values).  The gamma per mode is read from the
-    family tables, so an identity surrogate family scores a zero integral
+    family's gammas, so an identity surrogate family scores a zero integral
     term.  The integrals for all nodes and modes are one lower-triangular
     Toeplitz product, formed in blocks of rows, with the trapezoid end
     weights applied as rank-1 corrections.
@@ -189,11 +189,8 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
         norms = []
         for g in grids:
             fam = build_resolvent_family(config.model, config.kernel, g)
-            errs = [
-                np.max(np.abs(tab.values - closed_form_exponential_resolvent(tab.gamma, g.nodes())))
-                for tab in fam.tables
-            ]
-            norms.append(max(errs))
+            exact = closed_form_exponential_resolvent(fam.gammas, g.nodes()[:, None])
+            norms.append(np.max(np.abs(fam.s_matrix - exact)))
         norms = np.array(norms)
         return ConvergenceStudy(config.target, dts, norms, None,
                                 fit_order(dts, norms))

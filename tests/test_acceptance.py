@@ -48,15 +48,15 @@ def test_criterion_01_scalar_resolvent_oracle():
     grid = TimeGrid(1.0, 1000)
     errs = {}
     for mu in CRITERION_MUS:
-        tab = solve_scalar_resolvent(KERNEL, mu, grid)
-        errs[mu] = float(np.max(np.abs(tab.values - closed_form_exponential_resolvent(mu, grid.nodes()))))
+        s = solve_scalar_resolvent(KERNEL, mu, grid)
+        errs[mu] = float(np.max(np.abs(s - closed_form_exponential_resolvent(mu, grid.nodes()))))
     orders = {}
     for mu in CRITERION_MUS:
         level_errs = []
         for n in (100, 200, 400):
             g = TimeGrid(1.0, n)
-            tab = solve_scalar_resolvent(KERNEL, mu, g)
-            level_errs.append(np.max(np.abs(tab.values - closed_form_exponential_resolvent(mu, g.nodes()))))
+            s = solve_scalar_resolvent(KERNEL, mu, g)
+            level_errs.append(np.max(np.abs(s - closed_form_exponential_resolvent(mu, g.nodes()))))
         orders[mu] = fit_order([1e-2, 5e-3, 2.5e-3], level_errs)
     ok = all(e <= 1e-5 for e in errs.values()) and all(p >= 1.7 for p in orders.values())
     _report(1, ok, f"max node errors {[f'{e:.2e}' for e in errs.values()]} (tol 1e-5), "
@@ -71,8 +71,8 @@ def test_criterion_02_complete_positivity_consequences():
     worst_range, worst_incr = 0.0, 0.0
     for mu in CRITERION_MUS:
         for n in (100, 200, 400, 1000):
-            tab = solve_scalar_resolvent(KERNEL, mu, TimeGrid(1.0, n))
-            rep = certify_resolvent_properties(tab, tolerance=1e-10)
+            s = solve_scalar_resolvent(KERNEL, mu, TimeGrid(1.0, n))
+            rep = certify_resolvent_properties(s, tolerance=1e-10)
             worst_range = max(worst_range, rep.max_range_violation)
             worst_incr = max(worst_incr, rep.max_increase)
     ok = worst_range <= 1e-10 and worst_incr <= 1e-10

@@ -7,6 +7,8 @@ import pytest
 
 from levyvolterra import characterization, cli
 from levyvolterra import (
+    DiscreteMixture,
+    GaussianJumps,
     JumpPart,
     KernelSpec,
     LevyTriplet,
@@ -114,6 +116,48 @@ class TestPredictedTriplet:
         fam = family(1, TimeGrid(1.0, 100), [1.0])
         with pytest.raises(ValueError):
             predicted_triplet(fam, LevyTriplet.zero(1), 0.5037)
+
+
+JUMP_LAWS = {
+    "point-mass": PointMass(np.array([1.5, -0.4])),
+    "mixture": DiscreteMixture(np.array([0.3, 0.7]), np.array([[1.2, 0.1], [0.2, -0.9]])),
+    "gaussian": GaussianJumps(np.array([0.3, -0.2]), np.array([0.8, 0.5])),
+}
+
+
+class TestPredictedTripletRule:
+    @pytest.mark.parametrize("name", sorted(JUMP_LAWS))
+    def test_equals_per_node_expectation(self, name, monkeypatch):
+        from levyvolterra.levy import jump_expectation
+
+        law = JUMP_LAWS[name]
+        grid = TimeGrid(1.0, 40)
+        fam = family(2, grid, [1.0, 4.0])
+        trip = LevyTriplet(np.array([0.3, -0.1]), np.array([0.5, 0.2]), JumpPart(1.5, law))
+        # reference: one jump_expectation per node
+        n, dt = grid.n_steps, grid.dt
+        s = fam.s_matrix
+        w = np.full(n + 1, dt)
+        w[0] = w[n] = 0.5 * dt
+        node_vals = np.empty((n + 1, 2))
+        for j in range(n + 1):
+            def integrand(x, svec=s[j]):
+                scaled = x * svec[None, :]
+                ind = (np.linalg.norm(scaled, axis=1) < 1.0).astype(float) - (
+                    np.linalg.norm(x, axis=1) < 1.0).astype(float)
+                return scaled * ind[:, None]
+
+            node_vals[j] = jump_expectation(law, integrand)
+        alpha = trip.drift * (w @ s) + 1.5 * (w @ node_vals)
+        assert np.any(node_vals != 0.0)
+
+        builds = []
+        hermegauss = np.polynomial.hermite_e.hermegauss
+        monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss",
+                            lambda deg: builds.append(deg) or hermegauss(deg))
+        pred = predicted_triplet(fam, trip, 1.0)
+        assert np.array_equal(pred.alpha, alpha)
+        assert len(builds) == (1 if name == "gaussian" else 0)
 
 
 class TestPredictedLogCf:

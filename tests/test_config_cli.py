@@ -250,3 +250,31 @@ class TestCliExitCodes:
             for key in ("wall_s", "cpu_s"):
                 value = timings[stage][key]
                 assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
+
+
+class TestEcfThresholds:
+    def test_one_definition_drives_echo_and_verdict(self, tmp_path, monkeypatch):
+        from levyvolterra import characterization
+
+        path = write_config(tmp_path, minimal_config(grid={"t_end": 1.0, "n_steps": 20},
+                                                     mc={"n_samples": 1000, "seed": 7},
+                                                     panel_size=4))
+
+        def run(name):
+            out = tmp_path / name
+            rc = main(["verify-ecf", "--config", str(path), "--out", str(out)])
+            report = json.loads((out / "ecf_report.json").read_text())
+            return rc, report["thresholds"], report["passed"]
+
+        assert run("default") == (0, {"z_soft": 3.0, "z_hard": 5.0, "frac_within_soft": 0.95,
+                                      "covariance_z": 4.0}, True)
+        # no z-score is exactly 0, so none is within a soft bound of 0
+        monkeypatch.setattr(characterization, "ECF_Z_SOFT", 0.0)
+        rc, thresholds, passed = run("soft")
+        assert (rc, thresholds["z_soft"], passed) == (1, 0.0, False)
+        monkeypatch.setattr(characterization, "ECF_FRACTION", 0.0)
+        rc, thresholds, passed = run("fraction")
+        assert (rc, thresholds["frac_within_soft"], passed) == (0, 0.0, True)
+        monkeypatch.setattr(characterization, "ECF_Z_HARD", 0.0)
+        rc, thresholds, passed = run("hard")
+        assert (rc, thresholds["z_hard"], passed) == (1, 0.0, False)

@@ -8,7 +8,6 @@ from levyvolterra import (
     PointMass,
     ResolventFamily,
     SamplePath,
-    ScalarResolventTable,
     TagRule,
     TimeGrid,
     build_resolvent_family,
@@ -120,11 +119,8 @@ class TestPartsEquivalence:
     def test_refuses_non_monotone_family(self):
         grid = TimeGrid(1.0, 4)
         values = np.array([1.0, 0.3, 0.9, 0.2, 0.1])  # increases mid-table
-        bad = ResolventFamily(
-            model=build_spectral_model(1, [1.0]),
-            kernel=KERNEL, grid=grid,
-            tables=(ScalarResolventTable(1.0, grid, values),),
-        )
+        bad = ResolventFamily(model=build_spectral_model(1, [1.0]), kernel=KERNEL, grid=grid,
+                              s_matrix=values[:, None])
         path = sample_path(LevyTriplet(np.array([1.0]), np.zeros(1)), grid, 0, seed=0)
         with pytest.raises(ValueError, match="inapplicable"):
             parts_convolution(bad, path)

@@ -51,26 +51,26 @@ class TestSolveScalarResolvent:
     def test_gamma_zero_gives_ones(self):
         grid = TimeGrid(1.0, 50)
         for kern in (KernelSpec.exponential(2.0), KernelSpec.constant(3.0)):
-            tab = solve_scalar_resolvent(kern, 0.0, grid)
-            assert np.array_equal(tab.values, np.ones(51))
+            s = solve_scalar_resolvent(kern, 0.0, grid)
+            assert np.array_equal(s, np.ones(51))
 
     def test_starts_at_one(self):
-        tab = solve_scalar_resolvent(KernelSpec.exponential(1.0), 5.0, TimeGrid(1.0, 100))
-        assert tab.values[0] == 1.0
+        s = solve_scalar_resolvent(KernelSpec.exponential(1.0), 5.0, TimeGrid(1.0, 100))
+        assert s[0] == 1.0
 
     @pytest.mark.parametrize("mu", [1.0, np.pi**2, 4 * np.pi**2])
     def test_exponential_kernel_matches_closed_form(self, mu):
         grid = TimeGrid(1.0, 1000)
-        tab = solve_scalar_resolvent(KernelSpec.exponential(1.0), mu, grid)
+        s = solve_scalar_resolvent(KernelSpec.exponential(1.0), mu, grid)
         exact = closed_form_exponential_resolvent(mu, grid.nodes())
-        assert np.max(np.abs(tab.values - exact)) < 1e-5
+        assert np.max(np.abs(s - exact)) < 1e-5
 
     @pytest.mark.parametrize("gamma", [1.0, 5.0])
     def test_constant_kernel_matches_exponential_decay(self, gamma):
         # differentiating the defining equation with a == 1 gives s' = -gamma s
         grid = TimeGrid(1.0, 1000)
-        tab = solve_scalar_resolvent(KernelSpec.constant(1.0), gamma, grid)
-        assert np.max(np.abs(tab.values - np.exp(-gamma * grid.nodes()))) < 1e-7
+        s = solve_scalar_resolvent(KernelSpec.constant(1.0), gamma, grid)
+        assert np.max(np.abs(s - np.exp(-gamma * grid.nodes()))) < 1e-7
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -80,9 +80,9 @@ class TestSolveScalarResolvent:
         ts = np.linspace(0.0, 1.0, 5001)
         kern = KernelSpec.tabulated(ts, np.exp(-ts))
         grid = TimeGrid(1.0, 500)
-        tab = solve_scalar_resolvent(kern, np.pi**2, grid)
+        s = solve_scalar_resolvent(kern, np.pi**2, grid)
         exact = closed_form_exponential_resolvent(np.pi**2, grid.nodes())
-        assert np.max(np.abs(tab.values - exact)) < 1e-5
+        assert np.max(np.abs(s - exact)) < 1e-5
 
     def test_grid_refinement_order(self):
         # halving dt must shrink the closed-form error by >= 3.5x
@@ -90,8 +90,8 @@ class TestSolveScalarResolvent:
             errs = []
             for n in (100, 200, 400):
                 grid = TimeGrid(1.0, n)
-                tab = solve_scalar_resolvent(KernelSpec.exponential(1.0), mu, grid)
-                errs.append(np.max(np.abs(tab.values - closed_form_exponential_resolvent(mu, grid.nodes()))))
+                s = solve_scalar_resolvent(KernelSpec.exponential(1.0), mu, grid)
+                errs.append(np.max(np.abs(s - closed_form_exponential_resolvent(mu, grid.nodes()))))
             assert errs[0] / errs[1] >= 3.5
             assert errs[1] / errs[2] >= 3.5
 
@@ -102,7 +102,7 @@ class TestModeSolve:
         grid = TimeGrid(1.0, 400)
         fam = build_resolvent_family(build_spectral_model(6, "dirichlet_laplacian"), kern, grid)
         for k, mu in enumerate(fam.model.mu):
-            scalar = solve_scalar_resolvent(kern, float(mu), grid).values
+            scalar = solve_scalar_resolvent(kern, float(mu), grid)
             assert np.max(np.abs(fam.s_matrix[:, k] - scalar)) <= 1e-14
 
     def test_first_steps_follow_gregory_weights(self):
@@ -144,27 +144,27 @@ class TestCertification:
     def test_catalog_certificates(self, gamma):
         grid = TimeGrid(1.0, 1000)
         kern = KernelSpec.exponential(1.0)
-        tab = solve_scalar_resolvent(kern, gamma, grid)
-        tol = default_property_tolerance(tab, kern)
-        rep = certify_resolvent_properties(tab, tol)
+        s = solve_scalar_resolvent(kern, gamma, grid)
+        tol = default_property_tolerance(kern, gamma, grid)
+        rep = certify_resolvent_properties(s, tol)
         assert rep.passed, (gamma, rep)
-        assert tab.values[0] == 1.0
+        assert s[0] == 1.0
 
     def test_gamma_zero_total_variation(self):
-        tab = solve_scalar_resolvent(KernelSpec.exponential(1.0), 0.0, TimeGrid(1.0, 200))
-        assert certify_resolvent_properties(tab).total_variation == 0.0
+        s = solve_scalar_resolvent(KernelSpec.exponential(1.0), 0.0, TimeGrid(1.0, 200))
+        assert certify_resolvent_properties(s).total_variation == 0.0
 
     def test_exponential_total_variation_is_endpoint_difference(self):
         # monotone closed form: TV = s(0) - s(1) = 1 - 0.5 (1 + e^-2)
-        tab = solve_scalar_resolvent(KernelSpec.exponential(1.0), 1.0, TimeGrid(1.0, 1000))
-        rep = certify_resolvent_properties(tab)
+        s = solve_scalar_resolvent(KernelSpec.exponential(1.0), 1.0, TimeGrid(1.0, 1000))
+        rep = certify_resolvent_properties(s)
         assert rep.total_variation == pytest.approx(0.4323323583816936, abs=1e-8)
         assert rep.max_increase == 0.0
         assert rep.max_range_violation == 0.0
 
     def test_strictly_decreasing_closed_form_has_no_violations(self):
-        tab = solve_scalar_resolvent(KernelSpec.exponential(1.0), np.pi**2, TimeGrid(1.0, 1000))
-        rep = certify_resolvent_properties(tab, tolerance=1e-10)
+        s = solve_scalar_resolvent(KernelSpec.exponential(1.0), np.pi**2, TimeGrid(1.0, 1000))
+        rep = certify_resolvent_properties(s, tolerance=1e-10)
         assert rep.max_increase == 0.0 and rep.max_range_violation == 0.0
 
 
@@ -174,8 +174,8 @@ class TestCertification:
 def test_property_range_and_monotonicity(gamma, rate):
     grid = TimeGrid(1.0, 100)
     kern = KernelSpec.exponential(rate)
-    tab = solve_scalar_resolvent(kern, gamma, grid)
-    tol = default_property_tolerance(tab, kern)
-    rep = certify_resolvent_properties(tab, tol)
-    assert tab.values[0] == 1.0
+    s = solve_scalar_resolvent(kern, gamma, grid)
+    tol = default_property_tolerance(kern, gamma, grid)
+    rep = certify_resolvent_properties(s, tol)
+    assert s[0] == 1.0
     assert rep.passed

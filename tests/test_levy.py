@@ -14,7 +14,7 @@ from levyvolterra import (
     path_value,
     sample_path,
 )
-from levyvolterra.levy import jump_cf, jump_mean_inside_unit_ball
+from levyvolterra.levy import jump_cf, jump_mean_inside_unit_ball, phi_batch
 
 GRID = TimeGrid(1.0, 200)
 
@@ -103,16 +103,41 @@ class TestJumpLawHelpers:
         law = GaussianJumps(np.zeros(K), np.ones(K))
         with pytest.raises(ValueError, match="budget"):
             levy.jump_expectation(law, no_grid)
-        # the sampler reaches the expectation through the compensator
-        trip = LevyTriplet(np.zeros(K), np.zeros(K), JumpPart(1.0, law))
+        # the sampler reads the compensator, which the jump part computes when built
         with pytest.raises(ValueError, match="budget"):
-            trip.pathwise_drift()
+            JumpPart(1.0, law)
 
     def test_hermite_budget_admits_six_dimensions(self):
         from levyvolterra.levy import HERMITE_NODE_BUDGET, check_hermite_budget
 
         assert check_hermite_budget(6) ** 6 == HERMITE_NODE_BUDGET
         assert [check_hermite_budget(K) for K in (1, 2, 3, 4)] == [96, 64, 24, 16]
+
+
+class TestCompensatorOnce:
+    def test_sampling_and_exponent_read_the_stored_compensator(self, monkeypatch):
+        from levyvolterra import levy
+
+        law = GaussianJumps(np.array([0.3, -0.2, 0.1, 0.5]), np.array([0.4, 0.3, 0.2, 0.1]))
+        trip = LevyTriplet(np.array([0.3, -0.2, 0.1, 0.0]), np.array([1.0, 0.7, 0.4, 0.2]),
+                           JumpPart(2.0, law))
+        assert not trip.jump.compensator.flags.writeable
+        calls = []
+        real = levy.jump_expectation
+        monkeypatch.setattr(levy, "jump_expectation",
+                            lambda *args: calls.append(args) or real(*args))
+        grid = TimeGrid(1.0, 1000)
+        for idx in range(10):
+            sample_path(trip, grid, idx, seed=3)
+        Y = np.random.default_rng(5).standard_normal((16, 4))
+        phi = phi_batch(trip, Y)
+        assert calls == []
+        # the formulas that recomputed the compensator on every call
+        comp = jump_mean_inside_unit_ball(law)
+        assert np.array_equal(trip.pathwise_drift(), trip.drift - 2.0 * comp)
+        expected = np.asarray(1j * (Y @ trip.drift) - 0.5 * (Y**2 @ trip.gauss_var), dtype=complex)
+        expected = expected + 2.0 * (jump_cf(law, Y) - 1.0) - 1j * 2.0 * (Y @ comp)
+        assert np.array_equal(phi, expected)
 
 
 class TestSamplePath:

@@ -7,10 +7,10 @@ from levyvolterra import (
     apply_resolvent,
     build_resolvent_family,
     build_spectral_model,
+    certify_resolvent_properties,
     closed_form_exponential_resolvent,
     identity_resolvent_family,
     resolvent_equation_residual,
-    total_variation_certificate,
 )
 from levyvolterra.spectral import eigenfunction_values, to_physical
 
@@ -105,21 +105,18 @@ class TestResolventEquationResidual:
     def test_residual_detects_wrong_table(self):
         grid = TimeGrid(1.0, 100)
         fam = build_resolvent_family(build_spectral_model(1, [np.pi**2]), KERNEL, grid)
-        corrupted = fam.tables[0].values.copy()
-        corrupted[40] += 1e-3
-        from levyvolterra import ResolventFamily, ScalarResolventTable
+        corrupted = fam.s_matrix.copy()
+        corrupted[40, 0] += 1e-3
+        from levyvolterra import ResolventFamily
 
-        bad = ResolventFamily(
-            model=fam.model, kernel=fam.kernel, grid=grid,
-            tables=(ScalarResolventTable(np.pi**2, grid, corrupted),),
-        )
+        bad = ResolventFamily(model=fam.model, kernel=fam.kernel, grid=grid, s_matrix=corrupted)
         assert resolvent_equation_residual(bad).max_abs > 1e-4
 
 
 class TestVariationCertificate:
     def test_identity_family_zero_variation(self):
         fam = identity_resolvent_family(2, KERNEL, TimeGrid(1.0, 100))
-        cert = total_variation_certificate(fam)
+        cert = certify_resolvent_properties(fam.s_matrix)
         assert np.array_equal(cert.total_variation, [0.0, 0.0])
         assert cert.passed
 
@@ -128,7 +125,7 @@ class TestVariationCertificate:
         fam = build_resolvent_family(
             build_spectral_model(2, [1.0, np.pi**2]), KERNEL, grid
         )
-        cert = total_variation_certificate(fam)
+        cert = certify_resolvent_properties(fam.s_matrix)
         assert cert.total_variation[0] == pytest.approx(0.4323323583816936, abs=1e-8)
         assert cert.total_variation[1] == pytest.approx(0.9079830543129869, abs=1e-7)
         assert cert.passed
