@@ -40,6 +40,9 @@ _PANEL_SALT = 1 << 62
 # terminal_values' last Gaussian-only pass: (key, {tag rule: (N, K) array})
 _LAST_PASS = (None, {})
 
+# Gaussian increments one terminal_values worker holds at once
+_GAUSS_BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class PredictedTriplet:
@@ -164,6 +167,18 @@ def terminal_values(
     the output is independent of the worker partitioning and bitwise stable
     across runs.
 
+    Each worker takes its samples in blocks of at most _GAUSS_BLOCK_BYTES of
+    Gaussian increments (at least one sample).  Every sample of a block
+    draws, in stream order, its normals into its row of the worker's block
+    buffer, then its jump count, times and marks.  The block is then scaled
+    in place and contracted once per rule with ``einsum("bjk,jk->bk")``,
+    which sums each sample's row over j in the order of the one-sample
+    ``einsum("jk,jk->k")``.  The jump weights of all the block's jumps at or
+    before t are interpolated in one call per mode, and each sample's jumps
+    are summed by ``np.sum(axis=0)`` over its own contiguous (m, K) slice,
+    the array shape a one-sample pass sums.  So every value equals the
+    one-sample-at-a-time pass bit for bit.
+
     The law checks read the same outcomes under two tag rules: for a
     Gaussian-only triplet, ``ecf_comparison`` contracts with LEFT and
     ``gaussian_covariance_check`` with MIDPOINT.  So when ``triplet.jump`` is
@@ -202,33 +217,49 @@ def terminal_values(
         contractions.append((drift_part, lagw[::-1]))
     draw_gauss = bool(np.any(triplet.gauss_var > 0.0))
     scale = np.sqrt(triplet.gauss_var * dt)
-    s_cols = [family.s_matrix[:, k] for k in range(K)]
+    block = max(1, _GAUSS_BLOCK_BYTES // (8 * n * K))  # samples per block
 
     outs = [np.empty((n_samples, K)) for _ in rules]
 
     def run_range(lo: int, hi: int):
-        for b in range(lo, hi):
-            rng = sample_rng(seed, b)
+        g = np.empty((min(block, hi - lo), n, K)) if draw_gauss else None
+        for b0 in range(lo, hi, block):
+            b1 = min(b0 + block, hi)
+            owners, elapsed, marks = [], [], []  # per sample with jumps at or before t
+            for b in range(b0, b1):
+                rng = sample_rng(seed, b)
+                if draw_gauss:
+                    rng.standard_normal(out=g[b - b0])
+                if triplet.jump is not None:
+                    count = int(rng.poisson(triplet.jump.rate * grid.t_end))
+                    if count:
+                        u = rng.random(count)
+                        times = grid.t_end * (1.0 - u)
+                        mk = sample_jumps(triplet.jump.law, rng, count)
+                        sel = times <= nodes[i]
+                        if sel.any():
+                            owners.append(b)
+                            elapsed.append(nodes[i] - times[sel])
+                            marks.append(mk[sel])
             if draw_gauss:
-                g = rng.standard_normal((n, K)) * scale[None, :]
-                accs = [drift_part + np.einsum("jk,jk->k", weight_rows, g[:i])
-                        for drift_part, weight_rows in contractions]
+                gb = g[: b1 - b0, :i]
+                gb *= scale
+                for out, (drift_part, weight_rows) in zip(outs, contractions):
+                    out[b0:b1] = drift_part + np.einsum("bjk,jk->bk", gb, weight_rows)
             else:
-                accs = [drift_part for drift_part, _ in contractions]
-            if triplet.jump is not None:
-                count = int(rng.poisson(triplet.jump.rate * grid.t_end))
-                if count:
-                    u = rng.random(count)
-                    times = grid.t_end * (1.0 - u)
-                    marks = sample_jumps(triplet.jump.law, rng, count)
-                    sel = times <= nodes[i]
-                    if np.any(sel):
-                        elapsed = nodes[i] - times[sel]
-                        jw = np.column_stack([np.interp(elapsed, nodes, col) for col in s_cols])
-                        jump_sum = np.sum(jw * marks[sel], axis=0)
-                        accs = [acc + jump_sum for acc in accs]
-            for out, acc in zip(outs, accs):
-                out[b] = acc
+                for out, (drift_part, _) in zip(outs, contractions):
+                    out[b0:b1] = drift_part
+            if owners:
+                el = np.concatenate(elapsed)
+                jw = np.column_stack([np.interp(el, nodes, family.s_matrix[:, k]) for k in range(K)])
+                terms = jw * np.concatenate(marks)
+                a0 = 0
+                for b, e in zip(owners, elapsed):
+                    # each sample's own contiguous slice, summed as one (m, K) array
+                    jump_sum = np.sum(terms[a0 : a0 + e.size], axis=0)
+                    a0 += e.size
+                    for out in outs:
+                        out[b] += jump_sum
 
     if workers <= 1:
         run_range(0, n_samples)

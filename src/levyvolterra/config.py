@@ -43,6 +43,33 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
+def _real(value, where: str) -> float:
+    """A finite JSON number; booleans, strings, null and the rest are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = np.inf
+        if np.isfinite(x):
+            return x
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _reals(value, where: str) -> np.ndarray:
+    """A finite JSON number or (nested) array of them, as a float array."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _real(item, f"every entry of {where}")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"{where} must be a rectangular array: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration plus the raw dict echoed into reports."""
@@ -66,24 +93,31 @@ def _parse_kernel(section, where="kernel") -> KernelSpec:
     try:
         if family == "exponential":
             _require_keys(section, {"family", "rate"}, {"family", "rate"}, where)
-            return KernelSpec.exponential(float(section["rate"]))
+            return KernelSpec.exponential(_real(section["rate"], f"{where}.rate"))
         if family == "constant":
             _require_keys(section, {"family", "level"}, {"family", "level"}, where)
-            return KernelSpec.constant(float(section["level"]))
+            return KernelSpec.constant(_real(section["level"], f"{where}.level"))
         if family == "tabulated":
             _require_keys(section, {"family", "times", "values"}, {"family", "times", "values"}, where)
-            return KernelSpec.tabulated(section["times"], section["values"])
+            return KernelSpec.tabulated(_reals(section["times"], f"{where}.times"),
+                                       _reals(section["values"], f"{where}.values"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
     raise ConfigError(f"unknown kernel family {family!r} in {where}")
 
 
-def _parse_model(section) -> SpectralModel:
+def _parse_model(section, dim: int) -> SpectralModel:
+    """The spectral model; K must equal the triplet dimension dim.
+
+    K is checked before the model is built, so a huge K allocates nothing.
+    """
     if not isinstance(section, dict):
         raise ConfigError("model must be an object")
     _require_keys(section, {"K", "rule", "mu"}, {"K", "rule"}, "model")
+    K = _integer(section["K"], "model.K")
+    if K != dim:
+        raise ConfigError(f"triplet dimension {dim} != model K {K}")
     try:
-        K = _integer(section["K"], "model.K")
         if section["rule"] == "dirichlet_laplacian":
             if "mu" in section:
                 raise ConfigError("model.mu is only valid with rule 'custom'")
@@ -91,7 +125,7 @@ def _parse_model(section) -> SpectralModel:
         if section["rule"] == "custom":
             if "mu" not in section:
                 raise ConfigError("model rule 'custom' requires key 'mu'")
-            return build_spectral_model(K, [float(m) for m in section["mu"]])
+            return build_spectral_model(K, _reals(section["mu"], "model.mu"))
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -106,17 +140,17 @@ def _parse_law(section):
     try:
         if kind == "point_mass":
             _require_keys(section, {"kind", "mark"}, {"kind", "mark"}, "triplet.jump.law")
-            return PointMass(np.asarray(section["mark"], dtype=float))
+            return PointMass(_reals(section["mark"], "triplet.jump.law.mark"))
         if kind == "discrete_mixture":
             _require_keys(section, {"kind", "weights", "atoms"}, {"kind", "weights", "atoms"},
                           "triplet.jump.law")
-            return DiscreteMixture(np.asarray(section["weights"], dtype=float),
-                                   np.asarray(section["atoms"], dtype=float))
+            return DiscreteMixture(_reals(section["weights"], "triplet.jump.law.weights"),
+                                   _reals(section["atoms"], "triplet.jump.law.atoms"))
         if kind == "gaussian":
             _require_keys(section, {"kind", "mean", "var"}, {"kind", "mean", "var"},
                           "triplet.jump.law")
-            return GaussianJumps(np.asarray(section["mean"], dtype=float),
-                                 np.asarray(section["var"], dtype=float))
+            return GaussianJumps(_reals(section["mean"], "triplet.jump.law.mean"),
+                                 _reals(section["var"], "triplet.jump.law.var"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid triplet.jump.law: {exc}") from exc
     raise ConfigError(f"unknown jump law kind {kind!r}")
@@ -133,13 +167,13 @@ def _parse_triplet(section) -> LevyTriplet:
             raise ConfigError("triplet.jump must be an object or null")
         _require_keys(jsec, {"rate", "law"}, {"rate", "law"}, "triplet.jump")
         try:
-            jump = JumpPart(rate=float(jsec["rate"]), law=_parse_law(jsec["law"]))
+            jump = JumpPart(rate=_real(jsec["rate"], "triplet.jump.rate"), law=_parse_law(jsec["law"]))
         except ValueError as exc:
             raise ConfigError(f"invalid triplet.jump: {exc}") from exc
     try:
         return LevyTriplet(
-            drift=np.asarray(section["drift"], dtype=float),
-            gauss_var=np.asarray(section["gauss_var"], dtype=float),
+            drift=_reals(section["drift"], "triplet.drift"),
+            gauss_var=_reals(section["gauss_var"], "triplet.gauss_var"),
             jump=jump,
         )
     except (ValueError, TypeError) as exc:
@@ -156,8 +190,8 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"unsupported schema_version {data['schema_version']!r}")
 
     kernel = _parse_kernel(data["kernel"])
-    model = _parse_model(data["model"])
     triplet = _parse_triplet(data["triplet"])
+    model = _parse_model(data["model"], triplet.dim)
 
     gsec = data["grid"]
     if not isinstance(gsec, dict):
@@ -165,7 +199,7 @@ def parse_config(data: dict) -> RunConfig:
     _require_keys(gsec, {"t_end", "n_steps"}, {"t_end", "n_steps"}, "grid")
     n_steps = _integer(gsec["n_steps"], "grid.n_steps")
     try:
-        grid = TimeGrid(float(gsec["t_end"]), n_steps)
+        grid = TimeGrid(_real(gsec["t_end"], "grid.t_end"), n_steps)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
     # the same span tolerance eval_kernel applies to tabulated queries
@@ -192,17 +226,19 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(osec, dict):
         raise ConfigError("output must be an object")
     _require_keys(osec, {"directory", "formats"}, {"directory"}, "output")
-    formats = tuple(osec.get("formats", ["csv", "json"]))
+    directory = osec["directory"]
+    if not (isinstance(directory, str) and directory):
+        raise ConfigError(f"output.directory must be a non-empty string, got {directory!r}")
+    formats = osec.get("formats", ["csv", "json"])
+    if not isinstance(formats, list):
+        raise ConfigError(f"output.formats must be a list of format names, got {formats!r}")
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {fmt!r}")
 
-    if triplet.dim != model.K:
-        raise ConfigError(f"triplet dimension {triplet.dim} != model K {model.K}")
-
     return RunConfig(kernel=kernel, model=model, triplet=triplet, grid=grid,
                      n_samples=n_samples, seed=seed, panel_size=panel_size,
-                     output_dir=str(osec["directory"]), formats=formats, raw=data)
+                     output_dir=directory, formats=tuple(formats), raw=data)
 
 
 def load_config(path) -> RunConfig:

@@ -11,9 +11,14 @@ Two routes compute int_0^t R(t - tau) dZ(tau) on the grid:
 
 The convolution re-weights all past increments at every output node (the
 resolvent is a genuine two-time kernel, so values are not a running sum),
-so the arithmetic is O(n^2 K) per path.  It runs as O(n) vector operations,
-one per step increment spread over every later node and all modes, with
-O(n K) memory, plus O(n K) per jump for the exact-time jump weights.
+so the arithmetic is O(n^2 K) per path.  It runs as O(n^2 / B^2) array
+passes over blocks of B = 128 output nodes and 128 increments, each a
+multiply into one (B + 1, K, B) buffer and one reduction over its rows,
+with O(n K + B^2 K) memory, plus O(n K) per jump for the exact-time jump
+weights.  The reduction adds each node's terms in increasing increment
+order, the order of a per-node cumsum, so the blocks change no bit of the
+result.  The passes are bound by memory traffic: at K = 8, n = 4000 they
+take as long as one vector update per increment did.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import TimeGrid
 from .kernels import certify_resolvent_properties
@@ -31,6 +37,10 @@ from .spectral import ResolventFamily
 
 # largest increase of s, or excursion outside [0, 1], that the parts route accepts
 VARIATION_TOL = 1e-8
+
+# output nodes and step increments per block of _lag_fold
+_FOLD_BLOCK_NODES = 128
+_FOLD_BLOCK_LAGS = 128
 
 
 class TagRule(Enum):
@@ -91,17 +101,40 @@ def _lag_weights(family: ResolventFamily, tag_rule: TagRule) -> np.ndarray:
 def _lag_fold(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """out[i] = sum_{j<i} w[i-1-j] * x[j] for i = 0..n, all columns at once.
 
-    One vector update per increment j spreads it over every later node, so
-    each node accumulates strictly left to right in j (the order of a
-    per-node cumsum) and identity weights reproduce cumulative sums bitwise.
+    Output nodes go in blocks of _FOLD_BLOCK_NODES and increments in chunks
+    of _FOLD_BLOCK_LAGS.  For one block, the weights of increment j are a
+    window of a mode-major, zero-padded copy of w (a view), so a chunk's
+    products fill rows 1.. of a buffer whose row 0 carries the block's
+    running sum, and one np.add.reduce over the rows folds them in.  That
+    reduction runs along the outer axis of a (rows, K, nodes) buffer, one
+    elementwise add per row, so each node still accumulates from +0.0
+    strictly left to right in j (the order of a per-node cumsum) and
+    identity weights reproduce cumulative sums bitwise.  Terms with j >= i
+    carry zero weight and add +-0.0, which leaves the sum unchanged for
+    finite x.  The padding also keeps every block _FOLD_BLOCK_NODES wide:
+    numpy sums pairwise, not in order, when the reduced axis is the only
+    one longer than 1.
     """
-    n = x.shape[0]
-    # mode-major copies, so each update runs along the nodes rather than the K modes
-    wt, xt = w.T.copy(), x.T[:, :, None]
-    out = np.zeros((x.shape[1], n + 1))
-    for j in range(n):
-        out[:, j + 1 :] += wt[:, : n - j] * xt[:, j]
-    return out.T
+    n, K = x.shape
+    bn, bl = _FOLD_BLOCK_NODES, _FOLD_BLOCK_LAGS
+    n_out = -(-(n + 1) // bn) * bn
+    # column m + bn - 1 holds w[m]; zero for lags m < 0 and m >= n
+    wp = np.zeros((K, n_out + bn - 1))
+    wp[:, bn - 1 : bn - 1 + n] = w.T
+    windows = sliding_window_view(wp, bn, axis=1)  # windows[k, s] = wp[k, s : s + bn]
+    out = np.empty((n_out, K))
+    buf = np.empty((bl + 1, K, bn))
+    for i0 in range(0, n_out, bn):
+        # increment j weights nodes i0.. with the window starting at lag i0 - 1 - j
+        buf[0] = 0.0
+        j_end = min(i0 + bn - 1, n)
+        for j0 in range(0, j_end, bl):
+            j1 = min(j0 + bl, j_end)
+            rows = windows[:, i0 + bn - 1 - j1 : i0 + bn - 1 - j0][:, ::-1].transpose(1, 0, 2)
+            np.multiply(rows, x[j0:j1, :, None], out=buf[1 : j1 - j0 + 1])
+            buf[0] = np.add.reduce(buf[: j1 - j0 + 1], axis=0)
+        out[i0 : i0 + bn] = buf[0].T
+    return out[: n + 1]
 
 
 def _jump_weights(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from levyvolterra import characterization, cli
+from levyvolterra.levy import sample_jumps, sample_rng
 from levyvolterra import (
     DiscreteMixture,
     GaussianJumps,
@@ -254,6 +255,86 @@ class TestTerminalValues:
         a = terminal_values(fam, trip, 1.0, 64, seed=9, workers=1)
         b = terminal_values(fam, trip, 1.0, 64, seed=9, workers=4)
         assert np.array_equal(a, b)
+
+
+def per_sample_terminal_values(fam, trip, t, n_samples, seed, tag_rule):
+    """One sample at a time: each stream drawn and contracted on its own."""
+    grid = fam.grid
+    n, K, dt = grid.n_steps, fam.K, grid.dt
+    nodes = grid.nodes()
+    i = grid.node_index(t)
+    s = fam.s_matrix
+    lagw = {TagRule.LEFT: s[1:], TagRule.RIGHT: s[:-1],
+            TagRule.MIDPOINT: 0.5 * (s[:-1] + s[1:])}[tag_rule][:i]
+    drift_part = trip.pathwise_drift() * (dt * np.sum(lagw, axis=0)) if i else np.zeros(K)
+    out = np.empty((n_samples, K))
+    for b in range(n_samples):
+        rng = sample_rng(seed, b)
+        acc = drift_part
+        if np.any(trip.gauss_var > 0.0):
+            g = rng.standard_normal((n, K)) * np.sqrt(trip.gauss_var * dt)[None, :]
+            acc = drift_part + np.einsum("jk,jk->k", lagw[::-1], g[:i])
+        if trip.jump is not None:
+            count = int(rng.poisson(trip.jump.rate * grid.t_end))
+            if count:
+                times = grid.t_end * (1.0 - rng.random(count))
+                marks = sample_jumps(trip.jump.law, rng, count)
+                sel = times <= nodes[i]
+                if np.any(sel):
+                    jw = np.column_stack([np.interp(nodes[i] - times[sel], nodes, s[:, k])
+                                          for k in range(K)])
+                    acc = acc + np.sum(jw * marks[sel], axis=0)
+        out[b] = acc
+    return out
+
+
+BLOCKED_TRIPLETS = {
+    "gaussian": LevyTriplet(np.array([0.3, -0.2]), np.array([1.0, 0.5])),
+    "jump-only": LevyTriplet(np.zeros(3), np.zeros(3), JumpPart(3.0, DiscreteMixture(
+        np.array([0.5, 0.3, 0.2]),
+        np.array([[0.5, 0.2, -0.1], [-0.4, 0.1, 0.2], [0.2, -0.3, 0.4]])))),
+    "mixed": LevyTriplet(np.array([0.3, -0.2]), np.array([0.5, 0.25]),
+                         JumpPart(1.5, PointMass(np.array([0.6, -0.4])))),
+    # rate 20: many samples carry 8 or more jumps, where np.sum adds pairwise
+    "rate-20-K1": LevyTriplet(np.array([0.1]), np.array([0.3]),
+                              JumpPart(20.0, GaussianJumps(np.array([0.2]), np.array([0.5])))),
+    "rate-20-K2": LevyTriplet(np.array([0.1, 0.0]), np.array([0.3, 0.2]),
+                              JumpPart(20.0, PointMass(np.array([0.3, -0.7])))),
+}
+
+
+class TestBlockedTerminalValues:
+    """The blocked pass equals the one-sample-at-a-time pass bit for bit."""
+
+    GRID = TimeGrid(1.0, 60)
+    N = 50  # not a multiple of 3, nor of the default block at this grid
+
+    @pytest.mark.parametrize("block", ["default", "3-samples"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0], ids=["node-0", "mid", "t_end"])
+    @pytest.mark.parametrize("name", sorted(BLOCKED_TRIPLETS))
+    def test_equals_per_sample_pass(self, monkeypatch, name, t, workers, block):
+        trip = BLOCKED_TRIPLETS[name]
+        fam = family(trip.dim, self.GRID)
+        if block == "3-samples":
+            monkeypatch.setattr(characterization, "_GAUSS_BLOCK_BYTES",
+                                3 * 8 * self.GRID.n_steps * trip.dim)
+        monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
+        got = terminal_values(fam, trip, t, self.N, seed=17, tag_rule=TagRule.RIGHT,
+                              workers=workers)
+        assert np.array_equal(got, per_sample_terminal_values(fam, trip, t, self.N, 17,
+                                                              TagRule.RIGHT))
+        if trip.jump is None:  # the same pass contracted LEFT and MIDPOINT into the memo
+            for rule in (TagRule.LEFT, TagRule.MIDPOINT):
+                memo = terminal_values(fam, trip, t, self.N, seed=17, tag_rule=rule)
+                assert np.array_equal(memo, per_sample_terminal_values(fam, trip, t, self.N,
+                                                                       17, rule))
+
+    @pytest.mark.parametrize("name", ["rate-20-K1", "rate-20-K2"])
+    def test_high_rate_reaches_eight_jumps(self, name):
+        trip = BLOCKED_TRIPLETS[name]
+        counts = [sample_path(trip, self.GRID, b, seed=17).jump_times.size for b in range(self.N)]
+        assert max(counts) >= 8
 
 
 class TestSharedPass:

@@ -1,10 +1,14 @@
+import copy
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyvolterra.cli import main
-from levyvolterra.config import ConfigError, load_config, parse_config
+from levyvolterra.config import ConfigError, RunConfig, load_config, parse_config
 from levyvolterra.reports import write_json
 
 
@@ -109,6 +113,33 @@ BOUNDARY_CASES = {
     # the Hermite expectation of these laws would need 10**7 and 10**8 nodes
     "gaussian-jumps-K7": gaussian_jumps_config(7),
     "gaussian-jumps-K8": gaussian_jumps_config(8),
+    "formats-number": {"output": {"directory": "out", "formats": 5}},
+    "formats-string": {"output": {"directory": "out", "formats": "csv"}},
+    "directory-null": {"output": {"directory": None, "formats": ["json"]}},
+    "directory-number": {"output": {"directory": 5, "formats": ["json"]}},
+    "directory-empty": {"output": {"directory": "", "formats": ["json"]}},
+    "t_end-string": {"grid": {"t_end": "1.0", "n_steps": 100}},
+    "t_end-bool": {"grid": {"t_end": True, "n_steps": 100}},
+    "kernel-rate-string": {"kernel": {"family": "exponential", "rate": "2"}},
+    "kernel-level-bool": {"kernel": {"family": "constant", "level": True}},
+    "kernel-rate-infinite": {"kernel": {"family": "exponential", "rate": math.inf}},
+    "kernel-times-string-entry": {
+        "kernel": {"family": "tabulated", "times": [0.0, "0.5", 1.0], "values": [1.0, 0.6, 0.4]}},
+    "jump-rate-string": {"triplet": {"drift": [0.0], "gauss_var": [1.0], "jump": {
+        "rate": "3", "law": {"kind": "point_mass", "mark": [0.5]}}}},
+    "jump-rate-list": {"triplet": {"drift": [0.0], "gauss_var": [1.0], "jump": {
+        "rate": [3.0], "law": {"kind": "point_mass", "mark": [0.5]}}}},
+    "mark-bool-entry": {"triplet": {"drift": [0.0], "gauss_var": [1.0], "jump": {
+        "rate": 3.0, "law": {"kind": "point_mass", "mark": [True]}}}},
+    "mixture-weights-string-entry": {"triplet": {"drift": [0.0], "gauss_var": [1.0], "jump": {
+        "rate": 3.0, "law": {"kind": "discrete_mixture", "weights": ["0.5", 0.5],
+                             "atoms": [[1.0], [-1.0]]}}}},
+    "mu-string": {"model": {"K": 3, "rule": "custom", "mu": "123"},
+                  "triplet": {"drift": [0.0] * 3, "gauss_var": [1.0] * 3}},
+    "mu-bool-entry": {"model": {"K": 1, "rule": "custom", "mu": [True]}},
+    "drift-string-entry": {"triplet": {"drift": ["0.0"], "gauss_var": [1.0]}},
+    "drift-nan-entry": {"triplet": {"drift": [math.nan], "gauss_var": [1.0]}},
+    "gauss_var-null-entry": {"triplet": {"drift": [0.0], "gauss_var": [None]}},
 }
 
 
@@ -123,6 +154,22 @@ class TestConfigBoundaries:
         path = write_config(tmp_path, minimal_config(**BOUNDARY_CASES[case]))
         assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_formats_string_refused_as_a_whole(self):
+        # a string is not read as a list of one-letter format names
+        with pytest.raises(ConfigError, match="output.formats must be a list"):
+            parse_config(minimal_config(**BOUNDARY_CASES["formats-string"]))
+
+    def test_model_K_checked_before_the_model_is_built(self, monkeypatch):
+        from levyvolterra import config
+
+        def refuse(*args):
+            raise AssertionError("build_spectral_model called")
+
+        # the Dirichlet eigenvalues of K = 10**9 modes would take 8 GB
+        monkeypatch.setattr(config, "build_spectral_model", refuse)
+        with pytest.raises(ConfigError, match="triplet dimension 1 != model K 1000000000"):
+            parse_config(minimal_config(model={"K": 10**9, "rule": "dirichlet_laplacian"}))
 
     def test_integral_float_and_exact_span_accepted(self):
         cfg = parse_config(minimal_config(
@@ -147,6 +194,58 @@ class TestConfigBoundaries:
         with pytest.raises(ValueError):
             write_json(tmp_path / "r.json", {"x": [1.0, bad]})
         assert not (tmp_path / "r.json").exists()
+
+
+EXAMPLE_CONFIG = json.loads((Path(__file__).parents[1] / "example-config.json").read_text())
+
+# every value json.loads can return, NaN and the infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _node_paths(node, prefix=()):
+    """Key paths of every value below node: object members and array entries."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+@st.composite
+def one_leaf_mutations(draw):
+    """The example config with one value replaced, deleted, or one value added beside it."""
+    cfg = copy.deepcopy(EXAMPLE_CONFIG)
+    path = draw(st.sampled_from(list(_node_paths(cfg))))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    op = draw(st.sampled_from(["replace", "delete", "add"]))
+    if op == "replace":
+        parent[path[-1]] = draw(JSON_VALUES)
+    elif op == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    else:
+        parent.insert(path[-1], draw(JSON_VALUES))
+    return cfg
+
+
+class TestConfigMutations:
+    def test_example_config_parses(self):
+        assert isinstance(parse_config(copy.deepcopy(EXAMPLE_CONFIG)), RunConfig)
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_leaf_mutations())
+    def test_one_leaf_mutation_parses_or_is_refused(self, cfg):
+        try:
+            parsed = parse_config(cfg)
+        except ConfigError:
+            return
+        assert isinstance(parsed, RunConfig)
 
 
 class TestCliExitCodes:

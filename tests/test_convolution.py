@@ -21,6 +21,7 @@ from levyvolterra import (
     stieltjes_convolution,
 )
 from levyvolterra.cli import PARTS_REL_TOL
+from levyvolterra.convolution import _lag_fold
 
 KERNEL = KernelSpec.exponential(1.0)
 # int_0^1 s(tau, mu) dtau for the exponential kernel, by independent quadrature
@@ -330,3 +331,32 @@ class TestVectorizedKernels:
             a = stieltjes_convolution(fam, path).values
             b = parts_convolution(fam, path).values
             assert np.max(np.abs(a - b)) <= PARTS_REL_TOL * np.max(np.abs(a))
+
+
+def loop_lag_fold(w, x):
+    """One vector update per increment: the per-step form of _lag_fold."""
+    n = x.shape[0]
+    wt, xt = w.T.copy(), x.T[:, :, None]
+    out = np.zeros((x.shape[1], n + 1))
+    for j in range(n):
+        out[:, j + 1 :] += wt[:, : n - j] * xt[:, j]
+    return out.T
+
+
+class TestBlockedLagFold:
+    @pytest.mark.parametrize("K", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 257, 1000])
+    def test_equals_per_step_loop_bitwise(self, n, K):
+        rng = np.random.default_rng(1000 * n + K)
+        w, x = rng.standard_normal((n, K)), rng.standard_normal((n, K))
+        out = _lag_fold(w, x)
+        assert out.shape == (n + 1, K)
+        assert np.array_equal(out, loop_lag_fold(w, x))
+        assert not np.any(np.signbit(out[0]))  # node 0 is +0.0, as the loop leaves it
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 257, 1000])
+    def test_unit_weights_are_cumsum_bitwise(self, n, K):
+        x = np.random.default_rng(n + K).standard_normal((n, K))
+        expected = np.vstack([np.zeros((1, K)), np.cumsum(x, axis=0)])
+        assert np.array_equal(_lag_fold(np.ones((n, K)), x), expected)
