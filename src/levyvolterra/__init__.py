@@ -50,13 +50,11 @@ from .levy import (
     SamplePath,
     characteristic_exponent,
     coupled_sample_paths,
-    path_value,
     sample_path,
 )
 from .spectral import (
     ResolventFamily,
     SpectralModel,
-    apply_resolvent,
     build_resolvent_family,
     build_spectral_model,
     identity_resolvent_family,

@@ -14,20 +14,21 @@ route and the triplet route are internally consistent and both are compared
 against empirical characteristic functions of simulated convolutions.
 
 Monte Carlo standard errors use the conservative bound 1/sqrt(N) for
-z-scores (|exp(i theta)| = 1, so the complex mean has total sd <= 1/sqrt(N));
+z-scores (|exp(i <y, X>)| = 1, so the complex mean has total sd <= 1/sqrt(N));
 reports also carry the sharper per-component bound
 sqrt((1 - |ecf|^2) v 1e-12) / sqrt(N) alongside.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import TagRule, _lag_weights
-from .levy import LevyTriplet, jump_rule, phi_batch, sample_jumps, sample_rng
+from .convolution import TagRule, _interp_modes, _lag_weights
+from .levy import LevyTriplet, _draw_jumps, jump_rule, phi_batch, sample_rng
 from .spectral import ResolventFamily
 
 # ECF panel acceptance: at least ECF_FRACTION of the z-scores within
@@ -65,15 +66,6 @@ class PredictedTriplet:
             arr.flags.writeable = False
 
 
-def _trapezoid_weights(i: int, dt: float) -> np.ndarray:
-    w = np.full(i + 1, dt)
-    if i >= 1:
-        w[0] = w[i] = 0.5 * dt
-    else:
-        w[0] = 0.0
-    return w
-
-
 def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -> PredictedTriplet:
     """Quadrature evaluation of the predicted characterization at a grid node.
 
@@ -90,7 +82,8 @@ def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -
     i = family.grid.node_index(t)
     dt = family.grid.dt
     s = family.s_matrix[: i + 1]  # s(tau_j, gamma_k)
-    w = _trapezoid_weights(i, dt)
+    w = np.full(i + 1, dt)  # trapezoid weights; the empty integral at i = 0
+    w[0] = w[i] = (0.5 * dt if i else 0.0)
     q_diag = triplet.gauss_var * (w @ s**2)
     alpha = triplet.drift * (w @ s)
     jump_mass = 0.0
@@ -165,7 +158,8 @@ def terminal_values(
     Each sample is drawn on its own counter-based stream (identical to the
     stream sample_path would use, with the full Gaussian block consumed), so
     the output is independent of the worker partitioning and bitwise stable
-    across runs.
+    across runs.  The samples are split into min(workers, n_samples) ranges,
+    run on at most os.cpu_count() threads.
 
     Each worker takes its samples in blocks of at most _GAUSS_BLOCK_BYTES of
     Gaussian increments (at least one sample).  Every sample of a block
@@ -231,16 +225,12 @@ def terminal_values(
                 if draw_gauss:
                     rng.standard_normal(out=g[b - b0])
                 if triplet.jump is not None:
-                    count = int(rng.poisson(triplet.jump.rate * grid.t_end))
-                    if count:
-                        u = rng.random(count)
-                        times = grid.t_end * (1.0 - u)
-                        mk = sample_jumps(triplet.jump.law, rng, count)
-                        sel = times <= nodes[i]
-                        if sel.any():
-                            owners.append(b)
-                            elapsed.append(nodes[i] - times[sel])
-                            marks.append(mk[sel])
+                    times, mk = _draw_jumps(triplet.jump, grid.t_end, rng)
+                    sel = times <= nodes[i]
+                    if sel.any():
+                        owners.append(b)
+                        elapsed.append(nodes[i] - times[sel])
+                        marks.append(mk[sel])
             if draw_gauss:
                 gb = g[: b1 - b0, :i]
                 gb *= scale
@@ -251,8 +241,7 @@ def terminal_values(
                     out[b0:b1] = drift_part
             if owners:
                 el = np.concatenate(elapsed)
-                jw = np.column_stack([np.interp(el, nodes, family.s_matrix[:, k]) for k in range(K)])
-                terms = jw * np.concatenate(marks)
+                terms = _interp_modes(el, nodes, family.s_matrix) * np.concatenate(marks)
                 a0 = 0
                 for b, e in zip(owners, elapsed):
                     # each sample's own contiguous slice, summed as one (m, K) array
@@ -261,12 +250,13 @@ def terminal_values(
                     for out in outs:
                         out[b] += jump_sum
 
-    if workers <= 1:
+    parts = min(workers, n_samples)
+    if parts <= 1:
         run_range(0, n_samples)
     else:
-        bounds = np.linspace(0, n_samples, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(run_range, bounds[w], bounds[w + 1]) for w in range(workers)]
+        bounds = np.linspace(0, n_samples, parts + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
+            futs = [pool.submit(run_range, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
             for f in futs:
                 f.result()
     if len(rules) > 1:

@@ -57,7 +57,10 @@ def _weak_factors(cfg: RunConfig) -> tuple:
 
 def _out_dir(cfg: RunConfig, out_override) -> Path:
     out = Path(out_override) if out_override else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file in the way, no permission, ...
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 

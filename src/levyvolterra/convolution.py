@@ -50,10 +50,6 @@ class TagRule(Enum):
     RIGHT = "right"
     MIDPOINT = "midpoint"
 
-    @property
-    def theta(self) -> float:
-        return {"left": 0.0, "right": 1.0, "midpoint": 0.5}[self.value]
-
 
 @dataclass(frozen=True)
 class ConvolutionPath:
@@ -84,9 +80,10 @@ def _check_shared_grid(family: ResolventFamily, path: SamplePath):
 
 
 def _lag_weights(family: ResolventFamily, tag_rule: TagRule) -> np.ndarray:
-    """w[m, k] = s((m - theta) * dt, gamma_k) for lag m = 1..n_steps.
+    """w[m, k] = s((m - f) * dt, gamma_k) for lag m = 1..n_steps.
 
-    Row m weights an increment whose step ends m subintervals before the
+    f is the tag's place in its step as a fraction of dt: 0 for LEFT, 1 for
+    RIGHT, 1/2 for MIDPOINT.  Row m weights an increment whose step ends m subintervals before the
     output node; the tag falls on grid nodes for the endpoint rules and on
     the linear interpolant for midpoints.
     """
@@ -137,20 +134,28 @@ def _lag_fold(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out[: n + 1]
 
 
+def _interp_modes(elapsed: np.ndarray, nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s(elapsed, gamma_k) for every mode k, shape elapsed.shape + (K,).
+
+    One np.interp per mode column of s, which is tabulated on nodes.
+    """
+    out = np.empty(elapsed.shape + (s.shape[1],))
+    for k in range(s.shape[1]):
+        out[..., k] = np.interp(elapsed, nodes, s[:, k])
+    return out
+
+
 def _jump_weights(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):
     """Exact-time jump weights for the given output nodes.
 
     Returns (W, live): live[r, m] marks jump m at or before node
     node_indices[r], and W[r, m, k] = s(t_i - tau_m, gamma_k) on live
-    entries and 0 elsewhere, interpolated once per mode.
+    entries and 0 elsewhere.
     """
     nodes = family.grid.nodes()
     t = nodes[node_indices]
     live = path.jump_times[None, :] <= t[:, None]
-    elapsed = t[:, None] - path.jump_times[None, :]
-    W = np.empty(elapsed.shape + (family.K,))
-    for k in range(family.K):
-        W[..., k] = np.interp(elapsed, nodes, family.s_matrix[:, k])
+    W = _interp_modes(t[:, None] - path.jump_times[None, :], nodes, family.s_matrix)
     W[~live] = 0.0
     return W, live
 

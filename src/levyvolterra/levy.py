@@ -283,7 +283,7 @@ class SamplePath:
     marks with jump time <= t_i); jump times are kept exactly, not snapped
     to nodes, so downstream convolutions can weight each jump at its true
     elapsed time.  Between nodes the Gaussian part is piecewise constant by
-    convention while drift accrues continuously (see path_value).
+    convention while drift accrues continuously.
     """
 
     grid: TimeGrid
@@ -310,11 +310,9 @@ class SamplePath:
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "jump_marks", jm)
 
-        gauss_cum = np.vstack([np.zeros((1, K)), np.cumsum(g, axis=0)])
         # grouping pinned as (drift part + Gaussian part) + jump part so that
         # the identity-resolvent convolution reproduces these floats exactly
-        vals = self.drift[None, :] * self.grid.nodes()[:, None] + gauss_cum
-        vals = vals + self.jump_cumulative()
+        vals = self.continuous_values() + self.jump_cumulative()
         for arr in (vals, d, g, jt, jm):
             arr.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -339,13 +337,23 @@ class SamplePath:
         return self.drift[None, :] * self.grid.nodes()[:, None] + gauss_cum
 
 
-def stream_key(seed: int, sample_index: int) -> np.ndarray:
-    """Philox key of the dedicated per-sample stream."""
-    return np.array([np.uint64(seed), np.uint64(sample_index)], dtype=np.uint64)
-
-
 def sample_rng(seed: int, sample_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, sample_index)))
+    """The dedicated per-sample stream: Philox keyed by (seed, sample_index)."""
+    key = np.array([np.uint64(seed), np.uint64(sample_index)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _draw_jumps(jump: JumpPart, t_end: float, rng: np.random.Generator):
+    """Jump data on [0, t_end] in stream order: count, times, marks.
+
+    Returns (times (m,), marks (m, K)) unsorted, in draw order; the times are
+    uniform on (0, t_end].  A zero count draws nothing after the count.
+    """
+    count = int(rng.poisson(jump.rate * t_end))
+    if count == 0:
+        return np.zeros(0), np.zeros((0, jump.law.dim))
+    times = t_end * (1.0 - rng.random(count))
+    return times, sample_jumps(jump.law, rng, count)
 
 
 def _draw_path_data(triplet: LevyTriplet, grid: TimeGrid, rng: np.random.Generator):
@@ -357,17 +365,10 @@ def _draw_path_data(triplet: LevyTriplet, grid: TimeGrid, rng: np.random.Generat
     else:
         gauss = np.zeros((n, K))
     if triplet.jump is None:
-        times = np.zeros(0)
-        marks = np.zeros((0, K))
-    else:
-        count = int(rng.poisson(triplet.jump.rate * grid.t_end))
-        u = rng.random(count)
-        times = grid.t_end * (1.0 - u)  # uniform on (0, t_end]
-        marks = sample_jumps(triplet.jump.law, rng, count)
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        marks = marks[order]
-    return gauss, times, marks
+        return gauss, np.zeros(0), np.zeros((0, K))
+    times, marks = _draw_jumps(triplet.jump, grid.t_end, rng)
+    order = np.argsort(times, kind="stable")
+    return gauss, times[order], marks[order]
 
 
 def sample_path(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: int) -> SamplePath:
@@ -404,24 +405,3 @@ def coupled_sample_paths(
         paths.append(SamplePath(grid=coarse, drift=drift, gauss_increments=inc,
                                 jump_times=times, jump_marks=marks))
     return paths
-
-
-def path_value(path: SamplePath, t: float) -> np.ndarray:
-    """Cadlag evaluation between nodes.
-
-    Exact at grid nodes; elsewhere returns the previous node value plus
-    drift accrual and any exactly-recorded jumps in (t_node, t] (the
-    Gaussian part is piecewise constant between nodes by convention).
-    """
-    if not (0.0 <= t <= path.grid.t_end * (1 + 1e-12)):
-        raise ValueError(f"t={t} outside [0, {path.grid.t_end}]")
-    nodes = path.grid.nodes()
-    j = int(np.searchsorted(nodes, t, side="right")) - 1
-    j = min(j, path.grid.n_steps)
-    out = path.values[j] + path.drift * (t - nodes[j])
-    if path.jump_times.size:
-        lo = int(np.searchsorted(path.jump_times, nodes[j], side="right"))
-        hi = int(np.searchsorted(path.jump_times, t, side="right"))
-        if hi > lo:
-            out = out + path.jump_marks[lo:hi].sum(axis=0)
-    return out

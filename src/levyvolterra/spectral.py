@@ -10,7 +10,6 @@ family is one (n_steps + 1, K) array of solved values on one shared grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,11 +33,6 @@ class SpectralModel:
         mu = np.asarray(self.mu, dtype=float)
         object.__setattr__(self, "mu", mu)
         mu.flags.writeable = False
-
-    @property
-    def operator_norm(self) -> float:
-        """Norm of the truncated A, attained on the last mode."""
-        return float(np.max(np.abs(self.mu)))
 
 
 def build_spectral_model(K: int, rule="dirichlet_laplacian") -> SpectralModel:
@@ -111,16 +105,6 @@ def identity_resolvent_family(K: int, kernel: KernelSpec, grid: TimeGrid) -> Res
     return build_resolvent_family(model, kernel, grid)
 
 
-def apply_resolvent(family: ResolventFamily, time_index: int, x: Sequence[float]) -> np.ndarray:
-    """R(t_i) x = (s(t_i, gamma_k) x_k)_k."""
-    if not 0 <= time_index <= family.grid.n_steps:
-        raise ValueError(f"time_index {time_index} outside 0..{family.grid.n_steps}")
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (family.K,):
-        raise ValueError(f"x must have length K={family.K}")
-    return family.s_matrix[time_index] * vec
-
-
 @dataclass(frozen=True)
 class ResolventResidualReport:
     """Defect of each solved column in the discretized resolvent equation."""
@@ -164,24 +148,3 @@ def resolvent_equation_residual(family: ResolventFamily) -> ResolventResidualRep
             q = dt * float(np.sum(w * arow * col[: i + 1]))
             res[i, k] = col[i] - 1.0 + gamma * q
     return ResolventResidualReport(residuals=res, max_per_mode=np.max(np.abs(res), axis=0))
-
-
-def eigenfunction_values(model: SpectralModel, xs) -> np.ndarray:
-    """Dirichlet eigenfunctions e_k(x) = sqrt(2) sin(k pi x) on (0, 1).
-
-    Optional physical-space output transform; only defined for the
-    Dirichlet-Laplacian rule, whose eigenvalues pi^2 k^2 match this basis.
-    """
-    if model.rule != DIRICHLET_LAPLACIAN:
-        raise ValueError("eigenfunctions are only defined for the dirichlet_laplacian rule")
-    x = np.atleast_1d(np.asarray(xs, dtype=float))
-    k = np.arange(1, model.K + 1)
-    return np.sqrt(2.0) * np.sin(np.pi * np.outer(x, k))
-
-
-def to_physical(model: SpectralModel, xs, coeffs) -> np.ndarray:
-    """Reconstruct sum_k coeffs_k e_k(x) at the given spatial points."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape[-1] != model.K:
-        raise ValueError("coefficient vector length must be K")
-    return eigenfunction_values(model, xs) @ c

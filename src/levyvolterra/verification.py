@@ -47,10 +47,6 @@ class ResidualProfile:
         r.flags.writeable = False
 
     @property
-    def sup_per_mode(self) -> np.ndarray:
-        return np.max(np.abs(self.residuals), axis=0)
-
-    @property
     def sup(self) -> float:
         return float(np.max(np.abs(self.residuals)))
 

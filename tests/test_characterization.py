@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -236,12 +237,45 @@ class TestEmpiricalCf:
             empirical_cf(np.zeros((1, 2)), np.ones(2))
 
 
+PATH_ROUTE_LAWS = {
+    "point-mass": PointMass(np.array([0.6, -0.4])),
+    # these two draw their marks from the stream after the jump times
+    "discrete-mixture": DiscreteMixture(np.array([0.6, 0.4]),
+                                        np.array([[0.6, -0.4], [-0.3, 0.5]])),
+    "gaussian": GaussianJumps(np.array([0.2, -0.1]), np.array([0.3, 0.5])),
+}
+
+
+class InlineExecutor:
+    """ThreadPoolExecutor stand-in that runs each task at submit, on no thread.
+
+    log receives max_workers, then each submitted (lo, hi) range.
+    """
+
+    def __init__(self, log, max_workers):
+        self.log = log
+        log.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, lo, hi):
+        self.log.append((int(lo), int(hi)))
+        fut = Future()
+        fut.set_result(fn(lo, hi))
+        return fut
+
+
 class TestTerminalValues:
-    def test_matches_path_route(self):
+    @pytest.mark.parametrize("law", sorted(PATH_ROUTE_LAWS))
+    def test_matches_path_route(self, law):
         grid = TimeGrid(1.0, 150)
         fam = family(2, grid)
         trip = LevyTriplet(np.array([0.3, -0.2]), np.array([0.5, 0.25]),
-                           JumpPart(1.5, PointMass(np.array([0.6, -0.4]))))
+                           JumpPart(1.5, PATH_ROUTE_LAWS[law]))
         vals = terminal_values(fam, trip, 1.0, 4, seed=606, tag_rule=TagRule.LEFT)
         for idx in range(4):
             path = sample_path(trip, grid, idx, seed=606)
@@ -255,6 +289,27 @@ class TestTerminalValues:
         a = terminal_values(fam, trip, 1.0, 64, seed=9, workers=1)
         b = terminal_values(fam, trip, 1.0, 64, seed=9, workers=4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("workers, n_samples, cpus, threads, n_ranges", [
+        (10**6, 8, 2, 2, 8),  # one range per sample, two threads
+        (3, 40, 16, 3, 3),
+        (5, 40, None, 1, 5),  # os.cpu_count() may not know
+    ])
+    def test_pool_is_bounded(self, monkeypatch, workers, n_samples, cpus, threads, n_ranges):
+        log = []
+        monkeypatch.setattr(characterization, "ThreadPoolExecutor",
+                            lambda max_workers: InlineExecutor(log, max_workers))
+        monkeypatch.setattr(characterization.os, "cpu_count", lambda: cpus)
+        fam = family(2, TimeGrid(1.0, 50))
+        trip = BLOCKED_TRIPLETS["mixed"]
+        got = terminal_values(fam, trip, 1.0, n_samples, seed=12, workers=workers)
+        assert log[0] == threads
+        ranges = log[1:]
+        assert len(ranges) == n_ranges
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_samples
+        assert all(lo < hi for lo, hi in ranges)
+        assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
+        assert np.array_equal(got, terminal_values(fam, trip, 1.0, n_samples, seed=12))
 
 
 def per_sample_terminal_values(fam, trip, t, n_samples, seed, tag_rule):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyvolterra.cli import main
+from levyvolterra.cli import _out_dir, main
 from levyvolterra.config import ConfigError, RunConfig, load_config, parse_config
 from levyvolterra.reports import write_json
 
@@ -28,6 +28,15 @@ def minimal_config(**overrides):
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
+    return p
+
+
+def unreadable_config(tmp_path, case):
+    """A config path that exists but cannot be read as UTF-8 text."""
+    if case == "directory":
+        return tmp_path
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"schema_version": 1, "x": "\xe9"}')
     return p
 
 
@@ -80,6 +89,11 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("case", ["directory", "non-utf8"])
+    def test_unreadable_file(self, tmp_path, case):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(unreadable_config(tmp_path, case))
 
     def test_seed_range(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -248,12 +262,44 @@ class TestConfigMutations:
         assert isinstance(parsed, RunConfig)
 
 
+def blocked_output(tmp_path, where):
+    """(config path, --out value or None) whose output directory is a regular file."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    directory = blocker if where == "output.directory" else tmp_path / "unused"
+    path = write_config(tmp_path, minimal_config(
+        output={"directory": str(directory), "formats": ["json"]}))
+    return path, (str(blocker) if where == "--out" else None)
+
+
 class TestCliExitCodes:
     def test_config_error_is_exit_2(self, tmp_path):
         cfg = minimal_config()
         cfg["kernell"] = 1
         path = write_config(tmp_path, cfg)
         assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("case", ["directory", "non-utf8"])
+    def test_unreadable_config_is_exit_2(self, tmp_path, case, capsys):
+        path = unreadable_config(tmp_path, case)
+        assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["--out", "output.directory"])
+    def test_output_path_that_is_a_file(self, tmp_path, where):
+        path, out = blocked_output(tmp_path, where)
+        with pytest.raises(ConfigError, match="cannot create output directory"):
+            _out_dir(load_config(path), out)
+
+    @pytest.mark.parametrize("where", ["--out", "output.directory"])
+    def test_output_path_that_is_a_file_is_exit_2(self, tmp_path, where, capsys):
+        path, out = blocked_output(tmp_path, where)
+        assert main(["resolvent", "--config", str(path)] + (["--out", out] if out else [])) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "unused").exists()
+        assert (tmp_path / "blocker").read_text() == ""
 
     def test_ecf_below_minimum_samples_is_exit_2(self, tmp_path):
         cfg = minimal_config(mc={"n_samples": 10, "seed": 1})

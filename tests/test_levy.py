@@ -7,11 +7,9 @@ from levyvolterra import (
     JumpPart,
     LevyTriplet,
     PointMass,
-    SamplePath,
     TimeGrid,
     characteristic_exponent,
     coupled_sample_paths,
-    path_value,
     sample_path,
 )
 from levyvolterra.levy import jump_cf, jump_mean_inside_unit_ball, phi_batch
@@ -226,35 +224,6 @@ class TestSamplePath:
             second.append(v[-1] - v[half])
         corr = np.corrcoef(first, second)[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(n)
-
-
-class TestPathValue:
-    def test_grid_node_exact(self):
-        trip = LevyTriplet(np.array([0.4]), np.array([1.0]))
-        path = sample_path(trip, GRID, 2, seed=6)
-        for i in (0, 57, 200):
-            assert path_value(path, GRID.nodes()[i])[0] == path.values[i, 0]
-
-    def test_pure_drift_between_nodes(self):
-        trip = LevyTriplet(np.array([2.0]), np.zeros(1))
-        path = sample_path(trip, GRID, 0, seed=1)
-        assert path_value(path, 0.1234)[0] == pytest.approx(2.0 * 0.1234, rel=1e-14)
-
-    def test_single_recorded_jump_convention(self):
-        grid = TimeGrid(1.0, 10)
-        path = SamplePath(grid=grid, drift=np.zeros(1),
-                          gauss_increments=np.zeros((10, 1)),
-                          jump_times=np.array([0.35]), jump_marks=np.array([[2.5]]))
-        assert path_value(path, 0.4)[0] == 2.5
-        assert path_value(path, 0.34)[0] == 0.0
-        assert path_value(path, 0.35)[0] == 2.5
-
-    def test_domain_guard(self):
-        path = sample_path(LevyTriplet.zero(1), GRID, 0, seed=0)
-        with pytest.raises(ValueError):
-            path_value(path, -0.01)
-        with pytest.raises(ValueError):
-            path_value(path, 1.01)
 
 
 class TestCoupledPaths:

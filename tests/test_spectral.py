@@ -4,7 +4,6 @@ import pytest
 from levyvolterra import (
     KernelSpec,
     TimeGrid,
-    apply_resolvent,
     build_resolvent_family,
     build_spectral_model,
     certify_resolvent_properties,
@@ -12,7 +11,6 @@ from levyvolterra import (
     identity_resolvent_family,
     resolvent_equation_residual,
 )
-from levyvolterra.spectral import eigenfunction_values, to_physical
 
 KERNEL = KernelSpec.exponential(1.0)
 
@@ -29,7 +27,6 @@ class TestBuildSpectralModel:
     def test_custom_passthrough(self):
         model = build_spectral_model(2, [1.0, 2.0])
         assert np.array_equal(model.mu, [1.0, 2.0])
-        assert model.operator_norm == 2.0
 
     def test_invalid_custom_rejected(self):
         with pytest.raises(ValueError):
@@ -51,30 +48,13 @@ class TestResolventFamily:
         grid = TimeGrid(1.0, 100)
         fam = build_resolvent_family(build_spectral_model(4, "dirichlet_laplacian"), KERNEL, grid)
         x = np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.array_equal(apply_resolvent(fam, 0, x), x)
+        assert np.array_equal(fam.s_matrix[0] * x, x)
 
     def test_apply_matches_closed_form(self):
         grid = TimeGrid(1.0, 1000)
         fam = build_resolvent_family(build_spectral_model(1, [1.0]), KERNEL, grid)
-        out = apply_resolvent(fam, 1000, np.array([2.0]))
+        out = fam.s_matrix[1000] * np.array([2.0])
         assert out[0] == pytest.approx(2 * 0.5676676416183064, abs=1e-8)
-
-    def test_apply_is_linear_and_diagonal(self):
-        grid = TimeGrid(1.0, 50)
-        fam = build_resolvent_family(build_spectral_model(3, "dirichlet_laplacian"), KERNEL, grid)
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(3)
-        out = apply_resolvent(fam, 25, x)
-        assert np.array_equal(out, fam.s_matrix[25] * x)
-        assert np.array_equal(apply_resolvent(fam, 25, np.zeros(3)), np.zeros(3))
-
-    def test_apply_validation(self):
-        grid = TimeGrid(1.0, 10)
-        fam = build_resolvent_family(build_spectral_model(2, "dirichlet_laplacian"), KERNEL, grid)
-        with pytest.raises(ValueError):
-            apply_resolvent(fam, 11, np.zeros(2))
-        with pytest.raises(ValueError):
-            apply_resolvent(fam, 5, np.zeros(3))
 
 
 class TestResolventEquationResidual:
@@ -129,21 +109,3 @@ class TestVariationCertificate:
         assert cert.total_variation[0] == pytest.approx(0.4323323583816936, abs=1e-8)
         assert cert.total_variation[1] == pytest.approx(0.9079830543129869, abs=1e-7)
         assert cert.passed
-
-
-class TestEigenfunctions:
-    def test_orthonormal_on_unit_interval(self):
-        model = build_spectral_model(4, "dirichlet_laplacian")
-        xs = np.linspace(0, 1, 20001)
-        E = eigenfunction_values(model, xs)
-        gram = np.trapezoid(E[:, :, None] * E[:, None, :], xs, axis=0)
-        assert np.allclose(gram, np.eye(4), atol=1e-6)
-
-    def test_to_physical_single_mode(self):
-        model = build_spectral_model(2, "dirichlet_laplacian")
-        vals = to_physical(model, [0.5], [1.0, 0.0])
-        assert vals[0] == pytest.approx(np.sqrt(2.0))
-
-    def test_custom_rule_has_no_eigenfunctions(self):
-        with pytest.raises(ValueError):
-            eigenfunction_values(build_spectral_model(2, [1.0, 2.0]), [0.5])
