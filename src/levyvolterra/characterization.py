@@ -41,8 +41,8 @@ _PANEL_SALT = 1 << 62
 # terminal_values' last Gaussian-only pass: (key, {tag rule: (N, K) array})
 _LAST_PASS = (None, {})
 
-# Gaussian increments one terminal_values worker holds at once
-_GAUSS_BLOCK_BYTES = 256 * 1024
+# per-sample data one terminal_values worker holds at once, per block
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,21 @@ def empirical_cf(samples: np.ndarray, y) -> tuple[complex, float]:
     return value, 1.0 / np.sqrt(n)
 
 
+def _sample_bytes(triplet: LevyTriplet, n: int, K: int, t_end: float) -> float:
+    """Bytes one terminal_values sample holds in its worker's block.
+
+    n * K Gaussian increments when it draws them.  Otherwise its jump data:
+    for each of about 1 + rate * t_end jumps, its elapsed time and mark,
+    kept per sample and again concatenated, then its interpolated weights
+    and weighted mark, 2 + 4K floats in all.  So jump-only blocks shrink as
+    the jump rate grows.
+    """
+    if np.any(triplet.gauss_var > 0.0):
+        return 8.0 * n * K
+    rate = triplet.jump.rate if triplet.jump is not None else 0.0
+    return 8.0 * (1.0 + rate * t_end) * (2 + 4 * K)
+
+
 def terminal_values(
     family: ResolventFamily,
     triplet: LevyTriplet,
@@ -161,10 +176,11 @@ def terminal_values(
     across runs.  The samples are split into min(workers, n_samples) ranges,
     run on at most os.cpu_count() threads.
 
-    Each worker takes its samples in blocks of at most _GAUSS_BLOCK_BYTES of
-    Gaussian increments (at least one sample).  Every sample of a block
-    draws, in stream order, its normals into its row of the worker's block
-    buffer, then its jump count, times and marks.  The block is then scaled
+    Each worker takes its samples in blocks of about _BLOCK_BYTES of
+    per-sample data (at least one sample), sized by _sample_bytes: the
+    Gaussian increments when there are any, else the expected jump data.
+    Every sample of a block draws, in stream order, its normals into its row
+    of the worker's block buffer, then its jump count, times and marks.  The block is then scaled
     in place and contracted once per rule with ``einsum("bjk,jk->bk")``,
     which sums each sample's row over j in the order of the one-sample
     ``einsum("jk,jk->k")``.  The jump weights of all the block's jumps at or
@@ -211,7 +227,7 @@ def terminal_values(
         contractions.append((drift_part, lagw[::-1]))
     draw_gauss = bool(np.any(triplet.gauss_var > 0.0))
     scale = np.sqrt(triplet.gauss_var * dt)
-    block = max(1, _GAUSS_BLOCK_BYTES // (8 * n * K))  # samples per block
+    block = max(1, int(_BLOCK_BYTES // _sample_bytes(triplet, n, K, grid.t_end)))
 
     outs = [np.empty((n_samples, K)) for _ in rules]
 

@@ -117,34 +117,49 @@ class ResolventResidualReport:
         return float(np.max(self.max_per_mode)) if self.max_per_mode.size else 0.0
 
 
+def _causal_convolution(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c[i] = sum_{j <= i} a[i - j] x[j] for every row i and column of x.
+
+    One zero-padded real FFT product: a (m,) kernel against (m, K) columns,
+    padded to a power of two of at least 2m - 1 points so the circular
+    product holds the whole linear convolution.  Shared by the two residual
+    oracles only; the solver and the convolution routes they check never
+    call it.
+    """
+    m = a.shape[0]
+    size = 1 << (2 * m - 2).bit_length()
+    fa = np.fft.rfft(a, size)
+    fx = np.fft.rfft(x, size, axis=0)
+    return np.fft.irfft(fa[:, None] * fx, size, axis=0)[:m]
+
+
 def resolvent_equation_residual(family: ResolventFamily) -> ResolventResidualReport:
     """Re-evaluate r_{k,i} = s_i - 1 + gamma_k * Q_i with independent quadrature code.
 
-    Q_i re-applies the solver's order-3 Gregory rule to the solved values,
-    but through independently written weight construction and accumulation,
-    so any defect in the solver's weights or indexing shows up at the
-    gamma * dt scale instead of cancelling by construction.  For a correct
-    solve the residual is pure roundoff.
+    Q_i re-applies the solver's order-3 Gregory rule to the solved values:
+    the trapezoid rule plus -1/12 on the two end columns j = 0, i and +1/12
+    on their neighbours j = 1, i - 1 (both on column 1 at i = 2); row 1 is
+    the plain (1/2, 1/2) rule and row 0 is exactly 0.  The full sums
+    sum_j a(t_i - t_j) s_j for all rows and modes are one FFT product, and
+    the end weights are rank-1 terms in a(t_i) s_0, a(0) s_i, a(t_{i-1}) s_1
+    and a(t_1) s_{i-1}.  Neither the product nor the weight placement goes
+    through the solver's step-by-step recurrence, so any defect in the
+    solver's weights or indexing shows up at the gamma * dt scale instead of
+    cancelling by construction.  For a correct solve the residual is pure
+    roundoff.
     """
     grid = family.grid
     n, dt = grid.n_steps, grid.dt
     a_vals = np.asarray(eval_kernel(family.kernel, grid.nodes()), dtype=float)
+    s = family.s_matrix
 
-    cols = np.ascontiguousarray(family.s_matrix.T)  # one contiguous row per mode
-    res = np.zeros((n + 1, family.K))
-    for i in range(1, n + 1):
-        # direct tabulation of the composite weights, written independently
-        # of the solver's incremental construction
-        if i == 1:
-            w = np.array([0.5, 0.5])
-        else:
-            w = np.ones(i + 1)
-            w[0] = 5.0 / 12.0
-            w[i] = 5.0 / 12.0
-            w[1] += 1.0 / 12.0
-            w[i - 1] += 1.0 / 12.0
-        arow = a_vals[: i + 1][::-1]  # a(t_i - t_j), j = 0..i
-        for k, (gamma, col) in enumerate(zip(family.gammas, cols)):
-            q = dt * float(np.sum(w * arow * col[: i + 1]))
-            res[i, k] = col[i] - 1.0 + gamma * q
+    q = _causal_convolution(a_vals, s)
+    ends = np.outer(a_vals, s[0]) + a_vals[0] * s  # row i: a(t_i) s_0 + a(0) s_i
+    q -= 0.5 * ends
+    # Gregory rows i >= 2 (none at n = 1): a(t_{i-1}) s_1 + a(t_1) s_{i-1}
+    # in, 1/12 of the ends out
+    inner = np.outer(a_vals[1:n], s[1]) + a_vals[1] * s[1:n]
+    q[2:] += (inner - ends[2:]) / 12.0
+    res = s - 1.0 + family.gammas * (dt * q)
+    res[0] = 0.0
     return ResolventResidualReport(residuals=res, max_per_mode=np.max(np.abs(res), axis=0))

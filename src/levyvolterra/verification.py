@@ -31,7 +31,12 @@ from .convolution import ConvolutionPath, TagRule, convolve_at, stieltjes_convol
 from .grid import TimeGrid
 from .kernels import KernelSpec, closed_form_exponential_resolvent, eval_kernel
 from .levy import LevyTriplet, SamplePath, coupled_sample_paths
-from .spectral import ResolventFamily, SpectralModel, build_resolvent_family
+from .spectral import (
+    ResolventFamily,
+    SpectralModel,
+    _causal_convolution,
+    build_resolvent_family,
+)
 
 
 @dataclass(frozen=True)
@@ -53,12 +58,6 @@ class ResidualProfile:
 
 # rows of the Toeplitz product formed at once in weak_solution_residual
 _TOEPLITZ_BLOCK_ROWS = 64
-
-
-def _trap_row(i: int) -> np.ndarray:
-    w = np.ones(i + 1)
-    w[0] = w[i] = 0.5
-    return w
 
 
 def weak_solution_residual(
@@ -105,20 +104,22 @@ def bounded_A_identity_residual(
 
     The truncation makes A bounded, so Z_R(t) - int_0^t a(t-tau) A Z_R(tau)
     dtau - Z(t) must vanish; with A diagonal this carries the same content
-    as the per-mode duality residual, and is computed through a separate
-    (jointly vectorized) code path so the two agree only if both are right.
+    as the per-mode duality residual.  The trapezoid integrals at every node
+    are one zero-padded FFT product of the kernel against all modes of Z_R
+    at once, with the end weights applied as the rank-1 terms
+    -1/2 a(t_i) Z_R(0) and -1/2 a(0) Z_R(t_i).  weak_solution_residual forms
+    the same sums by a blocked matrix product over kernel windows, so the
+    two routes share no product code and agree only if both are right.
     """
     if zr.grid != z.grid or zr.grid != family.grid:
         raise ValueError("convolution, path, and family must share one grid")
     grid = family.grid
-    n, dt = grid.n_steps, grid.dt
     a_vals = np.asarray(eval_kernel(family.kernel, grid.nodes()), dtype=float)
-    gammas = family.gammas
-    res = np.zeros((n + 1, family.K))
-    for i in range(1, n + 1):
-        row = _trap_row(i) * a_vals[: i + 1][::-1]
-        quad = dt * (row @ zr.values[: i + 1, :])
-        res[i] = zr.values[i] + gammas * quad - z.values[i]
+    x = zr.values
+    quad = _causal_convolution(a_vals, x)
+    quad -= 0.5 * (np.outer(a_vals, x[0]) + a_vals[0] * x)
+    res = x + family.gammas * (grid.dt * quad) - z.values
+    res[0] = 0.0
     return ResidualProfile(grid=grid, residuals=res)
 
 

@@ -372,8 +372,8 @@ class TestBlockedTerminalValues:
         trip = BLOCKED_TRIPLETS[name]
         fam = family(trip.dim, self.GRID)
         if block == "3-samples":
-            monkeypatch.setattr(characterization, "_GAUSS_BLOCK_BYTES",
-                                3 * 8 * self.GRID.n_steps * trip.dim)
+            monkeypatch.setattr(characterization, "_BLOCK_BYTES", 3 * characterization._sample_bytes(
+                trip, self.GRID.n_steps, trip.dim, self.GRID.t_end))
         monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
         got = terminal_values(fam, trip, t, self.N, seed=17, tag_rule=TagRule.RIGHT,
                               workers=workers)
@@ -384,6 +384,25 @@ class TestBlockedTerminalValues:
                 memo = terminal_values(fam, trip, t, self.N, seed=17, tag_rule=rule)
                 assert np.array_equal(memo, per_sample_terminal_values(fam, trip, t, self.N,
                                                                        17, rule))
+
+    def test_block_sized_by_what_a_sample_holds(self):
+        # Gaussian increments when drawn, else the expected jump data: the
+        # mc_jumps shape (K = 4, n = 2000, rate 3) then takes 455 samples
+        # per block, and a huge rate falls back to one sample
+        n, K = 2000, 4
+
+        def jumps(rate):
+            return LevyTriplet(np.zeros(K), np.zeros(K), JumpPart(rate, PointMass(np.full(K, 0.1))))
+
+        def block(trip):
+            return max(1, int(characterization._BLOCK_BYTES
+                              // characterization._sample_bytes(trip, n, K, 1.0)))
+
+        gauss = LevyTriplet(np.zeros(K), np.ones(K), JumpPart(3.0, PointMass(np.full(K, 0.1))))
+        assert characterization._sample_bytes(gauss, n, K, 1.0) == 8 * n * K
+        assert block(jumps(3.0)) == 455
+        assert block(jumps(1e6)) == 1
+        assert block(LevyTriplet(np.ones(K), np.zeros(K))) == characterization._BLOCK_BYTES // 144
 
     @pytest.mark.parametrize("name", ["rate-20-K1", "rate-20-K2"])
     def test_high_rate_reaches_eight_jumps(self, name):

@@ -57,6 +57,24 @@ class TestResolventFamily:
         assert out[0] == pytest.approx(2 * 0.5676676416183064, abs=1e-8)
 
 
+def gregory_loop_residual(fam):
+    """Per-node Gregory reference: the composite weights tabulated row by row."""
+    grid = fam.grid
+    a = np.exp(-grid.nodes())
+    s = fam.s_matrix
+    ref = np.zeros_like(s)
+    for i in range(1, grid.n_steps + 1):
+        if i == 1:
+            w = np.array([0.5, 0.5])
+        else:
+            w = np.ones(i + 1)
+            w[0] = w[i] = 5.0 / 12.0
+            w[1] += 1.0 / 12.0
+            w[i - 1] += 1.0 / 12.0
+        ref[i] = s[i] - 1.0 + fam.gammas * (grid.dt * ((w * a[i::-1]) @ s[: i + 1]))
+    return ref
+
+
 class TestResolventEquationResidual:
     def test_identity_family_residual_is_zero(self):
         fam = identity_resolvent_family(3, KERNEL, TimeGrid(1.0, 100))
@@ -82,15 +100,40 @@ class TestResolventEquationResidual:
             )
             assert resolvent_equation_residual(fam).max_abs < 1e-10
 
-    def test_residual_detects_wrong_table(self):
+    # rows 1..3 and n - 1, n are where a misplaced rank-1 end term would hide
+    @pytest.mark.parametrize("row", [1, 2, 3, 40, 99, 100])
+    def test_residual_detects_wrong_table(self, row):
         grid = TimeGrid(1.0, 100)
         fam = build_resolvent_family(build_spectral_model(1, [np.pi**2]), KERNEL, grid)
         corrupted = fam.s_matrix.copy()
-        corrupted[40, 0] += 1e-3
+        corrupted[row, 0] += 1e-3
         from levyvolterra import ResolventFamily
 
         bad = ResolventFamily(model=fam.model, kernel=fam.kernel, grid=grid, s_matrix=corrupted)
         assert resolvent_equation_residual(bad).max_abs > 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 100])
+    def test_matches_per_node_gregory_loop(self, n):
+        # rows 1..3 are where the +1/12 columns meet the ends (both land on
+        # column 1 at i = 2), so a misplaced rank-1 term shows there first;
+        # the solved table is perturbed so the residual is not just roundoff
+        grid = TimeGrid(1.0, n)
+        fam = build_resolvent_family(build_spectral_model(3, "dirichlet_laplacian"), KERNEL, grid)
+        rng = np.random.default_rng(n)
+        from levyvolterra import ResolventFamily
+
+        noisy = ResolventFamily(model=fam.model, kernel=fam.kernel, grid=grid,
+                                s_matrix=fam.s_matrix + 1e-3 * rng.standard_normal(fam.s_matrix.shape))
+        for f in (fam, noisy):
+            got = resolvent_equation_residual(f).residuals
+            assert np.all(got[0] == 0.0)
+            assert np.max(np.abs(got - gregory_loop_residual(f))) <= 1e-12
+
+    def test_long_grid_residual_is_roundoff(self):
+        fam = build_resolvent_family(
+            build_spectral_model(8, "dirichlet_laplacian"), KERNEL, TimeGrid(1.0, 4000)
+        )
+        assert resolvent_equation_residual(fam).max_abs < 1e-10
 
 
 class TestVariationCertificate:

@@ -32,6 +32,19 @@ def mixed_triplet(K=2):
     )
 
 
+def trapezoid_loop_residual(zr, path, fam):
+    """Per-node trapezoid reference: one dot product of a reversed kernel row per node."""
+    grid = fam.grid
+    a = np.exp(-grid.nodes())
+    ref = np.zeros_like(zr.values)
+    for i in range(1, grid.n_steps + 1):
+        w = np.ones(i + 1)
+        w[0] = w[i] = 0.5
+        quad = grid.dt * ((w * a[i::-1]) @ zr.values[: i + 1])
+        ref[i] = zr.values[i] + fam.gammas * quad - path.values[i]
+    return ref
+
+
 class TestWeakResidual:
     def test_identity_surrogate_residual_vanishes(self):
         # R == I with gamma = 0 per table: Z_R = Z and the integral term
@@ -97,13 +110,7 @@ class TestWeakResidual:
         fam = build_resolvent_family(build_spectral_model(3, "dirichlet_laplacian"), KERNEL, grid)
         path = sample_path(mixed_triplet(3), grid, 1, seed=12)
         zr = stieltjes_convolution(fam, path)
-        a = np.exp(-grid.nodes())
-        ref = np.zeros_like(zr.values)
-        for i in range(1, grid.n_steps + 1):
-            w = np.ones(i + 1)
-            w[0] = w[i] = 0.5
-            quad = grid.dt * ((w * a[i::-1]) @ zr.values[: i + 1])
-            ref[i] = zr.values[i] + fam.gammas * quad - path.values[i]
+        ref = trapezoid_loop_residual(zr, path, fam)
         assert np.max(np.abs(weak_solution_residual(zr, path, fam).residuals - ref)) <= 1e-12
 
     def test_agrees_with_bounded_route_on_long_grid(self):
@@ -123,6 +130,22 @@ class TestBoundedIdentityResidual:
         path = sample_path(LevyTriplet.zero(3), grid, 0, seed=0)
         zr = stieltjes_convolution(fam, path)
         assert bounded_A_identity_residual(zr, path, fam).sup == 0.0
+
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 200])
+    def test_matches_per_node_trapezoid_loop(self, n, K):
+        # the FFT product with rank-1 end terms against the per-node loop,
+        # down to grids where the end columns overlap (n = 1, 2)
+        grid = TimeGrid(1.0, n)
+        fam = build_resolvent_family(build_spectral_model(K, "dirichlet_laplacian"), KERNEL, grid)
+        trip = LevyTriplet(np.linspace(0.3, -0.2, K), np.linspace(0.8, 0.3, K),
+                           JumpPart(rate=8.0, law=PointMass(np.linspace(0.6, -0.4, K))))
+        path = sample_path(trip, grid, 0, seed=5)
+        assert path.jump_times.size > 0
+        zr = stieltjes_convolution(fam, path)
+        got = bounded_A_identity_residual(zr, path, fam).residuals
+        assert np.all(got[0] == 0.0)
+        assert np.max(np.abs(got - trapezoid_loop_residual(zr, path, fam))) <= 1e-12
 
     def test_equals_stacked_weak_residuals(self):
         grid = TimeGrid(1.0, 200)
