@@ -72,10 +72,9 @@ def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -
     alpha_k = drift_k * int_0^t s(tau, gamma_k) dtau
             + rate * int_0^t E[ s(tau, gamma_k) J_k (1_{|R(tau)J| < 1} - 1_{|J| < 1}) ] dtau
 
-    with the jump expectation enumerated exactly for discrete laws; the
-    correction is skipped when the two indicators provably agree (all jumps
-    inside the unit ball and s within [0, 1]).  All tau-integrals use the
-    trapezoid rule on the family grid.
+    with the jump expectation taken by the law's quadrature rule (exact for
+    discrete laws).  All tau-integrals use the trapezoid rule on the family
+    grid.
     """
     if triplet.dim != family.K:
         raise ValueError("triplet dimension must match family modes")
@@ -90,32 +89,16 @@ def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -
     if triplet.jump is not None:
         lam = triplet.jump.rate
         jump_mass = lam * (i * dt)
-        corr = np.zeros(family.K)
-        if not _indicator_correction_vanishes(triplet.jump.law, s):
-            # one quadrature rule for every node: E[s_j J (1_{|s_j J| < 1} - 1_{|J| < 1})]
-            points, weights = jump_rule(triplet.jump.law)
-            inside = (np.linalg.norm(points, axis=1) < 1.0).astype(float)
-            node_vals = np.empty((i + 1, family.K))
-            for j in range(i + 1):
-                scaled = points * s[j][None, :]
-                ind = (np.linalg.norm(scaled, axis=1) < 1.0).astype(float) - inside
-                node_vals[j] = np.tensordot(weights, scaled * ind[:, None], axes=(0, 0))
-            corr = lam * (w @ node_vals)
-        alpha = alpha + corr
+        # one quadrature rule for every node: E[s_j J (1_{|s_j J| < 1} - 1_{|J| < 1})]
+        points, weights = jump_rule(triplet.jump.law)
+        inside = (np.linalg.norm(points, axis=1) < 1.0).astype(float)
+        node_vals = np.empty((i + 1, family.K))
+        for j in range(i + 1):
+            scaled = points * s[j][None, :]
+            ind = (np.linalg.norm(scaled, axis=1) < 1.0).astype(float) - inside
+            node_vals[j] = np.tensordot(weights, scaled * ind[:, None], axes=(0, 0))
+        alpha = alpha + lam * (w @ node_vals)
     return PredictedTriplet(t=i * dt, alpha=alpha, q_diag=q_diag, jump_mass=jump_mass)
-
-
-def _indicator_correction_vanishes(law, s: np.ndarray) -> bool:
-    """True when |R(tau) x| < 1 iff |x| < 1 for every supported jump x."""
-    from .levy import DiscreteMixture, PointMass
-
-    if np.max(s) > 1.0 + 1e-12:
-        return False
-    if isinstance(law, PointMass):
-        return float(np.linalg.norm(law.mark)) < 1.0
-    if isinstance(law, DiscreteMixture):
-        return bool(np.all(np.linalg.norm(law.atoms, axis=1) < 1.0))
-    return False
 
 
 def predicted_log_cf(family: ResolventFamily, triplet: LevyTriplet, t: float, y) -> complex:
@@ -147,16 +130,15 @@ def empirical_cf(samples: np.ndarray, y) -> tuple[complex, float]:
 def _sample_bytes(triplet: LevyTriplet, n: int, K: int, t_end: float) -> float:
     """Bytes one terminal_values sample holds in its worker's block.
 
-    n * K Gaussian increments when it draws them.  Otherwise its jump data:
+    The n * K Gaussian increments when it draws them, plus its jump data:
     for each of about 1 + rate * t_end jumps, its elapsed time and mark,
     kept per sample and again concatenated, then its interpolated weights
-    and weighted mark, 2 + 4K floats in all.  So jump-only blocks shrink as
-    the jump rate grows.
+    and weighted mark, 2 + 4K floats in all.  So blocks shrink as the jump
+    rate grows, with or without Gaussian noise.
     """
-    if np.any(triplet.gauss_var > 0.0):
-        return 8.0 * n * K
+    gauss = 8.0 * n * K if np.any(triplet.gauss_var > 0.0) else 0.0
     rate = triplet.jump.rate if triplet.jump is not None else 0.0
-    return 8.0 * (1.0 + rate * t_end) * (2 + 4 * K)
+    return gauss + 8.0 * (1.0 + rate * t_end) * (2 + 4 * K)
 
 
 def terminal_values(
@@ -178,7 +160,7 @@ def terminal_values(
 
     Each worker takes its samples in blocks of about _BLOCK_BYTES of
     per-sample data (at least one sample), sized by _sample_bytes: the
-    Gaussian increments when there are any, else the expected jump data.
+    Gaussian increments, if any, plus the expected jump data.
     Every sample of a block draws, in stream order, its normals into its row
     of the worker's block buffer, then its jump count, times and marks.  The block is then scaled
     in place and contracted once per rule with ``einsum("bjk,jk->bk")``,

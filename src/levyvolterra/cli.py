@@ -25,7 +25,11 @@ from . import __version__, characterization
 from .characterization import ecf_comparison, gaussian_covariance_check
 from .config import ConfigError, RunConfig, load_config
 from .convolution import TagRule, parts_convolution, stieltjes_convolution
-from .kernels import certify_resolvent_properties, closed_form_exponential_resolvent
+from .kernels import (
+    _unit_exponential,
+    certify_resolvent_properties,
+    closed_form_exponential_resolvent,
+)
 from .levy import LevyTriplet, sample_path
 from .reports import series_csv, write_csv, write_json
 from .spectral import build_resolvent_family, resolvent_equation_residual
@@ -64,20 +68,27 @@ def _out_dir(cfg: RunConfig, out_override) -> Path:
     return out
 
 
-def _family(cfg: RunConfig, grid=None):
-    """The config's resolvent family on grid (default: the config grid)."""
-    try:
-        return build_resolvent_family(cfg.model, cfg.kernel, cfg.grid if grid is None else grid)
-    except ValueError as exc:  # a table that is not finite for these inputs
-        raise ConfigError(str(exc)) from exc
+def _family(cfg: RunConfig, families: dict, grid=None):
+    """The config's resolvent family on grid (default: the config grid).
+
+    families maps each TimeGrid of the run to its family, so every stage
+    reads the one solve of a grid; main starts it empty for each run.
+    """
+    grid = cfg.grid if grid is None else grid
+    if grid not in families:
+        try:
+            families[grid] = build_resolvent_family(cfg.model, cfg.kernel, grid)
+        except ValueError as exc:  # a table that is not finite for these inputs
+            raise ConfigError(str(exc)) from exc
+    return families[grid]
 
 
-def cmd_resolvent(cfg: RunConfig, out: Path, workers: int) -> dict:
-    fam = _family(cfg)
+def cmd_resolvent(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
+    fam = _family(cfg, families)
     cert = certify_resolvent_properties(fam.s_matrix, CERTIFICATE_TOL)
     resid = resolvent_equation_residual(fam)
     closed = None
-    if cfg.kernel.family == "exponential" and abs(cfg.kernel.rate - 1.0) < 1e-15:
+    if _unit_exponential(cfg.kernel):
         exact = closed_form_exponential_resolvent(fam.gammas, cfg.grid.nodes()[:, None])
         errs = np.max(np.abs(fam.s_matrix - exact), axis=0)
         # the strict bound is calibrated for mu <= 4 pi^2 at dt = 1e-3; the
@@ -120,9 +131,9 @@ def cmd_resolvent(cfg: RunConfig, out: Path, workers: int) -> dict:
     return report
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, workers: int) -> dict:
+def cmd_simulate(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
     path = sample_path(cfg.triplet, cfg.grid, 0, cfg.seed)
-    fam = _family(cfg)
+    fam = _family(cfg, families)
     zr = stieltjes_convolution(fam, path, TagRule.LEFT)
     if "csv" in cfg.formats:
         cols = {"t": cfg.grid.nodes()}
@@ -155,8 +166,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, workers: int) -> dict:
     return report
 
 
-def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int) -> dict:
-    fam = _family(cfg)
+def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
+    fam = _family(cfg, families)
     n_seeds = min(cfg.n_samples, 20)
     worst = 0.0
     per_seed = []
@@ -181,12 +192,12 @@ def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int) -> dict:
     return report
 
 
-def cmd_verify_weak(cfg: RunConfig, out: Path, workers: int) -> dict:
+def cmd_verify_weak(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
     from .levy import coupled_sample_paths
     from .verification import bounded_A_identity_residual
 
     factors = _weak_factors(cfg)
-    fams = [_family(cfg, cfg.grid.coarsened(f)) for f in factors]
+    fams = [_family(cfg, families, cfg.grid.coarsened(f)) for f in factors]
     n_seeds = min(cfg.n_samples, 10)
     sup_table = np.zeros((n_seeds, len(factors)))
     route_gap = 0.0
@@ -219,10 +230,10 @@ def cmd_verify_weak(cfg: RunConfig, out: Path, workers: int) -> dict:
     return report
 
 
-def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int) -> dict:
+def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
     if cfg.n_samples < 1000:
         raise ConfigError(f"verify-ecf needs mc.n_samples >= 1000, got {cfg.n_samples}")
-    fam = _family(cfg)
+    fam = _family(cfg, families)
     rep = ecf_comparison(fam, cfg.triplet, cfg.grid.t_end, cfg.panel_size,
                          cfg.n_samples, cfg.seed, TagRule.LEFT, workers=workers)
     results = {
@@ -279,28 +290,24 @@ def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int) -> dict:
     return report
 
 
-def cmd_study(cfg: RunConfig, out: Path, workers: int) -> dict:
-    factors = _study_factors(cfg)
+def cmd_study(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
+    levels = [_family(cfg, families, cfg.grid.coarsened(f)) for f in _study_factors(cfg)]
     plans = {}
-    if cfg.kernel.family == "exponential":
-        plans["resolvent_error"] = StudyConfig(
-            target="resolvent_error", kernel=cfg.kernel, model=cfg.model,
-            fine_grid=cfg.grid, factors=factors)
+    if _unit_exponential(cfg.kernel):
+        plans["resolvent_error"] = StudyConfig(target="resolvent_error", families=levels)
     plans["tag_discrepancy"] = StudyConfig(
-        target="tag_discrepancy", kernel=cfg.kernel, model=cfg.model, fine_grid=cfg.grid,
-        factors=factors, triplet=cfg.triplet,
+        target="tag_discrepancy", families=levels, triplet=cfg.triplet,
         seeds=tuple(range(min(cfg.n_samples, 50))), seed=cfg.seed)
     drift = cfg.triplet.drift if np.any(cfg.triplet.drift != 0.0) else np.ones(cfg.model.K)
     det_triplet = LevyTriplet(drift=drift, gauss_var=np.zeros(cfg.model.K))
     plans["weak_residual"] = StudyConfig(
-        target="weak_residual", kernel=cfg.kernel, model=cfg.model, fine_grid=cfg.grid,
-        factors=factors, triplet=det_triplet, seeds=(0,), seed=cfg.seed,
-        tag_rule=TagRule.MIDPOINT)
+        target="weak_residual", families=levels, triplet=det_triplet, seeds=(0,),
+        seed=cfg.seed, tag_rule=TagRule.MIDPOINT)
     studies = {}
     for name, plan in plans.items():
         try:
             studies[name] = convergence_study(plan)
-        except ValueError as exc:  # a table that is not finite, or a norm of exactly 0
+        except ValueError as exc:  # a norm of exactly 0
             raise ConfigError(f"study {name}: {exc}") from exc
 
     results, passed = {}, True
@@ -340,8 +347,8 @@ def _timed(timings: dict, name: str, fn, *args):
     return result
 
 
-def cmd_all(cfg: RunConfig, out: Path, workers: int, timings=None) -> dict:
-    """Every stage in dependency order; stage times go into timings if given."""
+def cmd_all(cfg: RunConfig, out: Path, workers: int, families: dict, timings=None) -> dict:
+    """Every stage in dependency order, sharing families; stage times go into timings if given."""
     timings = {} if timings is None else timings
     order = [
         ("resolvent", cmd_resolvent),
@@ -353,7 +360,7 @@ def cmd_all(cfg: RunConfig, out: Path, workers: int, timings=None) -> dict:
     ]
     verdicts = {}
     for name, fn in order:
-        verdicts[name] = bool(_timed(timings, name, fn, cfg, out, workers)["passed"])
+        verdicts[name] = bool(_timed(timings, name, fn, cfg, out, workers, families)["passed"])
     report = {
         "schema_version": 1,
         "subcommand": "all",
@@ -409,11 +416,12 @@ def main(argv=None) -> int:
             raise ConfigError("--workers must be >= 1")
         out = _out_dir(cfg, args.out)
         timings = {}  # stage -> {"wall_s", "cpu_s"}
+        families = {}  # TimeGrid -> ResolventFamily, each grid solved once per run
         if args.subcommand == "all":
-            report = cmd_all(cfg, out, args.workers, timings)
+            report = cmd_all(cfg, out, args.workers, families, timings)
         else:
             report = _timed(timings, args.subcommand, _COMMANDS[args.subcommand],
-                            cfg, out, args.workers)
+                            cfg, out, args.workers, families)
         _write_meta(out, argv if argv is not None else sys.argv[1:], timings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

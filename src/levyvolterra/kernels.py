@@ -165,6 +165,11 @@ def closed_form_exponential_resolvent(mu, t) -> np.ndarray | float:
     return out if np.ndim(out) else float(out)
 
 
+def _unit_exponential(kernel: KernelSpec) -> bool:
+    """True when kernel is a(t) = exp(-t), the kernel the closed form is the oracle for."""
+    return kernel.family == EXPONENTIAL and abs(kernel.rate - 1.0) < 1e-15
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     """Certificate of the completely-positive consequences on solved values.

@@ -29,14 +29,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .convolution import ConvolutionPath, TagRule, convolve_at, stieltjes_convolution
 from .grid import TimeGrid
-from .kernels import KernelSpec, closed_form_exponential_resolvent, eval_kernel
+from .kernels import _unit_exponential, closed_form_exponential_resolvent, eval_kernel
 from .levy import LevyTriplet, SamplePath, coupled_sample_paths
-from .spectral import (
-    ResolventFamily,
-    SpectralModel,
-    _causal_convolution,
-    build_resolvent_family,
-)
+from .spectral import ResolventFamily, _causal_convolution
 
 
 @dataclass(frozen=True)
@@ -136,29 +131,33 @@ def fit_order(dts: Sequence[float], norms: Sequence[float]) -> float:
 class StudyConfig:
     """One refinement study: target quantity, levels, and the fixed outcomes.
 
-    factors are coarsening divisors of fine_grid (descending, e.g. (8, 4, 1));
-    at least three levels are required.  seeds index the coupled outcomes
-    for stochastic targets and are ignored by the deterministic resolvent
-    target.
+    families are the solved levels, coarse to fine: one model and kernel on
+    coarsenings of the finest grid (e.g. by 8, 4 and 1); at least three
+    levels are required.  seeds index the coupled outcomes for stochastic
+    targets and are ignored by the deterministic resolvent target.
     """
 
     target: str  # "resolvent_error" | "tag_discrepancy" | "weak_residual"
-    kernel: KernelSpec
-    model: SpectralModel
-    fine_grid: TimeGrid
-    factors: tuple
+    families: tuple  # of ResolventFamily, coarse to fine
     triplet: Optional[LevyTriplet] = None
     seeds: tuple = (0,)
     seed: int = 0
     tag_rule: TagRule = TagRule.LEFT
 
     def __post_init__(self):
-        if len(self.factors) < 3:
+        object.__setattr__(self, "families", tuple(self.families))
+        if len(self.families) < 3:
             raise ValueError("a convergence study needs at least 3 grid levels")
         if self.target not in ("resolvent_error", "tag_discrepancy", "weak_residual"):
             raise ValueError(f"unknown study target {self.target!r}")
         if self.target != "resolvent_error" and self.triplet is None:
             raise ValueError(f"target {self.target!r} requires a triplet")
+        grids = [fam.grid for fam in self.families]
+        steps = [g.n_steps for g in grids]
+        if steps != sorted(set(steps)) or any(
+                grids[-1].coarsened(steps[-1] // g.n_steps) != g for g in grids):
+            raise ValueError("study families must be on coarsenings of the finest grid, "
+                             "coarse to fine")
 
 
 @dataclass(frozen=True)
@@ -175,28 +174,30 @@ class ConvergenceStudy:
 
 
 def convergence_study(config: StudyConfig) -> ConvergenceStudy:
-    """Norm at every level with the same outcome across levels, plus fitted order."""
-    factors = sorted((int(f) for f in config.factors), reverse=True)  # coarse -> fine
-    grids = [config.fine_grid.coarsened(f) for f in factors]
-    dts = np.array([g.dt for g in grids])
+    """Norm at every level with the same outcome across levels, plus fitted order.
+
+    Builds nothing: the dts, the fine grid and the coupling factors of the
+    sample paths are read from the grids of config.families.
+    """
+    families = config.families
+    fine = families[-1].grid
+    dts = np.array([fam.grid.dt for fam in families])
 
     if config.target == "resolvent_error":
-        if config.kernel.family != "exponential":
-            raise ValueError("resolvent_error target needs the exponential kernel oracle")
+        if not _unit_exponential(families[0].kernel):
+            raise ValueError("resolvent_error target needs the kernel a(t) = exp(-t), "
+                             "the closed-form oracle's")
         norms = []
-        for g in grids:
-            fam = build_resolvent_family(config.model, config.kernel, g)
-            exact = closed_form_exponential_resolvent(fam.gammas, g.nodes()[:, None])
+        for fam in families:
+            exact = closed_form_exponential_resolvent(fam.gammas, fam.grid.nodes()[:, None])
             norms.append(np.max(np.abs(fam.s_matrix - exact)))
         norms = np.array(norms)
-        return ConvergenceStudy(config.target, dts, norms, None,
-                                fit_order(dts, norms))
+        return ConvergenceStudy(config.target, dts, norms, None, fit_order(dts, norms))
 
-    families = [build_resolvent_family(config.model, config.kernel, g) for g in grids]
-    per_seed = np.zeros((len(config.seeds), len(grids)))
+    factors = [fine.n_steps // fam.grid.n_steps for fam in families]
+    per_seed = np.zeros((len(config.seeds), len(families)))
     for si, sample_index in enumerate(config.seeds):
-        paths = coupled_sample_paths(config.triplet, config.fine_grid, factors,
-                                     sample_index, config.seed)
+        paths = coupled_sample_paths(config.triplet, fine, factors, sample_index, config.seed)
         for li, (fam, path) in enumerate(zip(families, paths)):
             if config.target == "tag_discrepancy":
                 i_end = fam.grid.n_steps

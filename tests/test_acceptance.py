@@ -113,11 +113,16 @@ def test_criterion_04_integration_by_parts_equivalence():
     assert worst <= 1e-12
 
 
+def _levels(model, fine_grid, factors):
+    """Study level families, coarse to fine: model and KERNEL solved on each coarsening."""
+    return [build_resolvent_family(model, KERNEL, fine_grid.coarsened(f)) for f in factors]
+
+
 def test_criterion_05_tag_rule_insensitivity():
     study = convergence_study(StudyConfig(
-        target="tag_discrepancy", kernel=KERNEL,
-        model=build_spectral_model(2, "dirichlet_laplacian"),
-        fine_grid=TimeGrid(1.0, 1024), factors=(8, 4, 2),
+        target="tag_discrepancy",
+        families=_levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 1024),
+                         (8, 4, 2)),
         triplet=LevyTriplet(np.zeros(2), np.array([1.0, 1.0])),
         seeds=tuple(range(50)), seed=SEED))
     ok = study.monotone_decreasing and study.fitted_order >= 0.4
@@ -168,12 +173,12 @@ def test_criterion_08_weak_solution_identity():
                              JumpPart(1.5, PointMass(np.array([0.6, -0.4])))),
     }
     model = build_spectral_model(2, "dirichlet_laplacian")
+    stochastic_levels = _levels(model, TimeGrid(1.0, 1024), (16, 4, 1))
     all_monotone = True
     for name, trip in configs.items():
         study = convergence_study(StudyConfig(
-            target="weak_residual", kernel=KERNEL, model=model,
-            fine_grid=TimeGrid(1.0, 1024), factors=(16, 4, 1),
-            triplet=trip, seeds=tuple(range(10)), seed=SEED))
+            target="weak_residual", families=stochastic_levels, triplet=trip,
+            seeds=tuple(range(10)), seed=SEED))
         per_seed_ok = np.all(np.diff(study.per_seed, axis=1) < 0.0, axis=1)
         monotone = bool(np.all(per_seed_ok))
         all_monotone = all_monotone and monotone
@@ -181,8 +186,7 @@ def test_criterion_08_weak_solution_identity():
               f"{int(per_seed_ok.sum())}/10 seeds, mean sup levels {np.round(study.norms, 5)}")
         assert monotone, f"{name}: {study.per_seed}"
     det = convergence_study(StudyConfig(
-        target="weak_residual", kernel=KERNEL, model=model,
-        fine_grid=TimeGrid(1.0, 400), factors=(4, 2, 1),
+        target="weak_residual", families=_levels(model, TimeGrid(1.0, 400), (4, 2, 1)),
         triplet=LevyTriplet(np.array([1.0, -0.5]), np.zeros(2)),
         seeds=(0,), seed=SEED, tag_rule=TagRule.MIDPOINT))
     ok = all_monotone and det.fitted_order >= 1.7

@@ -386,23 +386,34 @@ class TestBlockedTerminalValues:
                                                                        17, rule))
 
     def test_block_sized_by_what_a_sample_holds(self):
-        # Gaussian increments when drawn, else the expected jump data: the
+        # Gaussian increments when drawn plus the expected jump data: the
         # mc_jumps shape (K = 4, n = 2000, rate 3) then takes 455 samples
-        # per block, and a huge rate falls back to one sample
+        # per block, and a huge rate falls back to one sample, with or
+        # without Gaussian noise
         n, K = 2000, 4
 
-        def jumps(rate):
-            return LevyTriplet(np.zeros(K), np.zeros(K), JumpPart(rate, PointMass(np.full(K, 0.1))))
+        def jumps(rate, gauss_var=0.0):
+            return LevyTriplet(np.zeros(K), np.full(K, gauss_var),
+                               JumpPart(rate, PointMass(np.full(K, 0.1))))
 
         def block(trip):
             return max(1, int(characterization._BLOCK_BYTES
                               // characterization._sample_bytes(trip, n, K, 1.0)))
 
-        gauss = LevyTriplet(np.zeros(K), np.ones(K), JumpPart(3.0, PointMass(np.full(K, 0.1))))
-        assert characterization._sample_bytes(gauss, n, K, 1.0) == 8 * n * K
+        mixed = jumps(3.0, gauss_var=1.0)
+        assert characterization._sample_bytes(mixed, n, K, 1.0) == 8 * n * K + 8 * 4 * (2 + 4 * K)
         assert block(jumps(3.0)) == 455
         assert block(jumps(1e6)) == 1
+        assert block(jumps(1e6, gauss_var=1.0)) == 1
         assert block(LevyTriplet(np.ones(K), np.zeros(K))) == characterization._BLOCK_BYTES // 144
+        # the benchmark shapes keep their blocks: mc_gauss (this n and K,
+        # Gaussian noise only) 4, cli_all (K = 2, n = 1000, Gaussian noise
+        # and rate-1.5 jumps) 16
+        assert block(LevyTriplet(np.zeros(K), np.ones(K))) == 4
+        cli_all = LevyTriplet(np.zeros(2), np.ones(2),
+                              JumpPart(1.5, PointMass(np.array([0.6, -0.4]))))
+        cli_all_bytes = characterization._sample_bytes(cli_all, 1000, 2, 1.0)
+        assert characterization._BLOCK_BYTES // cli_all_bytes == 16
 
     @pytest.mark.parametrize("name", ["rate-20-K1", "rate-20-K2"])
     def test_high_rate_reaches_eight_jumps(self, name):

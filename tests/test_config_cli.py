@@ -397,6 +397,37 @@ class TestCliExitCodes:
                 assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
 
 
+class TestSharedFamilies:
+    def test_all_solves_each_grid_once(self, tmp_path, monkeypatch):
+        # example-config.json: n = 1000, verify-weak levels 200 and 40, study
+        # levels 500 and 250, so five grids in all
+        from levyvolterra import cli
+
+        grids = []
+        build = cli.build_resolvent_family
+
+        def counted(model, kernel, grid):
+            grids.append(grid)
+            return build(model, kernel, grid)
+
+        monkeypatch.setattr(cli, "build_resolvent_family", counted)
+        config = Path(__file__).parents[1] / "example-config.json"
+        assert main(["all", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(g.n_steps for g in grids) == [40, 200, 250, 500, 1000]
+
+    def test_study_without_closed_form_oracle(self, tmp_path):
+        # the closed form is the resolvent of a(t) = exp(-t) only, so a
+        # rate-2 kernel has no resolvent_error target and a correct solve
+        # passes
+        cfg = copy.deepcopy(EXAMPLE_CONFIG)
+        cfg["kernel"]["rate"] = 2.0
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(path), "--out", str(out)]) == 0
+        results = json.loads((out / "study_report.json").read_text())["results"]
+        assert sorted(results) == ["tag_discrepancy", "weak_residual"]
+
+
 class TestEcfThresholds:
     def test_one_definition_drives_echo_and_verdict(self, tmp_path, monkeypatch):
         from levyvolterra import characterization

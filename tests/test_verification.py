@@ -174,32 +174,54 @@ class TestBoundedIdentityResidual:
         assert sups[0] / sups[2] > 3.0
 
 
+def levels(model, fine_grid, factors, kernel=KERNEL):
+    """The study's level families: model and kernel solved on each coarsening, coarse to fine."""
+    return [build_resolvent_family(model, kernel, fine_grid.coarsened(f)) for f in factors]
+
+
 class TestConvergenceStudy:
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):
-            StudyConfig(target="resolvent_error", kernel=KERNEL,
-                        model=build_spectral_model(1, [1.0]),
-                        fine_grid=TimeGrid(1.0, 100), factors=(2, 1))
+            StudyConfig(target="resolvent_error",
+                        families=levels(build_spectral_model(1, [1.0]), TimeGrid(1.0, 100), (2, 1)))
 
     def test_unknown_target(self):
         with pytest.raises(ValueError):
-            StudyConfig(target="nonsense", kernel=KERNEL,
-                        model=build_spectral_model(1, [1.0]),
-                        fine_grid=TimeGrid(1.0, 100), factors=(4, 2, 1))
+            StudyConfig(target="nonsense",
+                        families=levels(build_spectral_model(1, [1.0]), TimeGrid(1.0, 100),
+                                        (4, 2, 1)))
+
+    @pytest.mark.parametrize("order", ["fine-to-coarse", "repeated", "other-t_end"])
+    def test_levels_must_be_coarsenings_coarse_to_fine(self, order):
+        model = build_spectral_model(1, [1.0])
+        fams = levels(model, TimeGrid(1.0, 100), (4, 2, 1))
+        fams = {"fine-to-coarse": fams[::-1],
+                "repeated": [fams[0], fams[0], fams[2]],
+                "other-t_end": [build_resolvent_family(model, KERNEL, TimeGrid(2.0, 25))]
+                + fams[1:]}[order]
+        with pytest.raises(ValueError, match="coarse to fine"):
+            StudyConfig(target="resolvent_error", families=fams)
 
     def test_resolvent_error_order(self):
         study = convergence_study(StudyConfig(
-            target="resolvent_error", kernel=KERNEL,
-            model=build_spectral_model(3, "dirichlet_laplacian"),
-            fine_grid=TimeGrid(1.0, 400), factors=(4, 2, 1)))
+            target="resolvent_error",
+            families=levels(build_spectral_model(3, "dirichlet_laplacian"), TimeGrid(1.0, 400),
+                            (4, 2, 1))))
         assert study.fitted_order >= 1.7
         assert study.monotone_decreasing
 
+    def test_resolvent_error_refuses_other_exponential_rates(self):
+        # the closed form is the oracle for a(t) = exp(-t) only
+        fams = levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 400),
+                      (4, 2, 1), kernel=KernelSpec.exponential(2.0))
+        with pytest.raises(ValueError, match="exp\\(-t\\)"):
+            convergence_study(StudyConfig(target="resolvent_error", families=fams))
+
     def test_tag_discrepancy_order(self):
         study = convergence_study(StudyConfig(
-            target="tag_discrepancy", kernel=KERNEL,
-            model=build_spectral_model(2, "dirichlet_laplacian"),
-            fine_grid=TimeGrid(1.0, 512), factors=(4, 2, 1),
+            target="tag_discrepancy",
+            families=levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 512),
+                            (4, 2, 1)),
             triplet=LevyTriplet(np.zeros(2), np.ones(2)),
             seeds=tuple(range(20)), seed=77))
         assert study.fitted_order >= 0.4
@@ -207,12 +229,30 @@ class TestConvergenceStudy:
 
     def test_weak_residual_coupled_seeds_monotone(self):
         study = convergence_study(StudyConfig(
-            target="weak_residual", kernel=KERNEL,
-            model=build_spectral_model(2, "dirichlet_laplacian"),
-            fine_grid=TimeGrid(1.0, 512), factors=(16, 4, 1),
+            target="weak_residual",
+            families=levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 512),
+                            (16, 4, 1)),
             triplet=mixed_triplet(), seeds=tuple(range(5)), seed=31))
         assert study.per_seed.shape == (5, 3)
         assert np.all(np.diff(study.per_seed, axis=1) < 0.0)
+
+    def test_builds_no_family(self, monkeypatch):
+        # the levels come solved; the study only reads them
+        from levyvolterra import spectral, verification
+
+        assert not hasattr(verification, "build_resolvent_family")
+
+        fams = levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 64), (4, 2, 1))
+
+        def refuse(*args):
+            raise AssertionError("convergence_study built a family")
+
+        monkeypatch.setattr(spectral, "build_resolvent_family", refuse)
+        monkeypatch.setattr(spectral, "solve_resolvent_modes", refuse)
+        for target in ("resolvent_error", "tag_discrepancy", "weak_residual"):
+            study = convergence_study(StudyConfig(target=target, families=fams,
+                                                  triplet=mixed_triplet(), seeds=(0, 1)))
+            assert np.array_equal(study.dts, [1 / 16, 1 / 32, 1 / 64])
 
     def test_fit_order_rejects_zero_norms(self):
         with pytest.raises(ValueError):
