@@ -44,6 +44,9 @@ _LAST_PASS = (None, {})
 # per-sample data one terminal_values worker holds at once, per block
 _BLOCK_BYTES = 256 * 1024
 
+# (node, quadrature point) data predicted_triplet holds at once, per block
+_RULE_BLOCK_BYTES = 1024 * 1024
+
 
 @dataclass(frozen=True)
 class PredictedTriplet:
@@ -73,8 +76,8 @@ def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -
             + rate * int_0^t E[ s(tau, gamma_k) J_k (1_{|R(tau)J| < 1} - 1_{|J| < 1}) ] dtau
 
     with the jump expectation taken by the law's quadrature rule (exact for
-    discrete laws).  All tau-integrals use the trapezoid rule on the family
-    grid.
+    discrete laws), for blocks of nodes at once.  All tau-integrals use the
+    trapezoid rule on the family grid.
     """
     if triplet.dim != family.K:
         raise ValueError("triplet dimension must match family modes")
@@ -89,16 +92,35 @@ def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -
     if triplet.jump is not None:
         lam = triplet.jump.rate
         jump_mass = lam * (i * dt)
-        # one quadrature rule for every node: E[s_j J (1_{|s_j J| < 1} - 1_{|J| < 1})]
-        points, weights = jump_rule(triplet.jump.law)
-        inside = (np.linalg.norm(points, axis=1) < 1.0).astype(float)
-        node_vals = np.empty((i + 1, family.K))
-        for j in range(i + 1):
-            scaled = points * s[j][None, :]
-            ind = (np.linalg.norm(scaled, axis=1) < 1.0).astype(float) - inside
-            node_vals[j] = np.tensordot(weights, scaled * ind[:, None], axes=(0, 0))
-        alpha = alpha + lam * (w @ node_vals)
+        alpha = alpha + lam * (w @ _indicator_correction(s, *jump_rule(triplet.jump.law)))
     return PredictedTriplet(t=i * dt, alpha=alpha, q_diag=q_diag, jump_mass=jump_mass)
+
+
+def _indicator_correction(s: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """E[s_j J (1_{|s_j J| < 1} - 1_{|J| < 1})] for each row s_j of s, by the rule.
+
+    Nodes go in blocks of about _RULE_BLOCK_BYTES // 8 (node, point) pairs.
+    |s_j x_p|^2 is one matrix product of s^2 with the squared points; the few
+    pairs within 1e-12 of the unit sphere are decided again by the norm of
+    the scaled point, so every indicator is the one a per-node pass computes.
+    The expectation is then s_j * ((indicator * weights) @ points), within
+    rounding of the per-node ``tensordot``.
+    """
+    inside = np.linalg.norm(points, axis=1) < 1.0
+    squares = (points * points).T
+    block = max(1, _RULE_BLOCK_BYTES // (8 * points.shape[0]))
+    out = np.empty_like(s)
+    for j0 in range(0, s.shape[0], block):
+        sb = s[j0 : j0 + block]
+        sq = (sb * sb) @ squares
+        ind = sq < 1.0
+        near_j, near_p = np.nonzero(np.abs(sq - 1.0) < 1e-12)
+        ind[near_j, near_p] = np.linalg.norm(points[near_p] * sb[near_j], axis=1) < 1.0
+        corr = ind.astype(float)
+        corr -= inside
+        corr *= weights
+        out[j0 : j0 + block] = sb * (corr @ points)
+    return out
 
 
 def predicted_log_cf(family: ResolventFamily, triplet: LevyTriplet, t: float, y) -> complex:
@@ -141,6 +163,30 @@ def _sample_bytes(triplet: LevyTriplet, n: int, K: int, t_end: float) -> float:
     return gauss + 8.0 * (1.0 + rate * t_end) * (2 + 4 * K)
 
 
+def _jump_sums(times, marks, nodes: np.ndarray, i: int, s_matrix: np.ndarray):
+    """Each sample's weighted jump sum over its jumps at or before nodes[i].
+
+    times and marks hold, for each sample of one block, its jumps in draw
+    order.  They are concatenated, selected, and weighted with one
+    interpolation per mode; then the samples with the same number m >= 1 of selected jumps are
+    summed as one (B_m, m, K) stack along axis 1.  Yields (block rows, sums)
+    per m.  That reduction adds each sample's rows in the order of
+    ``np.sum(axis=0)`` over its own (m, K) slice, pairwise for K = 1 too.
+    """
+    t_i = nodes[i]
+    t = np.concatenate(times)
+    sel = t <= t_i
+    if not sel.any():
+        return
+    terms = _interp_modes(t_i - t[sel], nodes, s_matrix) * np.concatenate(marks)[sel]
+    owner = np.repeat(np.arange(len(times)), [tb.size for tb in times])
+    m = np.bincount(owner[sel], minlength=len(times))
+    start = np.cumsum(m) - m  # each sample's first row of terms
+    for size in np.unique(m[m > 0]):
+        rows = np.flatnonzero(m == size)
+        yield rows, np.sum(terms[start[rows, None] + np.arange(size)], axis=1)
+
+
 def terminal_values(
     family: ResolventFamily,
     triplet: LevyTriplet,
@@ -155,21 +201,26 @@ def terminal_values(
     Each sample is drawn on its own counter-based stream (identical to the
     stream sample_path would use, with the full Gaussian block consumed), so
     the output is independent of the worker partitioning and bitwise stable
-    across runs.  The samples are split into min(workers, n_samples) ranges,
-    run on at most os.cpu_count() threads.
+    across runs.  Each worker keeps one generator and has ``sample_rng``
+    re-key it in place for each of its samples, which draws what a new
+    generator on that stream would.  With Gaussian increments the samples are
+    split into min(workers, n_samples) ranges, run on at most os.cpu_count()
+    threads.  A triplet with no Gaussian increments runs on one thread
+    whatever ``workers`` says: its per-sample work all holds the interpreter
+    lock, so a second thread only waits on the first.
 
     Each worker takes its samples in blocks of about _BLOCK_BYTES of
     per-sample data (at least one sample), sized by _sample_bytes: the
-    Gaussian increments, if any, plus the expected jump data.
-    Every sample of a block draws, in stream order, its normals into its row
-    of the worker's block buffer, then its jump count, times and marks.  The block is then scaled
-    in place and contracted once per rule with ``einsum("bjk,jk->bk")``,
-    which sums each sample's row over j in the order of the one-sample
-    ``einsum("jk,jk->k")``.  The jump weights of all the block's jumps at or
-    before t are interpolated in one call per mode, and each sample's jumps
-    are summed by ``np.sum(axis=0)`` over its own contiguous (m, K) slice,
-    the array shape a one-sample pass sums.  So every value equals the
-    one-sample-at-a-time pass bit for bit.
+    Gaussian increments, if any, plus the expected jump data.  Every sample
+    of a block draws, in stream order, its normals into its row of the
+    worker's block buffer, then its jump count, times and marks, which the
+    block keeps in draw order.  The block is then scaled in place and
+    contracted once per rule with ``einsum("bjk,jk->bk")``, which sums each
+    sample's row over j in the order of the one-sample
+    ``einsum("jk,jk->k")``.  Then ``_jump_sums`` weights all the block's
+    jumps at or before t in one pass and sums each sample's own rows in the
+    order of ``np.sum(axis=0)`` over that sample's (m, K) slice.  So every
+    value equals the one-sample-at-a-time pass bit for bit.
 
     The law checks read the same outcomes under two tag rules: for a
     Gaussian-only triplet, ``ecf_comparison`` contracts with LEFT and
@@ -215,20 +266,18 @@ def terminal_values(
 
     def run_range(lo: int, hi: int):
         g = np.empty((min(block, hi - lo), n, K)) if draw_gauss else None
+        rng = None  # this worker's one generator, re-keyed for each sample
         for b0 in range(lo, hi, block):
             b1 = min(b0 + block, hi)
-            owners, elapsed, marks = [], [], []  # per sample with jumps at or before t
+            times, marks = [], []  # each sample's jump data, in draw order
             for b in range(b0, b1):
-                rng = sample_rng(seed, b)
+                rng = sample_rng(seed, b, rng)
                 if draw_gauss:
                     rng.standard_normal(out=g[b - b0])
                 if triplet.jump is not None:
-                    times, mk = _draw_jumps(triplet.jump, grid.t_end, rng)
-                    sel = times <= nodes[i]
-                    if sel.any():
-                        owners.append(b)
-                        elapsed.append(nodes[i] - times[sel])
-                        marks.append(mk[sel])
+                    tb, mb = _draw_jumps(triplet.jump, grid.t_end, rng)
+                    times.append(tb)
+                    marks.append(mb)
             if draw_gauss:
                 gb = g[: b1 - b0, :i]
                 gb *= scale
@@ -237,18 +286,14 @@ def terminal_values(
             else:
                 for out, (drift_part, _) in zip(outs, contractions):
                     out[b0:b1] = drift_part
-            if owners:
-                el = np.concatenate(elapsed)
-                terms = _interp_modes(el, nodes, family.s_matrix) * np.concatenate(marks)
-                a0 = 0
-                for b, e in zip(owners, elapsed):
-                    # each sample's own contiguous slice, summed as one (m, K) array
-                    jump_sum = np.sum(terms[a0 : a0 + e.size], axis=0)
-                    a0 += e.size
+            if triplet.jump is not None:
+                for rows, sums in _jump_sums(times, marks, nodes, i, family.s_matrix):
                     for out in outs:
-                        out[b] += jump_sum
+                        out[b0 + rows] += sums
 
-    parts = min(workers, n_samples)
+    # jump-only samples hold the interpreter lock for all their work, so
+    # threads would only wait on each other
+    parts = min(workers, n_samples) if draw_gauss else 1
     if parts <= 1:
         run_range(0, n_samples)
     else:

@@ -8,16 +8,22 @@ convention and the characteristic exponent carries the matching compensator.
 
 Sampling is reproducible by construction: each sample index owns a Philox
 counter-based stream keyed by (seed, sample_index), so results are bitwise
-identical across runs and any parallel execution plan.  Within one stream the
-draw order is fixed: Gaussian step increments first (skipped entirely when
-all Gaussian variances are zero), then jump count, jump times, jump marks.
-Gaussian variates use numpy's Generator.standard_normal on that stream, which
-pins the transform within this implementation.
+identical across runs and any parallel execution plan.  ``sample_rng`` owns
+that keying: it builds a new generator for a stream, or re-keys one it built
+before in place, which then draws exactly what a new one would.  A Monte
+Carlo worker keeps one generator and re-keys it once per sample; keyed
+streams are the design use of Philox (Salmon, Moraes, Dror & Shaw,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Within one stream
+the draw order is fixed: Gaussian step increments first (skipped entirely
+when all Gaussian variances are zero), then jump count, jump times, jump
+marks.  Gaussian variates use numpy's Generator.standard_normal on that
+stream, which pins the transform within this implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import erf, exp, pi, sqrt
 from typing import Callable, Optional
 
@@ -30,6 +36,8 @@ _HERMITE_NODES = {2: 64, 3: 24, 4: 16}
 # most points of the tensor Hermite grid; 10 nodes per axis pass at K = 6
 # and fail from K = 7, where the grid would take gigabytes
 HERMITE_NODE_BUDGET = 10**6
+# the four counter words and the four buffered outputs of a Philox just keyed
+_PHILOX_ZEROS = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -193,21 +201,27 @@ def sample_jumps(law: JumpLaw, rng: np.random.Generator, count: int) -> np.ndarr
 class JumpPart:
     """Compound-Poisson jump component: arrival rate and mark law.
 
-    compensator = E[J 1_{|J| < 1}] of the law, computed once here (for a
-    Gaussian law of dimension >= 2 it is a tensor Hermite quadrature, which
-    raises ValueError above the node budget).
+    compensator = E[J 1_{|J| < 1}] of the law, computed on first use and then
+    kept (for a Gaussian law of dimension >= 2 it is a tensor Hermite
+    quadrature, which can take a large share of a second and hundreds of MB).
+    The node budget is checked here, so a law above it raises ValueError when
+    the jump part is built, before any grid exists.
     """
 
     rate: float
     law: JumpLaw
-    compensator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.rate > 0.0 and np.isfinite(self.rate)):
             raise ValueError(f"jump rate must be positive and finite, got {self.rate}")
+        if isinstance(self.law, GaussianJumps):
+            check_hermite_budget(self.law.dim)
+
+    @cached_property
+    def compensator(self) -> np.ndarray:
         comp = np.asarray(jump_mean_inside_unit_ball(self.law), dtype=float)
         comp.flags.writeable = False
-        object.__setattr__(self, "compensator", comp)
+        return comp
 
 
 @dataclass(frozen=True)
@@ -337,10 +351,32 @@ class SamplePath:
         return self.drift[None, :] * self.grid.nodes()[:, None] + gauss_cum
 
 
-def sample_rng(seed: int, sample_index: int) -> np.random.Generator:
-    """The dedicated per-sample stream: Philox keyed by (seed, sample_index)."""
-    key = np.array([np.uint64(seed), np.uint64(sample_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def sample_rng(
+    seed: int, sample_index: int, rng: Optional[np.random.Generator] = None
+) -> np.random.Generator:
+    """The dedicated per-sample stream: Philox keyed by (seed, sample_index).
+
+    With rng None this builds a new Generator.  Given rng, a Generator on a
+    Philox bit generator (one this function returned, say), it re-keys that
+    generator in place and returns it: the key becomes (seed, sample_index),
+    the counter and the output buffer are zeroed, buffer_pos is set to 4 (the
+    buffer is spent) and the spare 32-bit half is cleared.  That is the state
+    of a new Philox with that key, so the re-keyed generator draws exactly
+    what a new one would.  It skips what ``Philox(key=...)`` also does: draw
+    OS entropy into a SeedSequence that the key then replaces.
+    """
+    if rng is None:
+        key = np.array([np.uint64(seed), np.uint64(sample_index)], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS, "key": (int(seed), int(sample_index))},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _draw_jumps(jump: JumpPart, t_end: float, rng: np.random.Generator):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from levyvolterra import characterization, cli
-from levyvolterra.levy import sample_jumps, sample_rng
+from levyvolterra.levy import jump_rule, sample_jumps, sample_rng
 from levyvolterra import (
     DiscreteMixture,
     GaussianJumps,
@@ -46,13 +46,13 @@ def family(K, grid, mus=None):
 
 @pytest.fixture
 def streams(monkeypatch):
-    """(seed, index) of every stream characterization constructs."""
+    """(seed, index) of every stream characterization constructs or re-keys."""
     keys = []
     original = characterization.sample_rng
 
-    def counting(seed, index):
+    def counting(seed, index, rng=None):
         keys.append((seed, index))
-        return original(seed, index)
+        return original(seed, index, rng)
 
     monkeypatch.setattr(characterization, "sample_rng", counting)
     return keys
@@ -160,6 +160,45 @@ class TestPredictedTripletRule:
         pred = predicted_triplet(fam, trip, 1.0)
         assert np.array_equal(pred.alpha, alpha)
         assert len(builds) == (1 if name == "gaussian" else 0)
+
+
+def per_node_correction(s, points, weights):
+    """The indicator correction one node at a time, as a tensordot per node."""
+    inside = (np.linalg.norm(points, axis=1) < 1.0).astype(float)
+    out = np.empty_like(s)
+    for j in range(s.shape[0]):
+        scaled = points * s[j][None, :]
+        ind = (np.linalg.norm(scaled, axis=1) < 1.0).astype(float) - inside
+        out[j] = np.tensordot(weights, scaled * ind[:, None], axes=(0, 0))
+    return out
+
+
+CORRECTION_LAWS = {
+    **JUMP_LAWS,
+    "gaussian-K3": GaussianJumps(np.array([0.3, -0.2, 0.5]), np.array([0.8, 0.5, 0.3])),
+    # R(0) = 1, so node 0 scales these marks onto the unit sphere itself
+    "unit-sphere-atoms": DiscreteMixture(np.array([0.5, 0.5]),
+                                         np.array([[1.0, 0.0], [0.0, -1.0]])),
+    # at node 20 the norm of the scaled mark is 1 - 2**-53, while the sum of
+    # squares by a matrix product can round to exactly 1.0 (OpenBLAS on x86-64)
+    "unit-sphere-node-20": PointMass(np.array([1.459167766347625, 0.23900914424225417])),
+}
+
+
+class TestIndicatorCorrectionBlocks:
+    @pytest.mark.parametrize("nodes_per_block", [3, "default"])
+    @pytest.mark.parametrize("name", sorted(CORRECTION_LAWS))
+    def test_equals_per_node_loop(self, monkeypatch, name, nodes_per_block):
+        law = CORRECTION_LAWS[name]
+        points, weights = jump_rule(law)
+        if nodes_per_block != "default":
+            monkeypatch.setattr(characterization, "_RULE_BLOCK_BYTES",
+                                8 * points.shape[0] * nodes_per_block)
+        fam = family(law.dim, TimeGrid(1.0, 40), [1.0, 4.0, 9.0][: law.dim])
+        got = characterization._indicator_correction(fam.s_matrix, points, weights)
+        want = per_node_correction(fam.s_matrix, points, weights)
+        assert np.any(want != 0.0)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestPredictedLogCf:
@@ -282,6 +321,16 @@ class TestTerminalValues:
             direct = convolve_at(fam, path, grid.n_steps, TagRule.LEFT)
             assert np.allclose(vals[idx], direct, atol=1e-12)
 
+    def test_jump_only_runs_on_one_thread(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(characterization, "ThreadPoolExecutor",
+                            lambda max_workers: InlineExecutor(log, max_workers))
+        fam = family(3, TimeGrid(1.0, 50))
+        trip = BLOCKED_TRIPLETS["jump-only"]
+        got = terminal_values(fam, trip, 1.0, 40, seed=12, workers=4)
+        assert log == []
+        assert np.array_equal(got, terminal_values(fam, trip, 1.0, 40, seed=12))
+
     def test_worker_count_invariance(self):
         grid = TimeGrid(1.0, 100)
         fam = family(2, grid)
@@ -355,6 +404,10 @@ BLOCKED_TRIPLETS = {
                               JumpPart(20.0, GaussianJumps(np.array([0.2]), np.array([0.5])))),
     "rate-20-K2": LevyTriplet(np.array([0.1, 0.0]), np.array([0.3, 0.2]),
                               JumpPart(20.0, PointMass(np.array([0.3, -0.7])))),
+    # normals, then mixture marks (a choice draw) on one stream
+    "mixture-and-noise": LevyTriplet(np.zeros(3), np.array([0.4, 0.3, 0.2]), JumpPart(
+        3.0, DiscreteMixture(np.array([0.5, 0.3, 0.2]),
+                             np.array([[0.5, 0.2, -0.1], [-0.4, 0.1, 0.2], [0.2, -0.3, 0.4]])))),
 }
 
 
@@ -414,6 +467,31 @@ class TestBlockedTerminalValues:
                               JumpPart(1.5, PointMass(np.array([0.6, -0.4]))))
         cli_all_bytes = characterization._sample_bytes(cli_all, 1000, 2, 1.0)
         assert characterization._BLOCK_BYTES // cli_all_bytes == 16
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["gaussian", "jump-only", "mixed", "mixture-and-noise"])
+    def test_rekeyed_streams_equal_fresh_streams(self, monkeypatch, name, workers):
+        trip = BLOCKED_TRIPLETS[name]
+        fam = family(trip.dim, self.GRID)
+        monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
+        rekeyed = []
+        real = characterization.sample_rng
+
+        def recording(seed, index, rng=None):
+            rekeyed.append(rng is not None)
+            return real(seed, index, rng)
+
+        monkeypatch.setattr(characterization, "sample_rng", recording)
+        got = terminal_values(fam, trip, 1.0, self.N, seed=23, workers=workers)
+        # one new generator per thread of a Gaussian pass, one in all for a
+        # jump-only pass, which runs on one thread
+        n_ranges = workers if np.any(trip.gauss_var > 0.0) else 1
+        assert len(rekeyed) == self.N and rekeyed.count(False) == n_ranges
+        monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
+        monkeypatch.setattr(characterization, "sample_rng",
+                            lambda seed, index, rng=None: real(seed, index))
+        assert np.array_equal(got, terminal_values(fam, trip, 1.0, self.N, seed=23,
+                                                   workers=workers))
 
     @pytest.mark.parametrize("name", ["rate-20-K1", "rate-20-K2"])
     def test_high_rate_reaches_eight_jumps(self, name):

@@ -194,6 +194,19 @@ class TestConfigBoundaries:
     def test_gaussian_jumps_within_hermite_budget_accepted(self):
         assert parse_config(minimal_config(**gaussian_jumps_config(6))).triplet.jump.law.dim == 6
 
+    def test_gaussian_jumps_parse_without_a_hermite_grid(self, monkeypatch):
+        from levyvolterra import levy
+
+        def refuse(*args):
+            raise AssertionError("jump_rule called")
+
+        # the compensator of this law is a 10**6-point quadrature (0.36 s and
+        # 237 MB); the parser checks the budget and leaves it to first use
+        monkeypatch.setattr(levy, "jump_rule", refuse)
+        jump = parse_config(minimal_config(**gaussian_jumps_config(6))).triplet.jump
+        with pytest.raises(AssertionError, match="jump_rule called"):
+            jump.compensator
+
     def test_non_finite_resolvent_is_exit_2(self, tmp_path, capsys):
         cfg = minimal_config(model={"K": 2, "rule": "custom", "mu": [1e300, 1e305]},
                              triplet={"drift": [0.0, 0.0], "gauss_var": [1.0, 1.0]})

@@ -12,7 +12,7 @@ from levyvolterra import (
     coupled_sample_paths,
     sample_path,
 )
-from levyvolterra.levy import jump_cf, jump_mean_inside_unit_ball, phi_batch
+from levyvolterra.levy import jump_cf, jump_mean_inside_unit_ball, phi_batch, sample_rng
 
 GRID = TimeGrid(1.0, 200)
 
@@ -101,7 +101,8 @@ class TestJumpLawHelpers:
         law = GaussianJumps(np.zeros(K), np.ones(K))
         with pytest.raises(ValueError, match="budget"):
             levy.jump_expectation(law, no_grid)
-        # the sampler reads the compensator, which the jump part computes when built
+        # the jump part checks the budget when built, though it computes the
+        # compensator on first use
         with pytest.raises(ValueError, match="budget"):
             JumpPart(1.0, law)
 
@@ -136,6 +137,58 @@ class TestCompensatorOnce:
         expected = np.asarray(1j * (Y @ trip.drift) - 0.5 * (Y**2 @ trip.gauss_var), dtype=complex)
         expected = expected + 2.0 * (jump_cf(law, Y) - 1.0) - 1j * 2.0 * (Y @ comp)
         assert np.array_equal(phi, expected)
+
+    def test_computed_on_first_use_then_kept(self, monkeypatch):
+        from levyvolterra import levy
+
+        calls = []
+        real = levy.jump_mean_inside_unit_ball
+        monkeypatch.setattr(levy, "jump_mean_inside_unit_ball",
+                            lambda law: calls.append(law) or real(law))
+        jump = JumpPart(2.0, GaussianJumps(np.array([0.3, -0.2]), np.array([0.4, 0.3])))
+        assert calls == []
+        first = jump.compensator
+        assert jump.compensator is first
+        assert len(calls) == 1
+
+
+# (seed, sample_index) keys at both ends of the uint64 range and in between
+REKEY_KEYS = ([(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (20240601, 1 << 62)]
+              + [(seed, index) for seed in (1, 7, 2**63 + 5) for index in range(0, 600, 37)])
+
+
+def stream_draws(rng, n_normals):
+    """The terminal_values draw order: normals, jump count, times, mixture marks.
+
+    Ends with 32-bit draws, which read the spare half of a 64-bit output.
+    """
+    return (rng.standard_normal(n_normals), rng.poisson(2.5), rng.random(5),
+            rng.choice(3, size=7, p=[0.5, 0.3, 0.2]),
+            rng.integers(0, 2**32, size=3, dtype=np.uint32))
+
+
+class TestSampleRngRekey:
+    @pytest.mark.parametrize("n_normals", [1, 1001])
+    def test_rekeyed_generator_draws_what_a_fresh_one_draws(self, n_normals):
+        rng = sample_rng(11, 12)
+        # leave the generator mid-buffer and holding a spare 32-bit half
+        rng.standard_normal(3)
+        rng.integers(0, 2**32, dtype=np.uint32)
+        for seed, index in REKEY_KEYS:
+            rekeyed = sample_rng(seed, index, rng)
+            assert rekeyed is rng
+            got = stream_draws(rekeyed, n_normals)
+            want = stream_draws(sample_rng(seed, index), n_normals)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_keys_out_of_range_refused_on_both_paths(self):
+        rng = sample_rng(0, 0)
+        for seed, index in ((-1, 0), (0, 2**64)):
+            with pytest.raises(OverflowError):
+                sample_rng(seed, index)
+            with pytest.raises(OverflowError):
+                sample_rng(seed, index, rng)
 
 
 class TestSamplePath:
