@@ -44,9 +44,6 @@ _LAST_PASS = (None, {})
 # per-sample data one terminal_values worker holds at once, per block
 _BLOCK_BYTES = 256 * 1024
 
-# (node, quadrature point) data predicted_triplet holds at once, per block
-_RULE_BLOCK_BYTES = 1024 * 1024
-
 
 @dataclass(frozen=True)
 class PredictedTriplet:
@@ -76,8 +73,8 @@ def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -
             + rate * int_0^t E[ s(tau, gamma_k) J_k (1_{|R(tau)J| < 1} - 1_{|J| < 1}) ] dtau
 
     with the jump expectation taken by the law's quadrature rule (exact for
-    discrete laws), for blocks of nodes at once.  All tau-integrals use the
-    trapezoid rule on the family grid.
+    discrete laws).  All tau-integrals use the trapezoid rule on the family
+    grid.
     """
     if triplet.dim != family.K:
         raise ValueError("triplet dimension must match family modes")
@@ -92,35 +89,16 @@ def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -
     if triplet.jump is not None:
         lam = triplet.jump.rate
         jump_mass = lam * (i * dt)
-        alpha = alpha + lam * (w @ _indicator_correction(s, *jump_rule(triplet.jump.law)))
+        # one quadrature rule for every node: E[s_j J (1_{|s_j J| < 1} - 1_{|J| < 1})]
+        points, weights = jump_rule(triplet.jump.law)
+        inside = (np.linalg.norm(points, axis=1) < 1.0).astype(float)
+        node_vals = np.empty((i + 1, family.K))
+        for j in range(i + 1):
+            scaled = points * s[j][None, :]
+            ind = (np.linalg.norm(scaled, axis=1) < 1.0).astype(float) - inside
+            node_vals[j] = np.tensordot(weights, scaled * ind[:, None], axes=(0, 0))
+        alpha = alpha + lam * (w @ node_vals)
     return PredictedTriplet(t=i * dt, alpha=alpha, q_diag=q_diag, jump_mass=jump_mass)
-
-
-def _indicator_correction(s: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """E[s_j J (1_{|s_j J| < 1} - 1_{|J| < 1})] for each row s_j of s, by the rule.
-
-    Nodes go in blocks of about _RULE_BLOCK_BYTES // 8 (node, point) pairs.
-    |s_j x_p|^2 is one matrix product of s^2 with the squared points; the few
-    pairs within 1e-12 of the unit sphere are decided again by the norm of
-    the scaled point, so every indicator is the one a per-node pass computes.
-    The expectation is then s_j * ((indicator * weights) @ points), within
-    rounding of the per-node ``tensordot``.
-    """
-    inside = np.linalg.norm(points, axis=1) < 1.0
-    squares = (points * points).T
-    block = max(1, _RULE_BLOCK_BYTES // (8 * points.shape[0]))
-    out = np.empty_like(s)
-    for j0 in range(0, s.shape[0], block):
-        sb = s[j0 : j0 + block]
-        sq = (sb * sb) @ squares
-        ind = sq < 1.0
-        near_j, near_p = np.nonzero(np.abs(sq - 1.0) < 1e-12)
-        ind[near_j, near_p] = np.linalg.norm(points[near_p] * sb[near_j], axis=1) < 1.0
-        corr = ind.astype(float)
-        corr -= inside
-        corr *= weights
-        out[j0 : j0 + block] = sb * (corr @ points)
-    return out
 
 
 def predicted_log_cf(family: ResolventFamily, triplet: LevyTriplet, t: float, y) -> complex:
@@ -168,8 +146,8 @@ def _jump_sums(times, marks, nodes: np.ndarray, i: int, s_matrix: np.ndarray):
 
     times and marks hold, for each sample of one block, its jumps in draw
     order.  They are concatenated, selected, and weighted with one
-    interpolation per mode; then the samples with the same number m >= 1 of selected jumps are
-    summed as one (B_m, m, K) stack along axis 1.  Yields (block rows, sums)
+    interpolation per mode; then the samples with the same number m >= 1 of
+    selected jumps are summed as one (B_m, m, K) stack along axis 1.  Yields (block rows, sums)
     per m.  That reduction adds each sample's rows in the order of
     ``np.sum(axis=0)`` over its own (m, K) slice, pairwise for K = 1 too.
     """

@@ -9,8 +9,8 @@ convention and the characteristic exponent carries the matching compensator.
 Sampling is reproducible by construction: each sample index owns a Philox
 counter-based stream keyed by (seed, sample_index), so results are bitwise
 identical across runs and any parallel execution plan.  ``sample_rng`` owns
-that keying: it builds a new generator for a stream, or re-keys one it built
-before in place, which then draws exactly what a new one would.  A Monte
+that keying: it sets the Philox state of a new generator, or of one it
+returned before, which then draws exactly what a new one would.  A Monte
 Carlo worker keeps one generator and re-keys it once per sample; keyed
 streams are the design use of Philox (Salmon, Moraes, Dror & Shaw,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Within one stream
@@ -356,18 +356,18 @@ def sample_rng(
 ) -> np.random.Generator:
     """The dedicated per-sample stream: Philox keyed by (seed, sample_index).
 
-    With rng None this builds a new Generator.  Given rng, a Generator on a
-    Philox bit generator (one this function returned, say), it re-keys that
-    generator in place and returns it: the key becomes (seed, sample_index),
-    the counter and the output buffer are zeroed, buffer_pos is set to 4 (the
-    buffer is spent) and the spare 32-bit half is cleared.  That is the state
-    of a new Philox with that key, so the re-keyed generator draws exactly
-    what a new one would.  It skips what ``Philox(key=...)`` also does: draw
-    OS entropy into a SeedSequence that the key then replaces.
+    Given rng, a Generator on a Philox bit generator (one this function
+    returned, say), it re-keys that generator in place and returns it; with
+    rng None it first builds one on ``Philox(0)``, a fixed seed that draws no
+    OS entropy.  Keying sets the key to (seed, sample_index), zeroes the
+    counter and the output buffer, sets buffer_pos to 4 (the buffer is spent)
+    and clears the spare 32-bit half.  That is the state of
+    ``Philox(key=...)`` with that key, so the generator draws exactly what a
+    new one on that stream would, without the OS-entropy SeedSequence that
+    ``Philox(key=...)`` builds and the key then replaces.
     """
     if rng is None:
-        key = np.array([np.uint64(seed), np.uint64(sample_index)], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _PHILOX_ZEROS, "key": (int(seed), int(sample_index))},

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from levyvolterra import characterization, cli
-from levyvolterra.levy import jump_rule, sample_jumps, sample_rng
+from levyvolterra.levy import sample_jumps, sample_rng
 from levyvolterra import (
     DiscreteMixture,
     GaussianJumps,
@@ -160,45 +160,6 @@ class TestPredictedTripletRule:
         pred = predicted_triplet(fam, trip, 1.0)
         assert np.array_equal(pred.alpha, alpha)
         assert len(builds) == (1 if name == "gaussian" else 0)
-
-
-def per_node_correction(s, points, weights):
-    """The indicator correction one node at a time, as a tensordot per node."""
-    inside = (np.linalg.norm(points, axis=1) < 1.0).astype(float)
-    out = np.empty_like(s)
-    for j in range(s.shape[0]):
-        scaled = points * s[j][None, :]
-        ind = (np.linalg.norm(scaled, axis=1) < 1.0).astype(float) - inside
-        out[j] = np.tensordot(weights, scaled * ind[:, None], axes=(0, 0))
-    return out
-
-
-CORRECTION_LAWS = {
-    **JUMP_LAWS,
-    "gaussian-K3": GaussianJumps(np.array([0.3, -0.2, 0.5]), np.array([0.8, 0.5, 0.3])),
-    # R(0) = 1, so node 0 scales these marks onto the unit sphere itself
-    "unit-sphere-atoms": DiscreteMixture(np.array([0.5, 0.5]),
-                                         np.array([[1.0, 0.0], [0.0, -1.0]])),
-    # at node 20 the norm of the scaled mark is 1 - 2**-53, while the sum of
-    # squares by a matrix product can round to exactly 1.0 (OpenBLAS on x86-64)
-    "unit-sphere-node-20": PointMass(np.array([1.459167766347625, 0.23900914424225417])),
-}
-
-
-class TestIndicatorCorrectionBlocks:
-    @pytest.mark.parametrize("nodes_per_block", [3, "default"])
-    @pytest.mark.parametrize("name", sorted(CORRECTION_LAWS))
-    def test_equals_per_node_loop(self, monkeypatch, name, nodes_per_block):
-        law = CORRECTION_LAWS[name]
-        points, weights = jump_rule(law)
-        if nodes_per_block != "default":
-            monkeypatch.setattr(characterization, "_RULE_BLOCK_BYTES",
-                                8 * points.shape[0] * nodes_per_block)
-        fam = family(law.dim, TimeGrid(1.0, 40), [1.0, 4.0, 9.0][: law.dim])
-        got = characterization._indicator_correction(fam.s_matrix, points, weights)
-        want = per_node_correction(fam.s_matrix, points, weights)
-        assert np.any(want != 0.0)
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestPredictedLogCf:
@@ -488,8 +449,10 @@ class TestBlockedTerminalValues:
         n_ranges = workers if np.any(trip.gauss_var > 0.0) else 1
         assert len(rekeyed) == self.N and rekeyed.count(False) == n_ranges
         monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
-        monkeypatch.setattr(characterization, "sample_rng",
-                            lambda seed, index, rng=None: real(seed, index))
+        # numpy's own keying of each stream, a new generator per sample
+        monkeypatch.setattr(characterization, "sample_rng", lambda seed, index, rng=None:
+                            np.random.Generator(np.random.Philox(
+                                key=np.array([seed, index], dtype=np.uint64))))
         assert np.array_equal(got, terminal_values(fam, trip, 1.0, self.N, seed=23,
                                                    workers=workers))
 

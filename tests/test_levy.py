@@ -167,9 +167,14 @@ def stream_draws(rng, n_normals):
             rng.integers(0, 2**32, size=3, dtype=np.uint32))
 
 
+def philox_stream(seed, index):
+    """numpy's own keying of the (seed, index) stream, independent of sample_rng."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
 class TestSampleRngRekey:
     @pytest.mark.parametrize("n_normals", [1, 1001])
-    def test_rekeyed_generator_draws_what_a_fresh_one_draws(self, n_normals):
+    def test_keyed_generator_draws_what_numpy_keying_draws(self, n_normals):
         rng = sample_rng(11, 12)
         # leave the generator mid-buffer and holding a spare 32-bit half
         rng.standard_normal(3)
@@ -177,12 +182,13 @@ class TestSampleRngRekey:
         for seed, index in REKEY_KEYS:
             rekeyed = sample_rng(seed, index, rng)
             assert rekeyed is rng
-            got = stream_draws(rekeyed, n_normals)
-            want = stream_draws(sample_rng(seed, index), n_normals)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+            want = stream_draws(philox_stream(seed, index), n_normals)
+            for got in (stream_draws(rekeyed, n_normals),
+                        stream_draws(sample_rng(seed, index), n_normals)):
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
 
-    def test_keys_out_of_range_refused_on_both_paths(self):
+    def test_keys_out_of_range_refused(self):
         rng = sample_rng(0, 0)
         for seed, index in ((-1, 0), (0, 2**64)):
             with pytest.raises(OverflowError):
