@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, characterization
+from . import __version__, characterization, convolution
 from .characterization import ecf_comparison, gaussian_covariance_check
 from .config import ConfigError, RunConfig, load_config
 from .convolution import TagRule, parts_convolution, stieltjes_convolution
@@ -30,10 +30,15 @@ from .kernels import (
     certify_resolvent_properties,
     closed_form_exponential_resolvent,
 )
-from .levy import LevyTriplet, sample_path
+from .levy import LevyTriplet, coupled_sample_paths, sample_path
 from .reports import series_csv, write_csv, write_json
 from .spectral import build_resolvent_family, resolvent_equation_residual
-from .verification import StudyConfig, convergence_study, weak_solution_residual
+from .verification import (
+    StudyConfig,
+    bounded_A_identity_residual,
+    convergence_study,
+    weak_solution_residual,
+)
 
 RESOLVENT_ERROR_TOL = 1e-5
 RESIDUAL_TOL = 5e-5
@@ -83,6 +88,41 @@ def _family(cfg: RunConfig, families: dict, grid=None):
     return families[grid]
 
 
+# each subcommand's report file; "all" writes the stage verdicts to summary.json
+_REPORT_FILES = {
+    "resolvent": "resolvent_report.json",
+    "simulate": "simulate_report.json",
+    "verify-parts": "parts_report.json",
+    "verify-weak": "weak_report.json",
+    "verify-ecf": "ecf_report.json",
+    "study": "study_report.json",
+    "all": "summary.json",
+}
+
+
+def _write_report(out: Path, cfg: RunConfig, subcommand: str, results: dict, passed: bool,
+                  thresholds=None) -> dict:
+    """Write the subcommand's report to its file in out and return it."""
+    report = {
+        "schema_version": 1,
+        "subcommand": subcommand,
+        "config": cfg.raw,
+        "verdicts" if subcommand == "all" else "results": results,
+        "passed": passed,
+    }
+    if thresholds is not None:
+        report["thresholds"] = thresholds
+    write_json(out / _REPORT_FILES[subcommand], report)
+    return report
+
+
+def _mode_columns(cfg: RunConfig, prefix: str, values: np.ndarray) -> dict:
+    """CSV columns t, <prefix>_1, ..., <prefix>_K of one (n_steps + 1, K) array."""
+    cols = {"t": cfg.grid.nodes()}
+    cols.update((f"{prefix}_{k + 1}", values[:, k]) for k in range(values.shape[1]))
+    return cols
+
+
 def cmd_resolvent(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
     fam = _family(cfg, families)
     cert = certify_resolvent_properties(fam.s_matrix, CERTIFICATE_TOL)
@@ -103,32 +143,20 @@ def cmd_resolvent(cfg: RunConfig, out: Path, workers: int, families: dict) -> di
     passed = cert.passed and resid.max_abs <= RESIDUAL_TOL
     if closed is not None:
         passed = passed and closed["passed"]
-    report = {
-        "schema_version": 1,
-        "subcommand": "resolvent",
-        "config": cfg.raw,
-        "thresholds": {
-            "certificate_tolerance": CERTIFICATE_TOL,
-            "residual_max": RESIDUAL_TOL,
-            "closed_form_strict_tolerance": RESOLVENT_ERROR_TOL,
-            "closed_form_envelope": "0.2 * (1 + mu)^3 * dt^3 + 1e-12",
-        },
-        "results": {
-            "gammas": fam.gammas,
-            "total_variation": cert.total_variation,
-            "monotone_violations": cert.max_increase,
-            "residual_max_per_mode": resid.max_per_mode,
-            "closed_form": closed,
-        },
-        "passed": passed,
-    }
-    write_json(out / "resolvent_report.json", report)
     if "csv" in cfg.formats:
-        cols = {"t": cfg.grid.nodes()}
-        for k in range(fam.K):
-            cols[f"s_{k + 1}"] = fam.s_matrix[:, k]
-        series_csv(out / "resolvent_table.csv", cols)
-    return report
+        series_csv(out / "resolvent_table.csv", _mode_columns(cfg, "s", fam.s_matrix))
+    return _write_report(out, cfg, "resolvent", {
+        "gammas": fam.gammas,
+        "total_variation": cert.total_variation,
+        "monotone_violations": cert.max_increase,
+        "residual_max_per_mode": resid.max_per_mode,
+        "closed_form": closed,
+    }, passed, thresholds={
+        "certificate_tolerance": CERTIFICATE_TOL,
+        "residual_max": RESIDUAL_TOL,
+        "closed_form_strict_tolerance": RESOLVENT_ERROR_TOL,
+        "closed_form_envelope": "0.2 * (1 + mu)^3 * dt^3 + 1e-12",
+    })
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
@@ -136,38 +164,35 @@ def cmd_simulate(cfg: RunConfig, out: Path, workers: int, families: dict) -> dic
     fam = _family(cfg, families)
     zr = stieltjes_convolution(fam, path, TagRule.LEFT)
     if "csv" in cfg.formats:
-        cols = {"t": cfg.grid.nodes()}
-        for k in range(path.dim):
-            cols[f"Z_{k + 1}"] = path.values[:, k]
-        series_csv(out / "path.csv", cols)
+        series_csv(out / "path.csv", _mode_columns(cfg, "Z", path.values))
         jump_rows = [
             [path.jump_times[m]] + list(path.jump_marks[m]) for m in range(path.jump_times.size)
         ]
         write_csv(out / "path_jumps.csv",
                   ["time"] + [f"mark_{k + 1}" for k in range(path.dim)], jump_rows)
-        conv_cols = {"t": cfg.grid.nodes()}
-        for k in range(zr.dim):
-            conv_cols[f"X_{k + 1}"] = zr.values[:, k]
-        conv_cols["method"] = [zr.method] * (cfg.grid.n_steps + 1)
-        conv_cols["tag_rule"] = [zr.tag_rule.value] * (cfg.grid.n_steps + 1)
-        series_csv(out / "convolution.csv", conv_cols)
-    report = {
-        "schema_version": 1,
-        "subcommand": "simulate",
-        "config": cfg.raw,
-        "results": {
-            "n_jumps": int(path.jump_times.size),
-            "terminal_Z": path.values[-1],
-            "terminal_Z_R": zr.values[-1],
-        },
-        "passed": True,
-    }
-    write_json(out / "simulate_report.json", report)
-    return report
+        n_nodes = cfg.grid.n_steps + 1
+        series_csv(out / "convolution.csv", {**_mode_columns(cfg, "X", zr.values),
+                                             "method": [zr.method] * n_nodes,
+                                             "tag_rule": [zr.tag_rule.value] * n_nodes})
+    return _write_report(out, cfg, "simulate", {
+        "n_jumps": int(path.jump_times.size),
+        "terminal_Z": path.values[-1],
+        "terminal_Z_R": zr.values[-1],
+    }, True)
 
 
 def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
     fam = _family(cfg, families)
+    thresholds = {"max_relative_discrepancy": PARTS_REL_TOL}
+    # the parts route needs a monotone s in [0, 1]: without one there is
+    # nothing to compare, so the check fails instead of the run
+    cert = certify_resolvent_properties(fam.s_matrix, convolution.VARIATION_TOL)
+    if not cert.passed:
+        return _write_report(out, cfg, "verify-parts", {
+            "certificate_tolerance": convolution.VARIATION_TOL,
+            "failing_modes": np.flatnonzero(~cert.mode_passed),
+            "max_increase": float(np.max(cert.max_increase)),
+        }, False, thresholds=thresholds)
     n_seeds = min(cfg.n_samples, 20)
     worst = 0.0
     per_seed = []
@@ -179,23 +204,12 @@ def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int, families: dict) ->
         rel = float(np.max(np.abs(a - b))) / scale
         per_seed.append(rel)
         worst = max(worst, rel)
-    passed = worst <= PARTS_REL_TOL
-    report = {
-        "schema_version": 1,
-        "subcommand": "verify-parts",
-        "config": cfg.raw,
-        "thresholds": {"max_relative_discrepancy": PARTS_REL_TOL},
-        "results": {"n_seeds": n_seeds, "per_seed": per_seed, "max_relative_discrepancy": worst},
-        "passed": passed,
-    }
-    write_json(out / "parts_report.json", report)
-    return report
+    return _write_report(out, cfg, "verify-parts", {
+        "n_seeds": n_seeds, "per_seed": per_seed, "max_relative_discrepancy": worst,
+    }, worst <= PARTS_REL_TOL, thresholds=thresholds)
 
 
 def cmd_verify_weak(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
-    from .levy import coupled_sample_paths
-    from .verification import bounded_A_identity_residual
-
     factors = _weak_factors(cfg)
     fams = [_family(cfg, families, cfg.grid.coarsened(f)) for f in factors]
     n_seeds = min(cfg.n_samples, 10)
@@ -210,24 +224,16 @@ def cmd_verify_weak(cfg: RunConfig, out: Path, workers: int, families: dict) -> 
             joint = bounded_A_identity_residual(zr, path, fam)
             route_gap = max(route_gap, float(np.max(np.abs(weak.residuals - joint.residuals))))
     monotone = bool(np.all(np.diff(sup_table, axis=1) < 0.0))
-    passed = monotone and route_gap <= ROUTE_CONSISTENCY_TOL
-    report = {
-        "schema_version": 1,
-        "subcommand": "verify-weak",
-        "config": cfg.raw,
-        "thresholds": {"route_consistency": ROUTE_CONSISTENCY_TOL,
-                       "per_seed_monotone_decrease": True},
-        "results": {
-            "factors": list(factors),
-            "dts": [fam.grid.dt for fam in fams],
-            "sup_residuals": sup_table,
-            "monotone_decreasing_all_seeds": monotone,
-            "route_consistency_gap": route_gap,
-        },
-        "passed": passed,
-    }
-    write_json(out / "weak_report.json", report)
-    return report
+    return _write_report(out, cfg, "verify-weak", {
+        "factors": list(factors),
+        "dts": [fam.grid.dt for fam in fams],
+        "sup_residuals": sup_table,
+        "monotone_decreasing_all_seeds": monotone,
+        "route_consistency_gap": route_gap,
+    }, monotone and route_gap <= ROUTE_CONSISTENCY_TOL, thresholds={
+        "route_consistency": ROUTE_CONSISTENCY_TOL,
+        "per_seed_monotone_decrease": True,
+    })
 
 
 def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
@@ -265,18 +271,6 @@ def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int, families: dict) -> d
             "max_abs_z": cov.max_abs_z,
         }
         passed = passed and cov.max_abs_z <= COVARIANCE_Z_TOL
-    report = {
-        "schema_version": 1,
-        "subcommand": "verify-ecf",
-        "config": cfg.raw,
-        "thresholds": {"z_soft": characterization.ECF_Z_SOFT,
-                       "z_hard": characterization.ECF_Z_HARD,
-                       "frac_within_soft": characterization.ECF_FRACTION,
-                       "covariance_z": COVARIANCE_Z_TOL},
-        "results": results,
-        "passed": passed,
-    }
-    write_json(out / "ecf_report.json", report)
     if "csv" in cfg.formats:
         header = [f"y_{k + 1}" for k in range(fam.K)] + [
             "pred_re", "pred_im", "emp_re", "emp_im", "stderr", "stderr_component_bound", "z",
@@ -287,7 +281,12 @@ def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int, families: dict) -> d
             for r in rep.rows
         ]
         write_csv(out / "ecf_panel.csv", header, rows)
-    return report
+    return _write_report(out, cfg, "verify-ecf", results, passed, thresholds={
+        "z_soft": characterization.ECF_Z_SOFT,
+        "z_hard": characterization.ECF_Z_HARD,
+        "frac_within_soft": characterization.ECF_FRACTION,
+        "covariance_z": COVARIANCE_Z_TOL,
+    })
 
 
 def cmd_study(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
@@ -310,77 +309,23 @@ def cmd_study(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
         except ValueError as exc:  # a norm of exactly 0
             raise ConfigError(f"study {name}: {exc}") from exc
 
-    results, passed = {}, True
-    for name, study in studies.items():
-        ok = study.fitted_order >= ORDER_THRESHOLDS[name]
-        passed = passed and ok
-        results[name] = {
+    results = {
+        name: {
             "dts": study.dts,
             "norms": study.norms,
             "fitted_order": study.fitted_order,
             "order_threshold": ORDER_THRESHOLDS[name],
-            "passed": ok,
+            "passed": study.fitted_order >= ORDER_THRESHOLDS[name],
         }
-    report = {
-        "schema_version": 1,
-        "subcommand": "study",
-        "config": cfg.raw,
-        "thresholds": {"orders": ORDER_THRESHOLDS},
-        "results": results,
-        "passed": passed,
+        for name, study in studies.items()
     }
-    write_json(out / "study_report.json", report)
     if "csv" in cfg.formats:
-        rows = []
-        for name, study in studies.items():
-            for dt, norm in zip(study.dts, study.norms):
-                rows.append([name, dt, norm])
+        rows = [[name, dt, norm] for name, study in studies.items()
+                for dt, norm in zip(study.dts, study.norms)]
         write_csv(out / "study_series.csv", ["target", "dt", "norm"], rows)
-    return report
-
-
-def _timed(timings: dict, name: str, fn, *args):
-    """fn(*args), recording its wall and CPU seconds under timings[name]."""
-    wall, cpu = time.perf_counter(), time.process_time()
-    result = fn(*args)
-    timings[name] = {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
-    return result
-
-
-def cmd_all(cfg: RunConfig, out: Path, workers: int, families: dict, timings=None) -> dict:
-    """Every stage in dependency order, sharing families; stage times go into timings if given."""
-    timings = {} if timings is None else timings
-    order = [
-        ("resolvent", cmd_resolvent),
-        ("simulate", cmd_simulate),
-        ("verify-parts", cmd_verify_parts),
-        ("verify-weak", cmd_verify_weak),
-        ("study", cmd_study),
-        ("verify-ecf", cmd_verify_ecf),
-    ]
-    verdicts = {}
-    for name, fn in order:
-        verdicts[name] = bool(_timed(timings, name, fn, cfg, out, workers, families)["passed"])
-    report = {
-        "schema_version": 1,
-        "subcommand": "all",
-        "config": cfg.raw,
-        "verdicts": verdicts,
-        "passed": all(verdicts.values()),
-    }
-    write_json(out / "summary.json", report)
-    return report
-
-
-_COMMANDS = {
-    "resolvent": cmd_resolvent,
-    "simulate": cmd_simulate,
-    "verify-parts": cmd_verify_parts,
-    "verify-weak": cmd_verify_weak,
-    "verify-ecf": cmd_verify_ecf,
-    "study": cmd_study,
-    "all": cmd_all,
-}
+    return _write_report(out, cfg, "study", results,
+                         all(r["passed"] for r in results.values()),
+                         thresholds={"orders": ORDER_THRESHOLDS})
 
 
 def _write_meta(out: Path, argv, timings: dict):
@@ -394,11 +339,21 @@ def _write_meta(out: Path, argv, timings: dict):
 
 
 def main(argv=None) -> int:
+    # the stages in dependency order, looked up per call so that a rebound
+    # cli.cmd_* attribute (a tracer's span, a test's stub) is the one run
+    stages = {
+        "resolvent": cmd_resolvent,
+        "simulate": cmd_simulate,
+        "verify-parts": cmd_verify_parts,
+        "verify-weak": cmd_verify_weak,
+        "study": cmd_study,
+        "verify-ecf": cmd_verify_ecf,
+    }
     parser = argparse.ArgumentParser(
         prog="levyvolterra",
         description="Stochastic convolutions for Volterra equations with Levy noise",
     )
-    parser.add_argument("subcommand", choices=sorted(_COMMANDS))
+    parser.add_argument("subcommand", choices=sorted([*stages, "all"]))
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", type=int, default=None, help="override mc.seed")
     parser.add_argument("--out", default=None, help="override output.directory")
@@ -417,16 +372,19 @@ def main(argv=None) -> int:
         out = _out_dir(cfg, args.out)
         timings = {}  # stage -> {"wall_s", "cpu_s"}
         families = {}  # TimeGrid -> ResolventFamily, each grid solved once per run
+        verdicts = {}
+        for name in stages if args.subcommand == "all" else [args.subcommand]:
+            wall, cpu = time.perf_counter(), time.process_time()
+            verdicts[name] = bool(stages[name](cfg, out, args.workers, families)["passed"])
+            timings[name] = {"wall_s": time.perf_counter() - wall,
+                             "cpu_s": time.process_time() - cpu}
         if args.subcommand == "all":
-            report = cmd_all(cfg, out, args.workers, families, timings)
-        else:
-            report = _timed(timings, args.subcommand, _COMMANDS[args.subcommand],
-                            cfg, out, args.workers, families)
+            _write_report(out, cfg, "all", verdicts, all(verdicts.values()))
         _write_meta(out, argv if argv is not None else sys.argv[1:], timings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if report["passed"]:
+    if all(verdicts.values()):
         return 0
     print(f"{args.subcommand}: checks failed (see reports)", file=sys.stderr)
     return 1

@@ -17,8 +17,6 @@ from .grid import TimeGrid
 from .kernels import KernelSpec, eval_kernel, solve_resolvent_modes
 
 DIRICHLET_LAPLACIAN = "dirichlet_laplacian"
-CUSTOM = "custom"
-IDENTITY_SURROGATE = "identity_surrogate"
 
 
 @dataclass(frozen=True)
@@ -27,7 +25,6 @@ class SpectralModel:
 
     K: int
     mu: np.ndarray
-    rule: str
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -48,13 +45,13 @@ def build_spectral_model(K: int, rule="dirichlet_laplacian") -> SpectralModel:
         if rule != DIRICHLET_LAPLACIAN:
             raise ValueError(f"unknown spectral rule {rule!r}")
         mu = np.pi**2 * np.arange(1, K + 1, dtype=float) ** 2
-        return SpectralModel(K=K, mu=mu, rule=DIRICHLET_LAPLACIAN)
+        return SpectralModel(K=K, mu=mu)
     mu = np.asarray(list(rule), dtype=float)
     if mu.shape != (K,):
         raise ValueError(f"custom eigenvalue list must have length K={K}")
     if np.any(mu <= 0.0) or np.any(np.diff(mu) <= 0.0):
         raise ValueError("custom eigenvalues must be strictly increasing and > 0")
-    return SpectralModel(K=K, mu=mu, rule=CUSTOM)
+    return SpectralModel(K=K, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -98,10 +95,10 @@ def build_resolvent_family(model: SpectralModel, kernel: KernelSpec, grid: TimeG
 def identity_resolvent_family(K: int, kernel: KernelSpec, grid: TimeGrid) -> ResolventFamily:
     """Degenerate A = 0 surrogate: every mode solved at gamma = 0, so R == I.
 
-    Test-harness device; the model is tagged with a dedicated rule and zero
-    eigenvalues and deliberately bypasses build_spectral_model validation.
+    Test-harness device: the model's eigenvalues are all zero, which
+    build_spectral_model would refuse, so the model is built directly.
     """
-    model = SpectralModel(K=K, mu=np.zeros(K), rule=IDENTITY_SURROGATE)
+    model = SpectralModel(K=K, mu=np.zeros(K))
     return build_resolvent_family(model, kernel, grid)
 
 

@@ -467,3 +467,50 @@ class TestEcfThresholds:
         monkeypatch.setattr(characterization, "ECF_Z_HARD", 0.0)
         rc, thresholds, passed = run("hard")
         assert (rc, thresholds["z_hard"], passed) == (1, 0.0, False)
+
+
+STAGES = ["resolvent", "simulate", "verify-parts", "verify-weak", "study", "verify-ecf"]
+
+
+def example_out(tmp_path, name, args, config=None):
+    """main(args) on config (default example-config.json) into tmp_path / name."""
+    out = tmp_path / name
+    path = config or Path(__file__).parents[1] / "example-config.json"
+    return main(args + ["--config", str(path), "--out", str(out)]), out
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("sub", ["verify-parts", "all"])
+    def test_failed_variation_certificate_is_a_failed_check(self, tmp_path, sub, capsys):
+        # s(t) of this kernel rises again after its first dip, so summation
+        # by parts is inapplicable: verify-parts fails and every stage still runs
+        cfg = copy.deepcopy(EXAMPLE_CONFIG)
+        cfg["kernel"] = {"family": "tabulated", "times": [0.0, 1.0], "values": [1.0, -5.0]}
+        rc, out = example_out(tmp_path, "out", [sub], write_config(tmp_path, cfg))
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        parts = json.loads((out / "parts_report.json").read_text())
+        assert parts["passed"] is False
+        assert parts["results"]["failing_modes"] == [0, 1]
+        assert parts["results"]["max_increase"] > parts["results"]["certificate_tolerance"]
+        if sub == "all":
+            assert json.loads((out / "summary.json").read_text())["verdicts"]["verify-parts"] is False
+            assert sorted(json.loads((out / "run_meta.json").read_text())["timings"]) == sorted(STAGES)
+
+    def test_all_equals_the_stages_run_one_by_one(self, tmp_path):
+        rc, together = example_out(tmp_path, "all", ["all"])
+        assert rc == 0
+        verdicts = json.loads((together / "summary.json").read_text())["verdicts"]
+        assert sorted(verdicts) == sorted(STAGES)
+        files = set()
+        for stage in STAGES:
+            rc, alone = example_out(tmp_path, stage, [stage])
+            assert rc == 0
+            for f in alone.iterdir():
+                if f.name == "run_meta.json":
+                    continue
+                files.add(f.name)
+                assert f.read_bytes() == (together / f.name).read_bytes(), f.name
+                if f.name.endswith("_report.json"):
+                    assert json.loads(f.read_text())["passed"] is verdicts[stage]
+        assert files == {f.name for f in together.iterdir()} - {"summary.json", "run_meta.json"}
