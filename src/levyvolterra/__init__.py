@@ -48,7 +48,6 @@ from .levy import (
     LevyTriplet,
     PointMass,
     SamplePath,
-    characteristic_exponent,
     coupled_sample_paths,
     sample_path,
 )

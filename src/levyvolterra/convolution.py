@@ -10,15 +10,20 @@ Two routes compute int_0^t R(t - tau) dZ(tau) on the grid:
   to roundoff on every node and every outcome.
 
 The convolution re-weights all past increments at every output node (the
-resolvent is a genuine two-time kernel, so values are not a running sum),
-so the arithmetic is O(n^2 K) per path.  It runs as O(n^2 / B^2) array
-passes over blocks of B = 128 output nodes and 128 increments, each a
-multiply into one (B + 1, K, B) buffer and one reduction over its rows,
-with O(n K + B^2 K) memory, plus O(n K) per jump for the exact-time jump
-weights.  The reduction adds each node's terms in increasing increment
-order, the order of a per-node cumsum, so the blocks change no bit of the
-result.  The passes are bound by memory traffic: at K = 8, n = 4000 they
-take as long as one vector update per increment did.
+resolvent is a genuine two-time kernel, so values are not a running sum).
+Both routes form that lag sum for all nodes and modes as one zero-padded
+numpy.fft.rfft product along the time axis: O(n log n K) work and O(n K)
+memory per route.  The m jumps add O(n m K) work for their exact-time
+weights, which are built for blocks of output nodes, about
+_JUMP_BLOCK_ENTRIES at a time, and summed left to right in m, so the blocks
+change no bit of the result.
+
+The Stieltjes route adds the cumulative sum of the step increments to their
+fold against w - 1.  For an identity family w - 1 is exactly 0, so the fold
+adds only zeros and the route reproduces the path float for float.  The
+parts route folds its weights s_{m-1} - s_m directly: they are O(dt), so
+w - 1 is close to -1 there, the cumulative sum and the fold nearly cancel,
+and the FFT roundoff would scale with the path instead of with the result.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import TimeGrid
 from .kernels import certify_resolvent_properties
@@ -38,9 +42,8 @@ from .spectral import ResolventFamily
 # largest increase of s, or excursion outside [0, 1], that the parts route accepts
 VARIATION_TOL = 1e-8
 
-# output nodes and step increments per block of _lag_fold
-_FOLD_BLOCK_NODES = 128
-_FOLD_BLOCK_LAGS = 128
+# entries of the (nodes, jumps, K) jump-weight array held at once
+_JUMP_BLOCK_ENTRIES = 1 << 20
 
 
 class TagRule(Enum):
@@ -98,40 +101,18 @@ def _lag_weights(family: ResolventFamily, tag_rule: TagRule) -> np.ndarray:
 def _lag_fold(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """out[i] = sum_{j<i} w[i-1-j] * x[j] for i = 0..n, all columns at once.
 
-    Output nodes go in blocks of _FOLD_BLOCK_NODES and increments in chunks
-    of _FOLD_BLOCK_LAGS.  For one block, the weights of increment j are a
-    window of a mode-major, zero-padded copy of w (a view), so a chunk's
-    products fill rows 1.. of a buffer whose row 0 carries the block's
-    running sum, and one np.add.reduce over the rows folds them in.  That
-    reduction runs along the outer axis of a (rows, K, nodes) buffer, one
-    elementwise add per row, so each node still accumulates from +0.0
-    strictly left to right in j (the order of a per-node cumsum) and
-    identity weights reproduce cumulative sums bitwise.  Terms with j >= i
-    carry zero weight and add +-0.0, which leaves the sum unchanged for
-    finite x.  The padding also keeps every block _FOLD_BLOCK_NODES wide:
-    numpy sums pairwise, not in order, when the reduced axis is the only
-    one longer than 1.
+    One real FFT product along axis 0, zero-padded to the next power of two
+    >= 2n - 1 so that the circular product is the linear one.  It agrees
+    with the in-order sums to roundoff relative to their largest entry, not
+    bit for bit; node 0 is +0.0.
     """
     n, K = x.shape
-    bn, bl = _FOLD_BLOCK_NODES, _FOLD_BLOCK_LAGS
-    n_out = -(-(n + 1) // bn) * bn
-    # column m + bn - 1 holds w[m]; zero for lags m < 0 and m >= n
-    wp = np.zeros((K, n_out + bn - 1))
-    wp[:, bn - 1 : bn - 1 + n] = w.T
-    windows = sliding_window_view(wp, bn, axis=1)  # windows[k, s] = wp[k, s : s + bn]
-    out = np.empty((n_out, K))
-    buf = np.empty((bl + 1, K, bn))
-    for i0 in range(0, n_out, bn):
-        # increment j weights nodes i0.. with the window starting at lag i0 - 1 - j
-        buf[0] = 0.0
-        j_end = min(i0 + bn - 1, n)
-        for j0 in range(0, j_end, bl):
-            j1 = min(j0 + bl, j_end)
-            rows = windows[:, i0 + bn - 1 - j1 : i0 + bn - 1 - j0][:, ::-1].transpose(1, 0, 2)
-            np.multiply(rows, x[j0:j1, :, None], out=buf[1 : j1 - j0 + 1])
-            buf[0] = np.add.reduce(buf[: j1 - j0 + 1], axis=0)
-        out[i0 : i0 + bn] = buf[0].T
-    return out[: n + 1]
+    size = 1 << (2 * n - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(w, size, axis=0) * np.fft.rfft(x, size, axis=0), size, axis=0)
+    out = np.empty((n + 1, K))
+    out[0] = 0.0
+    out[1:] = conv[:n]
+    return out
 
 
 def _interp_modes(elapsed: np.ndarray, nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -145,27 +126,38 @@ def _interp_modes(elapsed: np.ndarray, nodes: np.ndarray, s: np.ndarray) -> np.n
     return out
 
 
-def _jump_weights(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):
-    """Exact-time jump weights for the given output nodes.
+def _jump_weight_blocks(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):
+    """Exact-time jump weights for the given output nodes, a block of nodes at a time.
 
-    Returns (W, live): live[r, m] marks jump m at or before node
-    node_indices[r], and W[r, m, k] = s(t_i - tau_m, gamma_k) on live
-    entries and 0 elsewhere.
+    Yields (rows, W, live) for consecutive slices rows of node_indices, each
+    block holding about _JUMP_BLOCK_ENTRIES weights: live[r, m] marks jump m
+    at or before node node_indices[rows][r], and W[r, m, k] =
+    s(t_i - tau_m, gamma_k) on live entries and 0 elsewhere.
     """
     nodes = family.grid.nodes()
     t = nodes[node_indices]
-    live = path.jump_times[None, :] <= t[:, None]
-    W = _interp_modes(t[:, None] - path.jump_times[None, :], nodes, family.s_matrix)
-    W[~live] = 0.0
-    return W, live
+    block = max(1, _JUMP_BLOCK_ENTRIES // max(1, path.jump_times.size * family.K))
+    for r0 in range(0, t.size, block):
+        rows = slice(r0, r0 + block)
+        live = path.jump_times[None, :] <= t[rows, None]
+        W = _interp_modes(t[rows, None] - path.jump_times[None, :], nodes, family.s_matrix)
+        W[~live] = 0.0
+        yield rows, W, live
+
+
+def _sum_over_jumps(terms: np.ndarray) -> np.ndarray:
+    """Sum of an (r, m, K) array over m, strictly left to right (cumsum never sums pairwise)."""
+    if terms.shape[1] == 0:
+        return np.zeros((terms.shape[0], terms.shape[2]))
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def _stieltjes_jumps(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):
     """sum over jumps tau_m <= t_i of s(t_i - tau_m) * mark_m, folded left to right in m."""
-    W, _ = _jump_weights(family, path, node_indices)
     acc = np.zeros((len(node_indices), family.K))
-    for m in range(path.jump_times.size):
-        acc += W[:, m] * path.jump_marks[m]
+    for rows, W, _ in _jump_weight_blocks(family, path, node_indices):
+        W *= path.jump_marks
+        acc[rows] += _sum_over_jumps(W)
     return acc
 
 
@@ -174,8 +166,9 @@ def convolve_at(
 ) -> np.ndarray:
     """Z_R(t_i) for a single output node, O(n K) work.
 
-    The single-row form of stieltjes_convolution: the same products folded
-    in the same order, so it equals that route's row i bitwise.
+    The single-row form of stieltjes_convolution, with the step increments
+    summed in order rather than through the FFT fold, so it agrees with that
+    route's row i to roundoff (its jump part bit for bit).
     """
     _check_shared_grid(family, path)
     n, dt = family.grid.n_steps, family.grid.dt
@@ -208,7 +201,9 @@ def stieltjes_convolution(
     lagw = _lag_weights(family, tag_rule)
     wcum = np.vstack([np.zeros((1, family.K)), np.cumsum(lagw, axis=0)])  # wcum[i] = sum_{m<=i} w_m
     drift_part = path.drift[None, :] * (grid.dt * wcum)
-    gauss_part = _lag_fold(lagw, path.gauss_increments)
+    dx = path.gauss_increments
+    dx_cum = np.vstack([np.zeros((1, family.K)), np.cumsum(dx, axis=0)])
+    gauss_part = dx_cum + _lag_fold(lagw - 1.0, dx)  # w - 1 is exactly 0 for an identity family
     jump_part = _stieltjes_jumps(family, path, np.arange(grid.n_steps + 1))
     vals = (drift_part + gauss_part) + jump_part
     return ConvolutionPath(grid=grid, values=vals, method="stieltjes", tag_rule=tag_rule)
@@ -243,13 +238,14 @@ def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionP
     vals = s[0] * zc - s * zc[0] - _lag_fold(s[:-1] - s[1:], zc[1:])
 
     if path.jump_times.size:
-        W, live = _jump_weights(family, path, np.arange(grid.n_steps + 1))
         cummarks = np.cumsum(path.jump_marks, axis=0)
-        rows = np.flatnonzero(live[:, 0])
-        last = live[rows].sum(axis=1) - 1  # index of the latest jump at or before t_i
-        dW = np.diff(W[rows], axis=1)
-        dW[~live[rows, 1:]] = 0.0  # no step from the latest jump to one after t_i
-        vals[rows] += W[rows, last] * cummarks[last] - np.einsum("rmk,mk->rk", dW, cummarks[:-1])
+        for rows, W, live in _jump_weight_blocks(family, path, np.arange(grid.n_steps + 1)):
+            r = np.flatnonzero(live[:, 0])  # nodes at or after the first jump
+            last = live[r].sum(axis=1) - 1  # index of the latest jump at or before t_i
+            steps = np.diff(W[r], axis=1) * cummarks[:-1]
+            steps[~live[r, 1:]] = 0.0  # no step from the latest jump to one after t_i
+            block = vals[rows]
+            block[r] += W[r, last] * cummarks[last] - _sum_over_jumps(steps)
     return ConvolutionPath(grid=grid, values=vals, method="parts", tag_rule=None)
 
 

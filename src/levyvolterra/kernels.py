@@ -212,10 +212,3 @@ def certify_resolvent_properties(values, tolerance: float = 1e-10) -> PropertyRe
         total_variation=np.sum(np.abs(diffs), axis=-1),
         tolerance=float(tolerance),
     )
-
-
-def default_property_tolerance(kernel: KernelSpec, gamma, grid: TimeGrid):
-    """Roundoff-scale tolerance: 10 * eps * a conditioning guard for the solve."""
-    a_max = float(np.max(np.abs(eval_kernel(kernel, grid.nodes()))))
-    cond = 1.0 + gamma * grid.t_end * a_max
-    return 10.0 * np.finfo(float).eps * cond

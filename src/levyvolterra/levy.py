@@ -278,17 +278,6 @@ def phi_batch(triplet: LevyTriplet, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def characteristic_exponent(triplet: LevyTriplet, y) -> complex:
-    """phi(y) = log E exp(i <y, Z(1)>); Re phi <= 0.
-
-    phi(y) = i<drift, y> - (1/2) sum_k gauss_var_k y_k^2
-             + rate * (E exp(i<y, J>) - 1) - i * rate * <y, E[J 1_{|J|<1}]>,
-    with the compensator implementing the 1_{|x|<1} truncation so the stored
-    drift is the triplet drift of that convention.
-    """
-    return complex(phi_batch(triplet, np.asarray(y, dtype=float)[None, :])[0])
-
-
 @dataclass(frozen=True)
 class SamplePath:
     """Cadlag piecewise record of Z on a grid with exact jump bookkeeping.

@@ -136,7 +136,7 @@ def test_criterion_06_gaussian_covariance_law():
     grid = TimeGrid(1.0, 2000)
     fam = build_resolvent_family(build_spectral_model(4, "dirichlet_laplacian"), KERNEL, grid)
     trip = LevyTriplet(drift=np.zeros(4), gauss_var=np.array([1.0, 0.8, 0.6, 0.4]))
-    check = gaussian_covariance_check(fam, trip, 1.0, 200_000, seed=SEED)
+    check = gaussian_covariance_check(fam, trip, 1.0, 200_000, seed=SEED, workers=2)
     ok = check.max_abs_z <= 4.0
     _report(6, ok, f"K=4, N=2e5: per-mode variance z {np.round(check.z, 2)} (|z| <= 4)")
     assert check.max_abs_z <= 4.0, check.z

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from levyvolterra import characterization, cli
-from levyvolterra.levy import sample_jumps, sample_rng
+from levyvolterra.levy import phi_batch, sample_jumps, sample_rng
 from levyvolterra import (
     DiscreteMixture,
     GaussianJumps,
@@ -20,7 +20,6 @@ from levyvolterra import (
     build_panel,
     build_resolvent_family,
     build_spectral_model,
-    characteristic_exponent,
     convolve_at,
     ecf_comparison,
     empirical_cf,
@@ -173,7 +172,7 @@ class TestPredictedLogCf:
         trip = LevyTriplet(np.array([0.3, -0.1]), np.array([1.0, 0.5]),
                            JumpPart(2.0, PointMass(np.array([0.5, 1.5]))))
         y = np.array([0.7, -1.3])
-        expected = 1.0 * characteristic_exponent(trip, y)
+        expected = 1.0 * phi_batch(trip, y)[0]
         assert predicted_log_cf(fam, trip, 1.0, y) == pytest.approx(expected, abs=1e-12)
 
     def test_gaussian_route_agreement(self):

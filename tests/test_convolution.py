@@ -21,12 +21,15 @@ from levyvolterra import (
     stieltjes_convolution,
 )
 from levyvolterra.cli import PARTS_REL_TOL
-from levyvolterra.convolution import _lag_fold
+from levyvolterra import convolution
+from levyvolterra.convolution import _jump_weight_blocks, _lag_fold
 
 KERNEL = KernelSpec.exponential(1.0)
 # int_0^1 s(tau, mu) dtau for the exponential kernel, by independent quadrature
 INT_S_MU1 = 0.7161661791908469
 INT_S_MUPI2 = 0.17553380821493078
+# the FFT lag fold agrees with in-order sums to this fraction of their largest entry
+FOLD_REL_TOL = 1e-13
 
 
 def mixed_triplet(K=3):
@@ -279,22 +282,23 @@ def path_with_jumps(grid, jump_times, K=3, seed=5):
 
 class TestVectorizedKernels:
     @pytest.mark.parametrize("tag", list(TagRule))
-    def test_matches_loop_reference_bitwise(self, tag):
+    def test_matches_loop_reference(self, tag):
         grid = TimeGrid(1.0, 150)
         fam = dirichlet_family(3, grid)
         path = sample_path(mixed_triplet(), grid, 2, seed=77)
         assert path.jump_times.size > 0
-        zr = stieltjes_convolution(fam, path, tag)
-        assert np.array_equal(zr.values, reference_stieltjes(fam, path, tag))
+        zr = stieltjes_convolution(fam, path, tag).values
+        ref = reference_stieltjes(fam, path, tag)
+        assert np.max(np.abs(zr - ref)) <= FOLD_REL_TOL * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("tag", list(TagRule))
-    def test_convolve_at_equals_route_row_bitwise(self, tag):
+    def test_convolve_at_equals_route_row(self, tag):
         grid = TimeGrid(1.0, 120)
         fam = dirichlet_family(3, grid)
         path = sample_path(mixed_triplet(), grid, 4, seed=31)
         zr = stieltjes_convolution(fam, path, tag).values
-        for i in range(grid.n_steps + 1):
-            assert np.array_equal(convolve_at(fam, path, i, tag), zr[i]), i
+        rows = np.array([convolve_at(fam, path, i, tag) for i in range(grid.n_steps + 1)])
+        assert np.max(np.abs(rows - zr)) <= FOLD_REL_TOL * np.max(np.abs(zr))
 
     def test_convolve_at_rejects_out_of_range_node(self):
         grid = TimeGrid(1.0, 20)
@@ -320,6 +324,30 @@ class TestVectorizedKernels:
         ref = reference_parts(fam, path)
         assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_jump_blocks_change_no_bit(self, monkeypatch):
+        grid = TimeGrid(1.0, 200)
+        fam = dirichlet_family(2, grid)
+        trip = LevyTriplet(np.array([0.3, -0.2]), np.array([1.0, 0.5]),
+                           JumpPart(rate=2000.0, law=PointMass(np.array([0.01, -0.02]))))
+        path = sample_path(trip, grid, 0, seed=8)
+        m = path.jump_times.size
+        assert m > 1500
+        nodes = np.arange(grid.n_steps + 1)
+        assert len(list(_jump_weight_blocks(fam, path, nodes))) == 1
+        whole = [stieltjes_convolution(fam, path, tag).values for tag in TagRule]
+        whole.append(parts_convolution(fam, path).values)
+        monkeypatch.setattr(convolution, "_JUMP_BLOCK_ENTRIES", 7 * m * fam.K)
+        assert len(list(_jump_weight_blocks(fam, path, nodes))) == 29  # 28 blocks of 7 nodes, then 5
+        blocked = [stieltjes_convolution(fam, path, tag).values for tag in TagRule]
+        blocked.append(parts_convolution(fam, path).values)
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a, b)
+
+    def test_example_config_shape_is_one_jump_block(self):
+        grid = TimeGrid(1.0, 1000)
+        path = path_with_jumps(grid, [0.25, 0.5, 0.75], K=2)
+        assert len(list(_jump_weight_blocks(dirichlet_family(2, grid), path, np.arange(1001)))) == 1
+
     def test_parts_agrees_with_stieltjes_at_high_jump_rate(self):
         grid = TimeGrid(1.0, 400)
         fam = dirichlet_family(4, grid)
@@ -333,30 +361,27 @@ class TestVectorizedKernels:
             assert np.max(np.abs(a - b)) <= PARTS_REL_TOL * np.max(np.abs(a))
 
 
-def loop_lag_fold(w, x):
-    """One vector update per increment: the per-step form of _lag_fold."""
-    n = x.shape[0]
-    wt, xt = w.T.copy(), x.T[:, :, None]
-    out = np.zeros((x.shape[1], n + 1))
-    for j in range(n):
-        out[:, j + 1 :] += wt[:, : n - j] * xt[:, j]
-    return out.T
+class TestLagFold:
+    @staticmethod
+    def per_step(w, x):
+        """out[i] = sum_{j<i} w[i-1-j] * x[j], one node at a time in increment order."""
+        out = np.zeros((x.shape[0] + 1, x.shape[1]))
+        for i in range(1, x.shape[0] + 1):
+            out[i] = np.cumsum(w[i - 1 :: -1] * x[:i], axis=0)[-1]
+        return out
 
-
-class TestBlockedLagFold:
     @pytest.mark.parametrize("K", [1, 2, 3, 8])
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 257, 1000])
-    def test_equals_per_step_loop_bitwise(self, n, K):
+    def test_matches_per_step_loop(self, n, K):
         rng = np.random.default_rng(1000 * n + K)
         w, x = rng.standard_normal((n, K)), rng.standard_normal((n, K))
         out = _lag_fold(w, x)
+        ref = self.per_step(w, x)
         assert out.shape == (n + 1, K)
-        assert np.array_equal(out, loop_lag_fold(w, x))
-        assert not np.any(np.signbit(out[0]))  # node 0 is +0.0, as the loop leaves it
+        assert np.max(np.abs(out - ref)) <= FOLD_REL_TOL * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("K", [1, 2, 3, 8])
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 257, 1000])
-    def test_unit_weights_are_cumsum_bitwise(self, n, K):
-        x = np.random.default_rng(n + K).standard_normal((n, K))
-        expected = np.vstack([np.zeros((1, K)), np.cumsum(x, axis=0)])
-        assert np.array_equal(_lag_fold(np.ones((n, K)), x), expected)
+    @pytest.mark.parametrize("n", [1, 64, 65])
+    def test_node_zero_is_positive_zero(self, n):
+        w, x = -np.ones((n, 2)), np.full((n, 2), -0.0)
+        out = _lag_fold(w, x)
+        assert np.all(out[0] == 0.0) and not np.any(np.signbit(out[0]))

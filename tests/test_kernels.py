@@ -13,9 +13,16 @@ from levyvolterra import (
     eval_kernel,
     solve_scalar_resolvent,
 )
-from levyvolterra.kernels import default_property_tolerance, solve_resolvent_modes
+from levyvolterra.kernels import solve_resolvent_modes
 
 GAMMA_CATALOG = [0.0, 1.0, np.pi**2, 4 * np.pi**2, 9 * np.pi**2]
+
+
+def default_property_tolerance(kernel, gamma, grid):
+    """Roundoff-scale tolerance: 10 * eps * a conditioning guard for the solve."""
+    a_max = float(np.max(np.abs(eval_kernel(kernel, grid.nodes()))))
+    cond = 1.0 + gamma * grid.t_end * a_max
+    return 10.0 * np.finfo(float).eps * cond
 
 
 class TestEvalKernel:

@@ -8,7 +8,6 @@ from levyvolterra import (
     LevyTriplet,
     PointMass,
     TimeGrid,
-    characteristic_exponent,
     coupled_sample_paths,
     sample_path,
 )
@@ -25,23 +24,23 @@ class TestCharacteristicExponent:
     def test_zero_argument(self):
         trip = LevyTriplet(np.array([1.0, 2.0]), np.array([1.0, 1.0]),
                            JumpPart(2.0, PointMass(np.array([0.3, 0.1]))))
-        assert characteristic_exponent(trip, np.zeros(2)) == 0.0
+        assert phi_batch(trip, np.zeros(2))[0] == 0.0
 
     def test_pure_drift(self):
         trip = LevyTriplet(np.array([1.5, -0.5]), np.zeros(2))
         y = np.array([2.0, 3.0])
-        assert characteristic_exponent(trip, y) == pytest.approx(1j * (1.5 * 2 - 0.5 * 3))
+        assert phi_batch(trip, y)[0] == pytest.approx(1j * (1.5 * 2 - 0.5 * 3))
 
     def test_standard_gaussian(self):
         trip = LevyTriplet(np.zeros(1), np.ones(1))
-        assert characteristic_exponent(trip, np.array([1.0])) == pytest.approx(-0.5)
+        assert phi_batch(trip, np.array([1.0]))[0] == pytest.approx(-0.5)
 
     def test_compound_poisson_outside_ball_has_no_compensator(self):
         # |h| = 3 >= 1, so phi(y) = rate * (exp(3iy) - 1) exactly
         trip = LevyTriplet(np.zeros(1), np.zeros(1), JumpPart(2.0, PointMass(np.array([3.0]))))
         for y in (0.3, 1.0, -2.2):
             expected = 2.0 * (np.exp(3j * y) - 1.0)
-            assert characteristic_exponent(trip, np.array([y])) == pytest.approx(expected)
+            assert phi_batch(trip, np.array([y]))[0] == pytest.approx(expected)
 
     def test_real_part_nonpositive(self):
         trip = LevyTriplet(np.array([0.4]), np.array([0.2]),
@@ -50,7 +49,7 @@ class TestCharacteristicExponent:
         rng = np.random.default_rng(0)
         for _ in range(50):
             y = rng.standard_normal(1) * 3
-            assert characteristic_exponent(trip, y).real <= 1e-12
+            assert phi_batch(trip, y)[0].real <= 1e-12
 
 
 class TestJumpLawHelpers:
@@ -269,7 +268,7 @@ class TestSamplePath:
         z1 = np.array([sample_path(trip, GRID, i, seed=555).values[-1, 0] for i in range(n)])
         for y in (0.5, 1.0, 2.0):
             ecf = np.mean(np.exp(1j * y * z1))
-            pred = np.exp(characteristic_exponent(trip, np.array([y])))
+            pred = np.exp(phi_batch(trip, np.array([y]))[0])
             assert abs(ecf - pred) < 4.0 / np.sqrt(n)
 
     def test_increment_independence(self):
