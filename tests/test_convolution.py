@@ -380,6 +380,16 @@ class TestLagFold:
         assert out.shape == (n + 1, K)
         assert np.max(np.abs(out - ref)) <= FOLD_REL_TOL * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 257, 1000])
+    def test_unit_weights_are_cumsum_bitwise(self, n, K):
+        """Unit weights fold only w - 1 == 0, so the Stieltjes route is the path's cumsum exactly."""
+        grid = TimeGrid(1.0, n)
+        path = sample_path(mixed_triplet(K), grid, 3, seed=n + K)
+        fam = identity_resolvent_family(K, KERNEL, grid)
+        for tag in TagRule:
+            assert np.array_equal(stieltjes_convolution(fam, path, tag).values, path.values)
+
     @pytest.mark.parametrize("n", [1, 64, 65])
     def test_node_zero_is_positive_zero(self, n):
         w, x = -np.ones((n, 2)), np.full((n, 2), -0.0)
