@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import TagRule, _interp_modes, _lag_weights
+from .convolution import TagRule, _node_values, _node_weights
 from .levy import LevyTriplet, _draw_jumps, jump_rule, phi_batch, sample_rng
 from .spectral import ResolventFamily
 
@@ -130,39 +130,35 @@ def empirical_cf(samples: np.ndarray, y) -> tuple[complex, float]:
 def _sample_bytes(triplet: LevyTriplet, n: int, K: int, t_end: float) -> float:
     """Bytes one terminal_values sample holds in its worker's block.
 
-    The n * K Gaussian increments when it draws them, plus its jump data:
-    for each of about 1 + rate * t_end jumps, its elapsed time and mark,
-    kept per sample and again concatenated, then its interpolated weights
-    and weighted mark, 2 + 4K floats in all.  So blocks shrink as the jump
-    rate grows, with or without Gaussian noise.
+    The n * K Gaussian increments when it draws them, plus 2 + 4K floats
+    for each of about 1 + rate * t_end jump slots: the drawn time and mark,
+    their time-sorted copies in the block's padded arrays, and the slot's
+    elapsed time and weight.  The block pads every sample to its largest
+    jump count, so a jump-only block at a low rate can hold about twice
+    _BLOCK_BYTES.  Blocks shrink as the jump rate grows, with or without
+    Gaussian noise.
     """
     gauss = 8.0 * n * K if np.any(triplet.gauss_var > 0.0) else 0.0
     rate = triplet.jump.rate if triplet.jump is not None else 0.0
     return gauss + 8.0 * (1.0 + rate * t_end) * (2 + 4 * K)
 
 
-def _jump_sums(times, marks, nodes: np.ndarray, i: int, s_matrix: np.ndarray):
-    """Each sample's weighted jump sum over its jumps at or before nodes[i].
+def _padded_jumps(times: list, marks: list, K: int):
+    """One block's jumps as (B, M) times and (B, M, K) marks, each row in time order.
 
-    times and marks hold, for each sample of one block, its jumps in draw
-    order.  They are concatenated, selected, and weighted with one
-    interpolation per mode; then the samples with the same number m >= 1 of
-    selected jumps are summed as one (B_m, m, K) stack along axis 1.  Yields (block rows, sums)
-    per m.  That reduction adds each sample's rows in the order of
-    ``np.sum(axis=0)`` over its own (m, K) slice, pairwise for K = 1 too.
+    times and marks hold each sample's jumps in draw order.  Rows are padded
+    to the block's largest count M with time +inf and mark 0, then put in
+    the order sample_path keeps by one stable argsort along the rows.
     """
-    t_i = nodes[i]
-    t = np.concatenate(times)
-    sel = t <= t_i
-    if not sel.any():
-        return
-    terms = _interp_modes(t_i - t[sel], nodes, s_matrix) * np.concatenate(marks)[sel]
-    owner = np.repeat(np.arange(len(times)), [tb.size for tb in times])
-    m = np.bincount(owner[sel], minlength=len(times))
-    start = np.cumsum(m) - m  # each sample's first row of terms
-    for size in np.unique(m[m > 0]):
-        rows = np.flatnonzero(m == size)
-        yield rows, np.sum(terms[start[rows, None] + np.arange(size)], axis=1)
+    counts = [tb.size for tb in times]
+    filled = np.arange(max(counts)) < np.array(counts)[:, None]
+    padded_t = np.full(filled.shape, np.inf)
+    padded_t[filled] = np.concatenate(times)
+    padded_m = np.zeros(filled.shape + (K,))
+    padded_m[filled] = np.concatenate(marks)
+    order = np.argsort(padded_t, axis=1, kind="stable")
+    return (np.take_along_axis(padded_t, order, axis=1),
+            np.take_along_axis(padded_m, order[..., None], axis=1))
 
 
 def terminal_values(
@@ -176,43 +172,26 @@ def terminal_values(
 ) -> np.ndarray:
     """Z_R(t) for n_samples independent outcomes, (n_samples, K).
 
-    Each sample is drawn on its own counter-based stream (identical to the
-    stream sample_path would use, with the full Gaussian block consumed), so
-    the output is independent of the worker partitioning and bitwise stable
-    across runs.  Each worker keeps one generator and has ``sample_rng``
-    re-key it in place for each of its samples, which draws what a new
-    generator on that stream would.  With Gaussian increments the samples are
-    split into min(workers, n_samples) ranges, run on at most os.cpu_count()
-    threads.  A triplet with no Gaussian increments runs on one thread
-    whatever ``workers`` says: its per-sample work all holds the interpreter
-    lock, so a second thread only waits on the first.
+    Row b equals ``convolve_at(family, sample_path(triplet, family.grid, b,
+    seed), node_index(t), tag_rule)`` bit for bit, whatever ``workers`` says
+    and whether or not the memo below serves it.
 
-    Each worker takes its samples in blocks of about _BLOCK_BYTES of
-    per-sample data (at least one sample), sized by _sample_bytes: the
-    Gaussian increments, if any, plus the expected jump data.  Every sample
-    of a block draws, in stream order, its normals into its row of the
-    worker's block buffer, then its jump count, times and marks, which the
-    block keeps in draw order.  The block is then scaled in place and
-    contracted once per rule with ``einsum("bjk,jk->bk")``, which sums each
-    sample's row over j in the order of the one-sample
-    ``einsum("jk,jk->k")``.  Then ``_jump_sums`` weights all the block's
-    jumps at or before t in one pass and sums each sample's own rows in the
-    order of ``np.sum(axis=0)`` over that sample's (m, K) slice.  So every
-    value equals the one-sample-at-a-time pass bit for bit.
+    Each worker re-keys one generator per sample (``sample_rng``) and takes
+    its samples in blocks of about _BLOCK_BYTES (_sample_bytes each, at
+    least one sample); a block is one convolution._node_values call per
+    rule.  With Gaussian increments the samples are split into
+    min(workers, n_samples) ranges on at most os.cpu_count() threads; a
+    triplet without them runs on one thread, since its work all holds the
+    interpreter lock.
 
-    The law checks read the same outcomes under two tag rules: for a
-    Gaussian-only triplet, ``ecf_comparison`` contracts with LEFT and
-    ``gaussian_covariance_check`` with MIDPOINT.  So when ``triplet.jump`` is
-    None, each stream is drawn once and contracted with the requested rule
-    and with LEFT and MIDPOINT.  The rules other than the requested one are
-    kept in a one-entry memo keyed by ``(family, triplet, node_index(t),
-    n_samples, seed)``, with family and triplet compared by identity (both
-    are frozen with read-only arrays, and the memo's references keep their
-    ids from being reused).  A call whose key and rule match the entry
-    returns a copy of the memo's array and draws nothing; the next
-    Gaussian-only pass replaces the entry.  The memo holds at most
-    2 * n_samples * K floats.  A jump triplet contracts the requested rule
-    only, so it never finds an entry and never leaves one.
+    For a Gaussian-only triplet, whose outcomes ``ecf_comparison`` reads
+    with LEFT and ``gaussian_covariance_check`` with MIDPOINT, each block is
+    also contracted with those rules, and the rules not requested are kept
+    in a one-entry memo keyed by ``(family, triplet, node_index(t),
+    n_samples, seed)``, family and triplet by identity (both are frozen, and
+    the entry's references keep their ids from reuse).  A call matching the
+    entry returns a copy and draws nothing; the next Gaussian-only pass
+    replaces it.  A jump triplet neither finds nor leaves an entry.
     """
     global _LAST_PASS
     if triplet.dim != family.K:
@@ -228,16 +207,11 @@ def terminal_values(
     if triplet.jump is None:
         rules += [r for r in (TagRule.LEFT, TagRule.MIDPOINT) if r is not tag_rule]
     grid = family.grid
-    n, K, dt = grid.n_steps, family.K, grid.dt
-    nodes = grid.nodes()
-    pathwise_drift = triplet.pathwise_drift()
-    contractions = []  # (drift part, row j weights step j) per rule
-    for rule in rules:
-        lagw = _lag_weights(family, rule)[:i]
-        drift_part = pathwise_drift * (dt * np.sum(lagw, axis=0)) if i else np.zeros(K)
-        contractions.append((drift_part, lagw[::-1]))
+    n, K = grid.n_steps, family.K
+    drift = triplet.pathwise_drift()
+    weights = [_node_weights(family, rule, i, drift) for rule in rules]
     draw_gauss = bool(np.any(triplet.gauss_var > 0.0))
-    scale = np.sqrt(triplet.gauss_var * dt)
+    scale = np.sqrt(triplet.gauss_var * grid.dt)
     block = max(1, int(_BLOCK_BYTES // _sample_bytes(triplet, n, K, grid.t_end)))
 
     outs = [np.empty((n_samples, K)) for _ in rules]
@@ -247,6 +221,7 @@ def terminal_values(
         rng = None  # this worker's one generator, re-keyed for each sample
         for b0 in range(lo, hi, block):
             b1 = min(b0 + block, hi)
+            gauss = jump_times = jump_marks = None
             times, marks = [], []  # each sample's jump data, in draw order
             for b in range(b0, b1):
                 rng = sample_rng(seed, b, rng)
@@ -257,17 +232,12 @@ def terminal_values(
                     times.append(tb)
                     marks.append(mb)
             if draw_gauss:
-                gb = g[: b1 - b0, :i]
-                gb *= scale
-                for out, (drift_part, weight_rows) in zip(outs, contractions):
-                    out[b0:b1] = drift_part + np.einsum("bjk,jk->bk", gb, weight_rows)
-            else:
-                for out, (drift_part, _) in zip(outs, contractions):
-                    out[b0:b1] = drift_part
+                gauss = g[: b1 - b0, :i]
+                gauss *= scale
             if triplet.jump is not None:
-                for rows, sums in _jump_sums(times, marks, nodes, i, family.s_matrix):
-                    for out in outs:
-                        out[b0 + rows] += sums
+                jump_times, jump_marks = _padded_jumps(times, marks, K)
+            for out, w in zip(outs, weights):
+                out[b0:b1] = _node_values(family, i, w, gauss, jump_times, jump_marks)
 
     # jump-only samples hold the interpreter lock for all their work, so
     # threads would only wait on each other

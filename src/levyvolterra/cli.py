@@ -366,7 +366,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if not 0 <= args.seed < 2**64:
                 raise ConfigError("--seed must be a 64-bit unsigned value")
-            cfg = replace(cfg, seed=args.seed)
+            # the reports echo the config, so they echo the seed the run used
+            cfg = replace(cfg, seed=args.seed,
+                          raw={**cfg.raw, "mc": {**cfg.raw["mc"], "seed": args.seed}})
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         out = _out_dir(cfg, args.out)

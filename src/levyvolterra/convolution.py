@@ -126,23 +126,30 @@ def _interp_modes(elapsed: np.ndarray, nodes: np.ndarray, s: np.ndarray) -> np.n
     return out
 
 
+def _masked_jump_weights(family: ResolventFamily, t, jump_times: np.ndarray):
+    """Jump weights against output times t and the mask of live jumps, (W, live).
+
+    live marks the jump times tau <= t, the two broadcast together, and
+    W[..., k] = s(t - tau, gamma_k) on live entries and 0 elsewhere.
+    """
+    live = jump_times <= t
+    W = _interp_modes(t - jump_times, family.grid.nodes(), family.s_matrix)
+    W[~live] = 0.0
+    return W, live
+
+
 def _jump_weight_blocks(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):
     """Exact-time jump weights for the given output nodes, a block of nodes at a time.
 
     Yields (rows, W, live) for consecutive slices rows of node_indices, each
-    block holding about _JUMP_BLOCK_ENTRIES weights: live[r, m] marks jump m
-    at or before node node_indices[rows][r], and W[r, m, k] =
-    s(t_i - tau_m, gamma_k) on live entries and 0 elsewhere.
+    block holding about _JUMP_BLOCK_ENTRIES weights: _masked_jump_weights of
+    those nodes' times against all of the path's jumps.
     """
-    nodes = family.grid.nodes()
-    t = nodes[node_indices]
+    t = family.grid.nodes()[node_indices]
     block = max(1, _JUMP_BLOCK_ENTRIES // max(1, path.jump_times.size * family.K))
     for r0 in range(0, t.size, block):
         rows = slice(r0, r0 + block)
-        live = path.jump_times[None, :] <= t[rows, None]
-        W = _interp_modes(t[rows, None] - path.jump_times[None, :], nodes, family.s_matrix)
-        W[~live] = 0.0
-        yield rows, W, live
+        yield (rows, *_masked_jump_weights(family, t[rows, None], path.jump_times))
 
 
 def _sum_over_jumps(terms: np.ndarray) -> np.ndarray:
@@ -152,13 +159,34 @@ def _sum_over_jumps(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def _stieltjes_jumps(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):
-    """sum over jumps tau_m <= t_i of s(t_i - tau_m) * mark_m, folded left to right in m."""
-    acc = np.zeros((len(node_indices), family.K))
-    for rows, W, _ in _jump_weight_blocks(family, path, node_indices):
-        W *= path.jump_marks
-        acc[rows] += _sum_over_jumps(W)
-    return acc
+def _node_weights(family: ResolventFamily, tag_rule: TagRule, i: int, drift: np.ndarray):
+    """(drift part, step weights) of Z_R(t_i) under tag_rule, for _node_values.
+
+    The drift part is drift * dt * (sum of the first i lag weights); row j
+    of the step weights is lag i - j, the weight of step j.
+    """
+    lagw = _lag_weights(family, tag_rule)[:i]
+    drift_part = drift * (family.grid.dt * np.sum(lagw, axis=0)) if i else np.zeros(family.K)
+    return drift_part, lagw[::-1]
+
+
+def _node_values(family: ResolventFamily, i: int, weights, gauss, jump_times, jump_marks):
+    """Z_R(t_i) for B outcomes, (B, K): the one single-node Stieltjes sum.
+
+    weights is _node_weights' pair; gauss (B, i, K) holds each outcome's
+    first i step increments, jump_times (B, M) its jump times in time order
+    padded with +inf, and jump_marks (B, M, K) their marks; gauss or
+    jump_times is None when there are none.  einsum("bjk,jk->bk") sums each
+    row over j in the same order for every B and the jumps are summed left
+    to right, so no row depends on the others.
+    """
+    drift_part, step_weights = weights
+    vals = drift_part if gauss is None else drift_part + np.einsum("bjk,jk->bk", gauss, step_weights)
+    if jump_times is not None:
+        W, _ = _masked_jump_weights(family, family.grid.nodes()[i], jump_times)
+        W *= jump_marks
+        vals = vals + _sum_over_jumps(W)
+    return vals
 
 
 def convolve_at(
@@ -166,21 +194,18 @@ def convolve_at(
 ) -> np.ndarray:
     """Z_R(t_i) for a single output node, O(n K) work.
 
-    The single-row form of stieltjes_convolution, with the step increments
-    summed in order rather than through the FFT fold, so it agrees with that
-    route's row i to roundoff (its jump part bit for bit).
+    Row i of stieltjes_convolution to roundoff (its jump part bit for bit),
+    summed in order rather than through the FFT fold.  It is the one-outcome
+    _node_values call, so characterization.terminal_values' rows equal it
+    on each sample's path bit for bit.
     """
     _check_shared_grid(family, path)
-    n, dt = family.grid.n_steps, family.grid.dt
     i = node_index
-    if not 0 <= i <= n:
-        raise ValueError(f"node index {i} outside 0..{n}")
-    if i == 0:
-        return np.zeros(family.K)
-    lagw = _lag_weights(family, tag_rule)
-    drift_part = path.drift * (dt * np.cumsum(lagw[:i], axis=0)[-1])
-    gauss_part = np.cumsum(lagw[i - 1 :: -1] * path.gauss_increments[:i], axis=0)[-1]
-    return (drift_part + gauss_part) + _stieltjes_jumps(family, path, np.array([i]))[0]
+    if not 0 <= i <= family.grid.n_steps:
+        raise ValueError(f"node index {i} outside 0..{family.grid.n_steps}")
+    weights = _node_weights(family, tag_rule, i, path.drift)
+    return _node_values(family, i, weights, path.gauss_increments[None, :i],
+                        path.jump_times[None], path.jump_marks[None])[0]
 
 
 def stieltjes_convolution(
@@ -204,8 +229,10 @@ def stieltjes_convolution(
     dx = path.gauss_increments
     dx_cum = np.vstack([np.zeros((1, family.K)), np.cumsum(dx, axis=0)])
     gauss_part = dx_cum + _lag_fold(lagw - 1.0, dx)  # w - 1 is exactly 0 for an identity family
-    jump_part = _stieltjes_jumps(family, path, np.arange(grid.n_steps + 1))
-    vals = (drift_part + gauss_part) + jump_part
+    vals = drift_part + gauss_part
+    for rows, W, _ in _jump_weight_blocks(family, path, np.arange(grid.n_steps + 1)):
+        W *= path.jump_marks
+        vals[rows] += _sum_over_jumps(W)  # jumps summed left to right in m
     return ConvolutionPath(grid=grid, values=vals, method="stieltjes", tag_rule=tag_rule)
 
 

@@ -278,8 +278,7 @@ class TestTerminalValues:
         vals = terminal_values(fam, trip, 1.0, 4, seed=606, tag_rule=TagRule.LEFT)
         for idx in range(4):
             path = sample_path(trip, grid, idx, seed=606)
-            direct = convolve_at(fam, path, grid.n_steps, TagRule.LEFT)
-            assert np.allclose(vals[idx], direct, atol=1e-12)
+            assert np.array_equal(vals[idx], convolve_at(fam, path, grid.n_steps, TagRule.LEFT))
 
     def test_jump_only_runs_on_one_thread(self, monkeypatch):
         log = []
@@ -322,7 +321,11 @@ class TestTerminalValues:
 
 
 def per_sample_terminal_values(fam, trip, t, n_samples, seed, tag_rule):
-    """One sample at a time: each stream drawn and contracted on its own."""
+    """One sample at a time: each stream drawn and contracted on its own.
+
+    Its jumps are put in time order, as sample_path keeps them, and summed
+    left to right.
+    """
     grid = fam.grid
     n, K, dt = grid.n_steps, fam.K, grid.dt
     nodes = grid.nodes()
@@ -343,11 +346,16 @@ def per_sample_terminal_values(fam, trip, t, n_samples, seed, tag_rule):
             if count:
                 times = grid.t_end * (1.0 - rng.random(count))
                 marks = sample_jumps(trip.jump.law, rng, count)
+                order = np.argsort(times, kind="stable")  # the order sample_path keeps
+                times, marks = times[order], marks[order]
                 sel = times <= nodes[i]
                 if np.any(sel):
                     jw = np.column_stack([np.interp(nodes[i] - times[sel], nodes, s[:, k])
                                           for k in range(K)])
-                    acc = acc + np.sum(jw * marks[sel], axis=0)
+                    jump_sum = np.zeros(K)
+                    for term in jw * marks[sel]:  # left to right in time
+                        jump_sum = jump_sum + term
+                    acc = acc + jump_sum
         out[b] = acc
     return out
 
@@ -455,6 +463,21 @@ class TestBlockedTerminalValues:
         assert np.array_equal(got, terminal_values(fam, trip, 1.0, self.N, seed=23,
                                                    workers=workers))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0], ids=["node-0", "mid", "t_end"])
+    @pytest.mark.parametrize("name", sorted(BLOCKED_TRIPLETS))
+    def test_rows_are_convolve_at_on_sample_path(self, monkeypatch, streams, name, t, workers):
+        trip = BLOCKED_TRIPLETS[name]
+        fam = family(trip.dim, self.GRID)
+        i = self.GRID.node_index(t)
+        paths = [sample_path(trip, self.GRID, b, seed=31) for b in range(self.N)]
+        monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
+        # a Gaussian-only RIGHT pass leaves LEFT and MIDPOINT in the memo
+        for rule in (TagRule.RIGHT, TagRule.LEFT, TagRule.MIDPOINT):
+            got = terminal_values(fam, trip, t, self.N, seed=31, tag_rule=rule, workers=workers)
+            assert np.array_equal(got, [convolve_at(fam, path, i, rule) for path in paths])
+        assert len(streams) == (1 if trip.jump is None else 3) * self.N
+
     @pytest.mark.parametrize("name", ["rate-20-K1", "rate-20-K2"])
     def test_high_rate_reaches_eight_jumps(self, name):
         trip = BLOCKED_TRIPLETS[name]
@@ -480,8 +503,7 @@ class TestSharedPass:
         for idx in range(3):
             path = sample_path(self.TRIP, self.GRID, idx, seed=3)
             for rule, vals in ((TagRule.LEFT, hit), (TagRule.MIDPOINT, mid)):
-                direct = convolve_at(fam, path, self.GRID.n_steps, rule)
-                assert np.allclose(vals[idx], direct, atol=1e-12)
+                assert np.array_equal(vals[idx], convolve_at(fam, path, self.GRID.n_steps, rule))
 
     def test_right_pass_serves_both_checks(self, streams):
         fam = family(2, self.GRID)
@@ -542,8 +564,8 @@ class TestSharedPass:
         assert not np.array_equal(left, mid)
         for idx in range(3):
             path = sample_path(trip, self.GRID, idx, seed=5)
-            assert np.allclose(left[idx], convolve_at(fam, path, self.GRID.n_steps, TagRule.LEFT),
-                               atol=1e-12)
+            assert np.array_equal(left[idx],
+                                  convolve_at(fam, path, self.GRID.n_steps, TagRule.LEFT))
 
     def test_concurrent_callers_get_their_own_pass(self):
         fam = family(2, self.GRID)

@@ -497,6 +497,20 @@ class TestStageTable:
             assert json.loads((out / "summary.json").read_text())["verdicts"]["verify-parts"] is False
             assert sorted(json.loads((out / "run_meta.json").read_text())["timings"]) == sorted(STAGES)
 
+    def test_seed_option_equals_seed_in_config(self, tmp_path):
+        # --seed reaches the config echoed in every report, and --out and
+        # --workers reach none of them
+        cfg = copy.deepcopy(EXAMPLE_CONFIG)
+        cfg["mc"]["seed"] = 777
+        rc, option = example_out(tmp_path, "option", ["all", "--seed", "777", "--workers", "2"])
+        assert rc == 0
+        rc, config = example_out(tmp_path, "config", ["all"], write_config(tmp_path, cfg))
+        assert rc == 0
+        names = {f.name for f in option.iterdir()} - {"run_meta.json"}
+        assert names == {f.name for f in config.iterdir()} - {"run_meta.json"}
+        for name in names:
+            assert (option / name).read_bytes() == (config / name).read_bytes(), name
+
     def test_all_equals_the_stages_run_one_by_one(self, tmp_path):
         rc, together = example_out(tmp_path, "all", ["all"])
         assert rc == 0
