@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import TagRule, _node_values, _node_weights
-from .levy import LevyTriplet, _draw_jumps, jump_rule, phi_batch, sample_rng
+from .levy import LevyTriplet, _draw_blocks, jump_rule, phi_batch, sample_rng
 from .spectral import ResolventFamily
 
 # ECF panel acceptance: at least ECF_FRACTION of the z-scores within
@@ -40,9 +40,6 @@ _PANEL_SALT = 1 << 62
 
 # terminal_values' last Gaussian-only pass: (key, {tag rule: (N, K) array})
 _LAST_PASS = (None, {})
-
-# per-sample data one terminal_values worker holds at once, per block
-_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -127,40 +124,6 @@ def empirical_cf(samples: np.ndarray, y) -> tuple[complex, float]:
     return value, 1.0 / np.sqrt(n)
 
 
-def _sample_bytes(triplet: LevyTriplet, n: int, K: int, t_end: float) -> float:
-    """Bytes one terminal_values sample holds in its worker's block.
-
-    The n * K Gaussian increments when it draws them, plus 2 + 4K floats
-    for each of about 1 + rate * t_end jump slots: the drawn time and mark,
-    their time-sorted copies in the block's padded arrays, and the slot's
-    elapsed time and weight.  The block pads every sample to its largest
-    jump count, so a jump-only block at a low rate can hold about twice
-    _BLOCK_BYTES.  Blocks shrink as the jump rate grows, with or without
-    Gaussian noise.
-    """
-    gauss = 8.0 * n * K if np.any(triplet.gauss_var > 0.0) else 0.0
-    rate = triplet.jump.rate if triplet.jump is not None else 0.0
-    return gauss + 8.0 * (1.0 + rate * t_end) * (2 + 4 * K)
-
-
-def _padded_jumps(times: list, marks: list, K: int):
-    """One block's jumps as (B, M) times and (B, M, K) marks, each row in time order.
-
-    times and marks hold each sample's jumps in draw order.  Rows are padded
-    to the block's largest count M with time +inf and mark 0, then put in
-    the order sample_path keeps by one stable argsort along the rows.
-    """
-    counts = [tb.size for tb in times]
-    filled = np.arange(max(counts)) < np.array(counts)[:, None]
-    padded_t = np.full(filled.shape, np.inf)
-    padded_t[filled] = np.concatenate(times)
-    padded_m = np.zeros(filled.shape + (K,))
-    padded_m[filled] = np.concatenate(marks)
-    order = np.argsort(padded_t, axis=1, kind="stable")
-    return (np.take_along_axis(padded_t, order, axis=1),
-            np.take_along_axis(padded_m, order[..., None], axis=1))
-
-
 def terminal_values(
     family: ResolventFamily,
     triplet: LevyTriplet,
@@ -176,13 +139,11 @@ def terminal_values(
     seed), node_index(t), tag_rule)`` bit for bit, whatever ``workers`` says
     and whether or not the memo below serves it.
 
-    Each worker re-keys one generator per sample (``sample_rng``) and takes
-    its samples in blocks of about _BLOCK_BYTES (_sample_bytes each, at
-    least one sample); a block is one convolution._node_values call per
-    rule.  With Gaussian increments the samples are split into
-    min(workers, n_samples) ranges on at most os.cpu_count() threads; a
-    triplet without them runs on one thread, since its work all holds the
-    interpreter lock.
+    Each range of samples is one levy._draw_blocks loop, a
+    convolution._node_values call per block and rule.  With Gaussian
+    increments the samples are split into min(workers, n_samples) ranges on
+    at most os.cpu_count() threads; a triplet without them runs on one
+    thread, since its work all holds the interpreter lock.
 
     For a Gaussian-only triplet, whose outcomes ``ecf_comparison`` reads
     with LEFT and ``gaussian_covariance_check`` with MIDPOINT, each block is
@@ -206,42 +167,18 @@ def terminal_values(
     rules = [tag_rule]
     if triplet.jump is None:
         rules += [r for r in (TagRule.LEFT, TagRule.MIDPOINT) if r is not tag_rule]
-    grid = family.grid
-    n, K = grid.n_steps, family.K
-    drift = triplet.pathwise_drift()
-    weights = [_node_weights(family, rule, i, drift) for rule in rules]
-    draw_gauss = bool(np.any(triplet.gauss_var > 0.0))
-    scale = np.sqrt(triplet.gauss_var * grid.dt)
-    block = max(1, int(_BLOCK_BYTES // _sample_bytes(triplet, n, K, grid.t_end)))
-
-    outs = [np.empty((n_samples, K)) for _ in rules]
+    weights = [_node_weights(family, rule, i, triplet.pathwise_drift()) for rule in rules]
+    outs = [np.empty((n_samples, family.K)) for _ in rules]
 
     def run_range(lo: int, hi: int):
-        g = np.empty((min(block, hi - lo), n, K)) if draw_gauss else None
-        rng = None  # this worker's one generator, re-keyed for each sample
-        for b0 in range(lo, hi, block):
-            b1 = min(b0 + block, hi)
-            gauss = jump_times = jump_marks = None
-            times, marks = [], []  # each sample's jump data, in draw order
-            for b in range(b0, b1):
-                rng = sample_rng(seed, b, rng)
-                if draw_gauss:
-                    rng.standard_normal(out=g[b - b0])
-                if triplet.jump is not None:
-                    tb, mb = _draw_jumps(triplet.jump, grid.t_end, rng)
-                    times.append(tb)
-                    marks.append(mb)
-            if draw_gauss:
-                gauss = g[: b1 - b0, :i]
-                gauss *= scale
-            if triplet.jump is not None:
-                jump_times, jump_marks = _padded_jumps(times, marks, K)
+        for b0, b1, gauss, times, marks in _draw_blocks(triplet, family.grid, seed, lo, hi):
+            steps = None if gauss is None else gauss[:, :i]
             for out, w in zip(outs, weights):
-                out[b0:b1] = _node_values(family, i, w, gauss, jump_times, jump_marks)
+                out[b0:b1] = _node_values(family, i, w, steps, times, marks)
 
     # jump-only samples hold the interpreter lock for all their work, so
     # threads would only wait on each other
-    parts = min(workers, n_samples) if draw_gauss else 1
+    parts = min(workers, n_samples) if np.any(triplet.gauss_var > 0.0) else 1
     if parts <= 1:
         run_range(0, n_samples)
     else:

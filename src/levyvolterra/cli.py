@@ -16,7 +16,7 @@ import argparse
 import datetime
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,17 +248,7 @@ def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int, families: dict) -> d
         "max_abs_z": rep.max_abs_z,
         "frac_within_soft": rep.frac_within_soft,
         "stderr_convention": "z = |ecf - predicted| / (1/sqrt(N))",
-        "rows": [
-            {
-                "y": row.y,
-                "predicted": row.predicted,
-                "empirical": row.empirical,
-                "stderr": row.stderr,
-                "stderr_component_bound": row.stderr_component_bound,
-                "z": row.z,
-            }
-            for row in rep.rows
-        ],
+        "rows": [asdict(row) for row in rep.rows],
     }
     passed = rep.passed
     if cfg.triplet.jump is None and np.any(cfg.triplet.gauss_var > 0):

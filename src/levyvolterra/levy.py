@@ -13,11 +13,14 @@ that keying: it sets the Philox state of a new generator, or of one it
 returned before, which then draws exactly what a new one would.  A Monte
 Carlo worker keeps one generator and re-keys it once per sample; keyed
 streams are the design use of Philox (Salmon, Moraes, Dror & Shaw,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Within one stream
-the draw order is fixed: Gaussian step increments first (skipped entirely
-when all Gaussian variances are zero), then jump count, jump times, jump
-marks.  Gaussian variates use numpy's Generator.standard_normal on that
-stream, which pins the transform within this implementation.
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  ``_draw_blocks``
+owns the draw order and the block memory: within one stream Gaussian step
+increments come first (skipped entirely when all Gaussian variances are
+zero), then jump count, jump times, jump marks, and samples are drawn in
+blocks of about _BLOCK_BYTES.  sample_path, coupled_sample_paths and
+characterization.terminal_values all read its blocks.  Gaussian variates
+use numpy's Generator.standard_normal on that stream, which pins the
+transform within this implementation.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ _HERMITE_NODES = {2: 64, 3: 24, 4: 16}
 HERMITE_NODE_BUDGET = 10**6
 # the four counter words and the four buffered outputs of a Philox just keyed
 _PHILOX_ZEROS = (0, 0, 0, 0)
+# per-sample data one _draw_blocks caller holds at once, per block
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -368,32 +373,85 @@ def sample_rng(
     return rng
 
 
-def _draw_jumps(jump: JumpPart, t_end: float, rng: np.random.Generator):
-    """Jump data on [0, t_end] in stream order: count, times, marks.
+def _sample_bytes(triplet: LevyTriplet, n: int, K: int, t_end: float) -> float:
+    """Bytes one sample holds in a _draw_blocks block.
 
-    Returns (times (m,), marks (m, K)) unsorted, in draw order; the times are
-    uniform on (0, t_end].  A zero count draws nothing after the count.
+    The n * K Gaussian increments when it draws them, plus 2 + 4K floats
+    for each of about 1 + rate * t_end jump slots: the drawn time and mark,
+    their time-sorted copies in the block's padded arrays, and the slot's
+    elapsed time and weight in the caller's jump sum.  The block pads every
+    sample to its largest jump count, so a jump-only block at a low rate can
+    hold about twice _BLOCK_BYTES.  Blocks shrink as the jump rate grows,
+    with or without Gaussian noise.
     """
-    count = int(rng.poisson(jump.rate * t_end))
-    if count == 0:
-        return np.zeros(0), np.zeros((0, jump.law.dim))
-    times = t_end * (1.0 - rng.random(count))
-    return times, sample_jumps(jump.law, rng, count)
+    gauss = 8.0 * n * K if np.any(triplet.gauss_var > 0.0) else 0.0
+    rate = triplet.jump.rate if triplet.jump is not None else 0.0
+    return gauss + 8.0 * (1.0 + rate * t_end) * (2 + 4 * K)
 
 
-def _draw_path_data(triplet: LevyTriplet, grid: TimeGrid, rng: np.random.Generator):
-    """Fixed-order draws on one stream: Gaussian block, then jump data."""
-    n, K = grid.n_steps, triplet.dim
-    if np.any(triplet.gauss_var > 0.0):
-        scale = np.sqrt(triplet.gauss_var * grid.dt)
-        gauss = rng.standard_normal((n, K)) * scale[None, :]
-    else:
-        gauss = np.zeros((n, K))
-    if triplet.jump is None:
-        return gauss, np.zeros(0), np.zeros((0, K))
-    times, marks = _draw_jumps(triplet.jump, grid.t_end, rng)
-    order = np.argsort(times, kind="stable")
-    return gauss, times[order], marks[order]
+def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: int):
+    """Samples lo..hi-1 in consecutive blocks: yields (b0, b1, gauss, times, marks).
+
+    The one owner of the stream layout.  One generator is re-keyed per
+    sample by sample_rng and draws, in order, the n * K Gaussian increments
+    (skipped when every variance is 0), then the jump count, the jump times
+    uniform on (0, t_end] and the marks.  gauss is the block's (B, n, K)
+    scaled increments, in one buffer reused by the next block, or None;
+    times (B, M) holds each sample's jump times in stable time order padded
+    with +inf to the block's largest count M, marks (B, M, K) their marks
+    with 0 on the pads, both None without a jump part.  A block holds about
+    _BLOCK_BYTES (_sample_bytes per sample, at least one sample).
+    """
+    n, K, t_end, jump = grid.n_steps, triplet.dim, grid.t_end, triplet.jump
+    draw_gauss = bool(np.any(triplet.gauss_var > 0.0))
+    scale = np.sqrt(triplet.gauss_var * grid.dt)
+    block = max(1, int(_BLOCK_BYTES // _sample_bytes(triplet, n, K, t_end)))
+    buf = np.empty((min(block, hi - lo), n, K)) if draw_gauss else None
+    rng = None
+    for b0 in range(lo, hi, block):
+        b1 = min(b0 + block, hi)
+        counts, times, marks = [], [], []  # each sample's jump data, in draw order
+        for b in range(b0, b1):
+            rng = sample_rng(seed, b, rng)
+            if draw_gauss:
+                rng.standard_normal(out=buf[b - b0])
+            if jump is not None:
+                count = int(rng.poisson(jump.rate * t_end))
+                counts.append(count)
+                if count:
+                    times.append(t_end * (1.0 - rng.random(count)))
+                    marks.append(sample_jumps(jump.law, rng, count))
+        gauss = None
+        if draw_gauss:
+            gauss = buf[: b1 - b0]
+            gauss *= scale
+        if jump is None:
+            yield b0, b1, gauss, None, None
+            continue
+        filled = np.arange(max(counts)) < np.array(counts)[:, None]
+        padded_t = np.full(filled.shape, np.inf)
+        padded_m = np.zeros(filled.shape + (K,))
+        if times:
+            padded_t[filled] = np.concatenate(times)
+            padded_m[filled] = np.concatenate(marks)
+        order = np.argsort(padded_t, axis=1, kind="stable")
+        rows = np.arange(b1 - b0)[:, None]
+        yield b0, b1, gauss, padded_t[rows, order], padded_m[rows, order]
+
+
+def _one_sample(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: int):
+    """Row sample_index of _draw_blocks: (gauss (n, K), times (m,), marks (m, K)).
+
+    Zero increments without a Gaussian part, empty jump arrays without jumps.
+    """
+    _, _, gauss, times, marks = next(_draw_blocks(triplet, grid, seed, sample_index,
+                                                  sample_index + 1))
+    K = triplet.dim
+    if gauss is None:
+        gauss = np.zeros((1, grid.n_steps, K))
+    if times is None:
+        times, marks = np.zeros((1, 0)), np.zeros((1, 0, K))
+    return gauss[0], times[0], marks[0]
 
 
 def sample_path(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: int) -> SamplePath:
@@ -403,8 +461,7 @@ def sample_path(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: i
     count over [0, t_end] is Poisson(rate * t_end) with times uniform on
     (0, t_end] and i.i.d. marks from the jump law.
     """
-    rng = sample_rng(seed, sample_index)
-    gauss, times, marks = _draw_path_data(triplet, grid, rng)
+    gauss, times, marks = _one_sample(triplet, grid, sample_index, seed)
     return SamplePath(grid=grid, drift=triplet.pathwise_drift(), gauss_increments=gauss,
                       jump_times=times, jump_marks=marks)
 
@@ -419,8 +476,7 @@ def coupled_sample_paths(
     times and marks are shared exactly.  Used by convergence studies so all
     levels see the same outcome.
     """
-    rng = sample_rng(seed, sample_index)
-    gauss, times, marks = _draw_path_data(triplet, fine_grid, rng)
+    gauss, times, marks = _one_sample(triplet, fine_grid, sample_index, seed)
     K = triplet.dim
     drift = triplet.pathwise_drift()
     paths = []

@@ -6,8 +6,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from levyvolterra import characterization, cli
-from levyvolterra.levy import phi_batch, sample_jumps, sample_rng
+from levyvolterra import characterization, cli, levy
+from levyvolterra.levy import phi_batch
 from levyvolterra import (
     DiscreteMixture,
     GaussianJumps,
@@ -30,6 +30,7 @@ from levyvolterra import (
     sample_path,
     terminal_values,
 )
+from stream_reference import BLOCKED_TRIPLETS, philox_stream, reference_draw
 
 KERNEL = KernelSpec.exponential(1.0)
 # independent quadrature of int_0^1 s(tau, 1)^2 dtau for the exponential kernel
@@ -45,14 +46,15 @@ def family(K, grid, mus=None):
 
 @pytest.fixture
 def streams(monkeypatch):
-    """(seed, index) of every stream characterization constructs or re-keys."""
+    """(seed, index) of every stream levy and characterization construct or re-key."""
     keys = []
-    original = characterization.sample_rng
+    original = levy.sample_rng
 
     def counting(seed, index, rng=None):
         keys.append((seed, index))
         return original(seed, index, rng)
 
+    monkeypatch.setattr(levy, "sample_rng", counting)
     monkeypatch.setattr(characterization, "sample_rng", counting)
     return keys
 
@@ -321,13 +323,13 @@ class TestTerminalValues:
 
 
 def per_sample_terminal_values(fam, trip, t, n_samples, seed, tag_rule):
-    """One sample at a time: each stream drawn and contracted on its own.
+    """One sample at a time: each stream drawn by reference_draw and contracted on its own.
 
-    Its jumps are put in time order, as sample_path keeps them, and summed
+    Its jumps come in time order, as sample_path keeps them, and are summed
     left to right.
     """
     grid = fam.grid
-    n, K, dt = grid.n_steps, fam.K, grid.dt
+    K, dt = fam.K, grid.dt
     nodes = grid.nodes()
     i = grid.node_index(t)
     s = fam.s_matrix
@@ -336,47 +338,20 @@ def per_sample_terminal_values(fam, trip, t, n_samples, seed, tag_rule):
     drift_part = trip.pathwise_drift() * (dt * np.sum(lagw, axis=0)) if i else np.zeros(K)
     out = np.empty((n_samples, K))
     for b in range(n_samples):
-        rng = sample_rng(seed, b)
+        g, times, marks = reference_draw(trip, grid, b, seed)
         acc = drift_part
         if np.any(trip.gauss_var > 0.0):
-            g = rng.standard_normal((n, K)) * np.sqrt(trip.gauss_var * dt)[None, :]
             acc = drift_part + np.einsum("jk,jk->k", lagw[::-1], g[:i])
-        if trip.jump is not None:
-            count = int(rng.poisson(trip.jump.rate * grid.t_end))
-            if count:
-                times = grid.t_end * (1.0 - rng.random(count))
-                marks = sample_jumps(trip.jump.law, rng, count)
-                order = np.argsort(times, kind="stable")  # the order sample_path keeps
-                times, marks = times[order], marks[order]
-                sel = times <= nodes[i]
-                if np.any(sel):
-                    jw = np.column_stack([np.interp(nodes[i] - times[sel], nodes, s[:, k])
-                                          for k in range(K)])
-                    jump_sum = np.zeros(K)
-                    for term in jw * marks[sel]:  # left to right in time
-                        jump_sum = jump_sum + term
-                    acc = acc + jump_sum
+        sel = times <= nodes[i]
+        if np.any(sel):
+            jw = np.column_stack([np.interp(nodes[i] - times[sel], nodes, s[:, k])
+                                  for k in range(K)])
+            jump_sum = np.zeros(K)
+            for term in jw * marks[sel]:  # left to right in time
+                jump_sum = jump_sum + term
+            acc = acc + jump_sum
         out[b] = acc
     return out
-
-
-BLOCKED_TRIPLETS = {
-    "gaussian": LevyTriplet(np.array([0.3, -0.2]), np.array([1.0, 0.5])),
-    "jump-only": LevyTriplet(np.zeros(3), np.zeros(3), JumpPart(3.0, DiscreteMixture(
-        np.array([0.5, 0.3, 0.2]),
-        np.array([[0.5, 0.2, -0.1], [-0.4, 0.1, 0.2], [0.2, -0.3, 0.4]])))),
-    "mixed": LevyTriplet(np.array([0.3, -0.2]), np.array([0.5, 0.25]),
-                         JumpPart(1.5, PointMass(np.array([0.6, -0.4])))),
-    # rate 20: many samples carry 8 or more jumps, where np.sum adds pairwise
-    "rate-20-K1": LevyTriplet(np.array([0.1]), np.array([0.3]),
-                              JumpPart(20.0, GaussianJumps(np.array([0.2]), np.array([0.5])))),
-    "rate-20-K2": LevyTriplet(np.array([0.1, 0.0]), np.array([0.3, 0.2]),
-                              JumpPart(20.0, PointMass(np.array([0.3, -0.7])))),
-    # normals, then mixture marks (a choice draw) on one stream
-    "mixture-and-noise": LevyTriplet(np.zeros(3), np.array([0.4, 0.3, 0.2]), JumpPart(
-        3.0, DiscreteMixture(np.array([0.5, 0.3, 0.2]),
-                             np.array([[0.5, 0.2, -0.1], [-0.4, 0.1, 0.2], [0.2, -0.3, 0.4]])))),
-}
 
 
 class TestBlockedTerminalValues:
@@ -393,7 +368,7 @@ class TestBlockedTerminalValues:
         trip = BLOCKED_TRIPLETS[name]
         fam = family(trip.dim, self.GRID)
         if block == "3-samples":
-            monkeypatch.setattr(characterization, "_BLOCK_BYTES", 3 * characterization._sample_bytes(
+            monkeypatch.setattr(levy, "_BLOCK_BYTES", 3 * levy._sample_bytes(
                 trip, self.GRID.n_steps, trip.dim, self.GRID.t_end))
         monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
         got = terminal_values(fam, trip, t, self.N, seed=17, tag_rule=TagRule.RIGHT,
@@ -406,36 +381,6 @@ class TestBlockedTerminalValues:
                 assert np.array_equal(memo, per_sample_terminal_values(fam, trip, t, self.N,
                                                                        17, rule))
 
-    def test_block_sized_by_what_a_sample_holds(self):
-        # Gaussian increments when drawn plus the expected jump data: the
-        # mc_jumps shape (K = 4, n = 2000, rate 3) then takes 455 samples
-        # per block, and a huge rate falls back to one sample, with or
-        # without Gaussian noise
-        n, K = 2000, 4
-
-        def jumps(rate, gauss_var=0.0):
-            return LevyTriplet(np.zeros(K), np.full(K, gauss_var),
-                               JumpPart(rate, PointMass(np.full(K, 0.1))))
-
-        def block(trip):
-            return max(1, int(characterization._BLOCK_BYTES
-                              // characterization._sample_bytes(trip, n, K, 1.0)))
-
-        mixed = jumps(3.0, gauss_var=1.0)
-        assert characterization._sample_bytes(mixed, n, K, 1.0) == 8 * n * K + 8 * 4 * (2 + 4 * K)
-        assert block(jumps(3.0)) == 455
-        assert block(jumps(1e6)) == 1
-        assert block(jumps(1e6, gauss_var=1.0)) == 1
-        assert block(LevyTriplet(np.ones(K), np.zeros(K))) == characterization._BLOCK_BYTES // 144
-        # the benchmark shapes keep their blocks: mc_gauss (this n and K,
-        # Gaussian noise only) 4, cli_all (K = 2, n = 1000, Gaussian noise
-        # and rate-1.5 jumps) 16
-        assert block(LevyTriplet(np.zeros(K), np.ones(K))) == 4
-        cli_all = LevyTriplet(np.zeros(2), np.ones(2),
-                              JumpPart(1.5, PointMass(np.array([0.6, -0.4]))))
-        cli_all_bytes = characterization._sample_bytes(cli_all, 1000, 2, 1.0)
-        assert characterization._BLOCK_BYTES // cli_all_bytes == 16
-
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", ["gaussian", "jump-only", "mixed", "mixture-and-noise"])
     def test_rekeyed_streams_equal_fresh_streams(self, monkeypatch, name, workers):
@@ -443,13 +388,13 @@ class TestBlockedTerminalValues:
         fam = family(trip.dim, self.GRID)
         monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
         rekeyed = []
-        real = characterization.sample_rng
+        real = levy.sample_rng
 
         def recording(seed, index, rng=None):
             rekeyed.append(rng is not None)
             return real(seed, index, rng)
 
-        monkeypatch.setattr(characterization, "sample_rng", recording)
+        monkeypatch.setattr(levy, "sample_rng", recording)
         got = terminal_values(fam, trip, 1.0, self.N, seed=23, workers=workers)
         # one new generator per thread of a Gaussian pass, one in all for a
         # jump-only pass, which runs on one thread
@@ -457,9 +402,8 @@ class TestBlockedTerminalValues:
         assert len(rekeyed) == self.N and rekeyed.count(False) == n_ranges
         monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
         # numpy's own keying of each stream, a new generator per sample
-        monkeypatch.setattr(characterization, "sample_rng", lambda seed, index, rng=None:
-                            np.random.Generator(np.random.Philox(
-                                key=np.array([seed, index], dtype=np.uint64))))
+        monkeypatch.setattr(levy, "sample_rng",
+                            lambda seed, index, rng=None: philox_stream(seed, index))
         assert np.array_equal(got, terminal_values(fam, trip, 1.0, self.N, seed=23,
                                                    workers=workers))
 
@@ -471,6 +415,7 @@ class TestBlockedTerminalValues:
         fam = family(trip.dim, self.GRID)
         i = self.GRID.node_index(t)
         paths = [sample_path(trip, self.GRID, b, seed=31) for b in range(self.N)]
+        streams.clear()  # count only the streams terminal_values draws
         monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
         # a Gaussian-only RIGHT pass leaves LEFT and MIDPOINT in the memo
         for rule in (TagRule.RIGHT, TagRule.LEFT, TagRule.MIDPOINT):

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyvolterra import spectral
 from levyvolterra.cli import _out_dir, main
-from levyvolterra.config import ConfigError, RunConfig, load_config, parse_config
+from levyvolterra.config import (
+    SOLVE_WORK_BUDGET,
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_config,
+)
 from levyvolterra.reports import write_json
 
 
@@ -100,6 +107,20 @@ class TestConfigParsing:
             parse_config(minimal_config(mc={"n_samples": 10, "seed": -1}))
 
 
+@pytest.fixture
+def no_resolvent_solve(monkeypatch):
+    """Make any resolvent solve fail, so an oversized grid is never allocated."""
+
+    def refuse(*args):
+        raise AssertionError("solve_resolvent_modes called")
+
+    monkeypatch.setattr(spectral, "solve_resolvent_modes", refuse)
+
+
+# the solve a 10**13-step grid would need allocates 72.8 TiB for its nodes alone
+HUGE_GRID = {"t_end": 1.0, "n_steps": 10**13}
+
+
 def gaussian_jumps_config(K):
     """A consistent K-mode config whose jump law is Gaussian."""
     return {"model": {"K": K, "rule": "dirichlet_laplacian"},
@@ -185,6 +206,24 @@ class TestConfigBoundaries:
         with pytest.raises(ConfigError, match="triplet dimension 1 != model K 1000000000"):
             parse_config(minimal_config(model={"K": 10**9, "rule": "dirichlet_laplacian"}))
 
+    def test_solve_work_over_budget_refused(self, no_resolvent_solve):
+        with pytest.raises(ConfigError, match=r"K \* n_steps\*\*2 = 1.00e\+26 steps"):
+            parse_config(minimal_config(grid=HUGE_GRID))
+        # the estimate is K * n_steps**2: the budget itself is admitted at K = 1
+        edge = math.isqrt(SOLVE_WORK_BUDGET)
+        assert parse_config(minimal_config(grid={"t_end": 1.0, "n_steps": edge})).grid.n_steps == edge
+        two_modes = minimal_config(grid={"t_end": 1.0, "n_steps": edge},
+                                   model={"K": 2, "rule": "dirichlet_laplacian"},
+                                   triplet={"drift": [0.0, 0.0], "gauss_var": [1.0, 1.0]})
+        with pytest.raises(ConfigError, match="above the budget"):
+            parse_config(two_modes)
+
+    def test_solve_work_over_budget_is_exit_2(self, tmp_path, capsys, no_resolvent_solve):
+        path = write_config(tmp_path, minimal_config(grid=HUGE_GRID))
+        assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "K * n_steps**2" in err and "Traceback" not in err
+
     def test_integral_float_and_exact_span_accepted(self):
         cfg = parse_config(minimal_config(
             kernel={"family": "tabulated", "times": [0.0, 0.5, 1.0], "values": [1.0, 0.6, 0.4]},
@@ -264,6 +303,13 @@ def one_leaf_mutations(draw):
 class TestConfigMutations:
     def test_example_config_parses(self):
         assert isinstance(parse_config(copy.deepcopy(EXAMPLE_CONFIG)), RunConfig)
+
+    @pytest.mark.parametrize("n_steps", [10**13, 1e300])
+    def test_huge_n_steps_is_refused(self, no_resolvent_solve, n_steps):
+        cfg = copy.deepcopy(EXAMPLE_CONFIG)
+        cfg["grid"]["n_steps"] = n_steps
+        with pytest.raises(ConfigError, match="above the budget"):
+            parse_config(cfg)
 
     @settings(max_examples=300, deadline=None)
     @given(one_leaf_mutations())

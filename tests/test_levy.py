@@ -11,7 +11,9 @@ from levyvolterra import (
     coupled_sample_paths,
     sample_path,
 )
+from levyvolterra import levy
 from levyvolterra.levy import jump_cf, jump_mean_inside_unit_ball, phi_batch, sample_rng
+from stream_reference import BLOCKED_TRIPLETS, philox_stream, reference_draw
 
 GRID = TimeGrid(1.0, 200)
 
@@ -166,11 +168,6 @@ def stream_draws(rng, n_normals):
             rng.integers(0, 2**32, size=3, dtype=np.uint32))
 
 
-def philox_stream(seed, index):
-    """numpy's own keying of the (seed, index) stream, independent of sample_rng."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-
-
 class TestSampleRngRekey:
     @pytest.mark.parametrize("n_normals", [1, 1001])
     def test_keyed_generator_draws_what_numpy_keying_draws(self, n_normals):
@@ -284,14 +281,94 @@ class TestSamplePath:
         assert abs(corr) < 4.0 / np.sqrt(n)
 
 
+class TestStreamLayout:
+    """sample_path records each sample's stream exactly as the reference draws it."""
+
+    GRID = TimeGrid(1.0, 60)
+
+    def test_sample_path_equals_reference_draw(self):
+        zero_jump_samples = 0
+        for name, trip in BLOCKED_TRIPLETS.items():
+            for index in (0, 1, 2, 5, 11, 12, 40):
+                path = sample_path(trip, self.GRID, index, seed=17)
+                gauss, times, marks = reference_draw(trip, self.GRID, index, 17)
+                assert np.array_equal(path.gauss_increments, gauss), (name, index)
+                assert np.array_equal(path.jump_times, times), (name, index)
+                assert np.array_equal(path.jump_marks, marks), (name, index)
+                zero_jump_samples += trip.jump is not None and times.size == 0
+        assert zero_jump_samples > 0
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_TRIPLETS))
+    def test_blocks_are_sample_path_rows(self, monkeypatch, name):
+        # blocks of 3 over samples 5..15: four blocks, the last one short
+        trip = BLOCKED_TRIPLETS[name]
+        n, K = self.GRID.n_steps, trip.dim
+        monkeypatch.setattr(levy, "_BLOCK_BYTES", 3 * levy._sample_bytes(trip, n, K, 1.0))
+        bounds, buffers = [], []
+        for b0, b1, gauss, times, marks in levy._draw_blocks(trip, self.GRID, 8, 5, 16):
+            bounds.append((b0, b1))
+            assert (gauss is None) == (not np.any(trip.gauss_var > 0.0))
+            assert (times is None) == (marks is None) == (trip.jump is None)
+            if gauss is not None:
+                buffers.append(gauss)
+                assert np.shares_memory(gauss, buffers[0])  # one buffer for every block
+            for row, b in enumerate(range(b0, b1)):
+                path = sample_path(trip, self.GRID, b, seed=8)
+                if gauss is not None:
+                    assert np.array_equal(gauss[row], path.gauss_increments)
+                if times is not None:
+                    m = path.jump_times.size
+                    assert np.array_equal(times[row, :m], path.jump_times)
+                    assert np.array_equal(marks[row, :m], path.jump_marks)
+                    assert np.all(times[row, m:] == np.inf) and np.all(marks[row, m:] == 0.0)
+        assert bounds == [(5, 8), (8, 11), (11, 14), (14, 16)]
+
+    def test_block_sized_by_what_a_sample_holds(self):
+        # Gaussian increments when drawn plus the expected jump data: the
+        # mc_jumps shape (K = 4, n = 2000, rate 3) then takes 455 samples
+        # per block, and a huge rate falls back to one sample, with or
+        # without Gaussian noise
+        n, K = 2000, 4
+
+        def jumps(rate, gauss_var=0.0):
+            return LevyTriplet(np.zeros(K), np.full(K, gauss_var),
+                               JumpPart(rate, PointMass(np.full(K, 0.1))))
+
+        def block(trip):
+            return max(1, int(levy._BLOCK_BYTES
+                              // levy._sample_bytes(trip, n, K, 1.0)))
+
+        mixed = jumps(3.0, gauss_var=1.0)
+        assert levy._sample_bytes(mixed, n, K, 1.0) == 8 * n * K + 8 * 4 * (2 + 4 * K)
+        assert block(jumps(3.0)) == 455
+        assert block(jumps(1e6)) == 1
+        assert block(jumps(1e6, gauss_var=1.0)) == 1
+        assert block(LevyTriplet(np.ones(K), np.zeros(K))) == levy._BLOCK_BYTES // 144
+        # the benchmark shapes keep their blocks: mc_gauss (this n and K,
+        # Gaussian noise only) 4, cli_all (K = 2, n = 1000, Gaussian noise
+        # and rate-1.5 jumps) 16
+        assert block(LevyTriplet(np.zeros(K), np.ones(K))) == 4
+        cli_all = LevyTriplet(np.zeros(2), np.ones(2),
+                              JumpPart(1.5, PointMass(np.array([0.6, -0.4]))))
+        cli_all_bytes = levy._sample_bytes(cli_all, 1000, 2, 1.0)
+        assert levy._BLOCK_BYTES // cli_all_bytes == 16
+
+
 class TestCoupledPaths:
-    def test_finest_level_matches_sample_path(self):
-        trip = LevyTriplet(np.array([0.1, 0.2]), np.array([1.0, 0.3]),
-                           JumpPart(2.0, PointMass(np.array([0.5, -0.5]))))
+    @pytest.mark.parametrize("trip", [
+        LevyTriplet(np.array([0.1, 0.2]), np.array([1.0, 0.3]),
+                    JumpPart(2.0, PointMass(np.array([0.5, -0.5])))),
+        LevyTriplet(np.array([0.1, 0.2]), np.zeros(2),
+                    JumpPart(2.0, PointMass(np.array([0.5, -0.5])))),
+        LevyTriplet(np.array([0.1, 0.2]), np.array([1.0, 0.3])),
+    ], ids=["mixed", "jump-only", "gaussian-only"])
+    def test_finest_level_matches_sample_path(self, trip):
         fine = TimeGrid(1.0, 256)
         paths = coupled_sample_paths(trip, fine, (4, 2, 1), 9, seed=404)
         direct = sample_path(trip, fine, 9, seed=404)
         assert np.array_equal(paths[-1].values, direct.values)
+        for field in ("gauss_increments", "jump_times", "jump_marks"):
+            assert np.array_equal(getattr(paths[-1], field), getattr(direct, field))
 
     def test_coarse_nodes_agree_with_fine(self):
         trip = LevyTriplet(np.array([0.1]), np.array([1.0]),
