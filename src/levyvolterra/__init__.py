@@ -52,6 +52,7 @@ from .levy import (
     sample_path,
 )
 from .spectral import (
+    ResidualProfile,
     ResolventFamily,
     SpectralModel,
     build_resolvent_family,
@@ -61,7 +62,6 @@ from .spectral import (
 )
 from .verification import (
     ConvergenceStudy,
-    ResidualProfile,
     StudyConfig,
     bounded_A_identity_residual,
     convergence_study,

@@ -30,15 +30,10 @@ from .kernels import (
     certify_resolvent_properties,
     closed_form_exponential_resolvent,
 )
-from .levy import LevyTriplet, coupled_sample_paths, sample_path
+from .levy import LevyTriplet, sample_path
 from .reports import series_csv, write_csv, write_json
 from .spectral import build_resolvent_family, resolvent_equation_residual
-from .verification import (
-    StudyConfig,
-    bounded_A_identity_residual,
-    convergence_study,
-    weak_solution_residual,
-)
+from .verification import StudyConfig, convergence_study
 
 RESOLVENT_ERROR_TOL = 1e-5
 RESIDUAL_TOL = 5e-5
@@ -62,6 +57,17 @@ def _weak_factors(cfg: RunConfig) -> tuple:
         if all(cfg.grid.n_steps % f == 0 for f in factors):
             return factors
     raise ConfigError("grid.n_steps admits no 3-level refinement (needs divisibility by 16, 25, 9, or 4)")
+
+
+def _ecf_samples(cfg: RunConfig):
+    if cfg.n_samples < 1000:
+        raise ConfigError(f"verify-ecf needs mc.n_samples >= 1000, got {cfg.n_samples}")
+
+
+# the config checks of the stages that have them; main runs the checks of
+# every selected stage before it creates the output directory
+_PRECONDITIONS = {"verify-weak": _weak_factors, "study": _study_factors,
+                  "verify-ecf": _ecf_samples}
 
 
 def _out_dir(cfg: RunConfig, out_override) -> Path:
@@ -211,34 +217,25 @@ def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int, families: dict) ->
 
 def cmd_verify_weak(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
     factors = _weak_factors(cfg)
-    fams = [_family(cfg, families, cfg.grid.coarsened(f)) for f in factors]
-    n_seeds = min(cfg.n_samples, 10)
-    sup_table = np.zeros((n_seeds, len(factors)))
-    route_gap = 0.0
-    for idx in range(n_seeds):
-        paths = coupled_sample_paths(cfg.triplet, cfg.grid, factors, idx, cfg.seed)
-        for li, (fam, path) in enumerate(zip(fams, paths)):
-            zr = stieltjes_convolution(fam, path, TagRule.LEFT)
-            weak = weak_solution_residual(zr, path, fam)
-            sup_table[idx, li] = weak.sup
-            joint = bounded_A_identity_residual(zr, path, fam)
-            route_gap = max(route_gap, float(np.max(np.abs(weak.residuals - joint.residuals))))
-    monotone = bool(np.all(np.diff(sup_table, axis=1) < 0.0))
+    study = convergence_study(StudyConfig(
+        target="weak_residual",
+        families=[_family(cfg, families, cfg.grid.coarsened(f)) for f in factors],
+        triplet=cfg.triplet, seeds=tuple(range(min(cfg.n_samples, 10))), seed=cfg.seed))
+    monotone = bool(np.all(np.diff(study.per_seed, axis=1) < 0.0))
     return _write_report(out, cfg, "verify-weak", {
         "factors": list(factors),
-        "dts": [fam.grid.dt for fam in fams],
-        "sup_residuals": sup_table,
+        "dts": study.dts,
+        "sup_residuals": study.per_seed,
         "monotone_decreasing_all_seeds": monotone,
-        "route_consistency_gap": route_gap,
-    }, monotone and route_gap <= ROUTE_CONSISTENCY_TOL, thresholds={
+        "route_consistency_gap": study.route_gap,
+    }, monotone and study.route_gap <= ROUTE_CONSISTENCY_TOL, thresholds={
         "route_consistency": ROUTE_CONSISTENCY_TOL,
         "per_seed_monotone_decrease": True,
     })
 
 
 def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
-    if cfg.n_samples < 1000:
-        raise ConfigError(f"verify-ecf needs mc.n_samples >= 1000, got {cfg.n_samples}")
+    _ecf_samples(cfg)
     fam = _family(cfg, families)
     rep = ecf_comparison(fam, cfg.triplet, cfg.grid.t_end, cfg.panel_size,
                          cfg.n_samples, cfg.seed, TagRule.LEFT, workers=workers)
@@ -292,23 +289,20 @@ def cmd_study(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
     plans["weak_residual"] = StudyConfig(
         target="weak_residual", families=levels, triplet=det_triplet, seeds=(0,),
         seed=cfg.seed, tag_rule=TagRule.MIDPOINT)
-    studies = {}
+    studies, results = {}, {}
     for name, plan in plans.items():
         try:
-            studies[name] = convergence_study(plan)
+            study = studies[name] = convergence_study(plan)
+            order = study.fitted_order
         except ValueError as exc:  # a norm of exactly 0
             raise ConfigError(f"study {name}: {exc}") from exc
-
-    results = {
-        name: {
+        results[name] = {
             "dts": study.dts,
             "norms": study.norms,
-            "fitted_order": study.fitted_order,
+            "fitted_order": order,
             "order_threshold": ORDER_THRESHOLDS[name],
-            "passed": study.fitted_order >= ORDER_THRESHOLDS[name],
+            "passed": order >= ORDER_THRESHOLDS[name],
         }
-        for name, study in studies.items()
-    }
     if "csv" in cfg.formats:
         rows = [[name, dt, norm] for name, study in studies.items()
                 for dt, norm in zip(study.dts, study.norms)]
@@ -361,11 +355,15 @@ def main(argv=None) -> int:
                           raw={**cfg.raw, "mc": {**cfg.raw["mc"], "seed": args.seed}})
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
+        selected = list(stages) if args.subcommand == "all" else [args.subcommand]
+        for name in selected:  # refuse the config before anything is written
+            if name in _PRECONDITIONS:
+                _PRECONDITIONS[name](cfg)
         out = _out_dir(cfg, args.out)
         timings = {}  # stage -> {"wall_s", "cpu_s"}
         families = {}  # TimeGrid -> ResolventFamily, each grid solved once per run
         verdicts = {}
-        for name in stages if args.subcommand == "all" else [args.subcommand]:
+        for name in selected:
             wall, cpu = time.perf_counter(), time.process_time()
             verdicts[name] = bool(stages[name](cfg, out, args.workers, families)["passed"])
             timings[name] = {"wall_s": time.perf_counter() - wall,

@@ -24,6 +24,14 @@ SCHEMA_VERSION = 1
 # most Gregory solve work K * n_steps**2 a config may ask for: the solve is
 # O(n_steps**2) per mode, and long_grid (K = 8, n_steps = 4000) asks 1.28e8
 SOLVE_WORK_BUDGET = 10**10
+# most Monte Carlo normals n_samples * n_steps * K a config may ask for (the
+# terminal values alone are n_samples * K floats); mc_jumps asks 8e7
+NORMALS_BUDGET = 10**9
+# most expected jumps per path, triplet.jump.rate * grid.t_end: each path
+# draws that many jump times and marks; long_grid asks 10
+JUMPS_PER_PATH_BUDGET = 10**4
+# most ECF panel rows: build_panel and ecf_comparison loop over them in Python
+PANEL_SIZE_BUDGET = 10**4
 
 
 class ConfigError(Exception):
@@ -226,10 +234,23 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("mc.n_samples must be >= 1")
     if not 0 <= seed < 2**64:
         raise ConfigError("mc.seed must be a 64-bit unsigned value")
+    normals = n_samples * n_steps * model.K
+    if normals > NORMALS_BUDGET:
+        raise ConfigError(f"mc.n_samples = {n_samples} at n_steps = {n_steps} and K = {model.K} "
+                          f"needs n_samples * n_steps * K = {Decimal(normals):.3g} normals, "
+                          f"above the budget of {NORMALS_BUDGET:.3g}")
+    if triplet.jump is not None:
+        jumps = triplet.jump.rate * grid.t_end
+        if jumps > JUMPS_PER_PATH_BUDGET:
+            raise ConfigError(f"triplet.jump.rate * grid.t_end = {jumps:.3g} expected jumps per "
+                              f"path, above the budget of {JUMPS_PER_PATH_BUDGET:.3g}")
 
     panel_size = _integer(data.get("panel_size", 40), "panel_size")
     if panel_size < 1:
         raise ConfigError("panel_size must be >= 1")
+    if panel_size > PANEL_SIZE_BUDGET:
+        raise ConfigError(f"panel_size = {panel_size} is above the budget of "
+                          f"{PANEL_SIZE_BUDGET:.3g} panel rows")
 
     osec = data.get("output", {"directory": "out", "formats": ["csv", "json"]})
     if not isinstance(osec, dict):

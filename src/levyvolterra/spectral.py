@@ -103,15 +103,24 @@ def identity_resolvent_family(K: int, kernel: KernelSpec, grid: TimeGrid) -> Res
 
 
 @dataclass(frozen=True)
-class ResolventResidualReport:
-    """Defect of each solved column in the discretized resolvent equation."""
+class ResidualProfile:
+    """Per-node, per-mode residuals of one identity; node 0 is exactly 0."""
 
+    grid: TimeGrid
     residuals: np.ndarray  # (n_steps + 1, K)
-    max_per_mode: np.ndarray  # (K,)
+
+    def __post_init__(self):
+        r = np.asarray(self.residuals, dtype=float)
+        object.__setattr__(self, "residuals", r)
+        r.flags.writeable = False
+
+    @property
+    def max_per_mode(self) -> np.ndarray:
+        return np.max(np.abs(self.residuals), axis=0)
 
     @property
     def max_abs(self) -> float:
-        return float(np.max(self.max_per_mode)) if self.max_per_mode.size else 0.0
+        return float(np.max(np.abs(self.residuals)))
 
 
 def _causal_convolution(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -130,7 +139,7 @@ def _causal_convolution(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(fa[:, None] * fx, size, axis=0)[:m]
 
 
-def resolvent_equation_residual(family: ResolventFamily) -> ResolventResidualReport:
+def resolvent_equation_residual(family: ResolventFamily) -> ResidualProfile:
     """Re-evaluate r_{k,i} = s_i - 1 + gamma_k * Q_i with independent quadrature code.
 
     Q_i re-applies the solver's order-3 Gregory rule to the solved values:
@@ -159,4 +168,4 @@ def resolvent_equation_residual(family: ResolventFamily) -> ResolventResidualRep
     q[2:] += (inner - ends[2:]) / 12.0
     res = s - 1.0 + family.gammas * (dt * q)
     res[0] = 0.0
-    return ResolventResidualReport(residuals=res, max_per_mode=np.max(np.abs(res), axis=0))
+    return ResidualProfile(grid=grid, residuals=res)

@@ -22,33 +22,24 @@ deliberately not implemented - the end identity above is what gets checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .convolution import ConvolutionPath, TagRule, convolve_at, stieltjes_convolution
-from .grid import TimeGrid
 from .kernels import _unit_exponential, closed_form_exponential_resolvent, eval_kernel
 from .levy import LevyTriplet, SamplePath, coupled_sample_paths
-from .spectral import ResolventFamily, _causal_convolution
+from .spectral import ResidualProfile, ResolventFamily, _causal_convolution
 
 
-@dataclass(frozen=True)
-class ResidualProfile:
-    """Per-mode, per-node residuals with sup norms; node 0 is exactly 0."""
-
-    grid: TimeGrid
-    residuals: np.ndarray  # (n_steps + 1, K)
-
-    def __post_init__(self):
-        r = np.asarray(self.residuals, dtype=float)
-        object.__setattr__(self, "residuals", r)
-        r.flags.writeable = False
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.residuals)))
+def _check_inputs(zr: ConvolutionPath, z: SamplePath, family: ResolventFamily):
+    """Refuse a convolution, path and family that differ in grid or dimension."""
+    if zr.grid != z.grid or zr.grid != family.grid:
+        raise ValueError("convolution, path, and family must share one grid")
+    if zr.dim != family.K or z.dim != family.K:
+        raise ValueError("dimension mismatch across convolution, path, family")
 
 
 # rows of the Toeplitz product formed at once in weak_solution_residual
@@ -70,10 +61,7 @@ def weak_solution_residual(
     Toeplitz product, formed in blocks of rows, with the trapezoid end
     weights applied as rank-1 corrections.
     """
-    if zr.grid != z.grid or zr.grid != family.grid:
-        raise ValueError("convolution, path, and family must share one grid")
-    if zr.dim != family.K or z.dim != family.K:
-        raise ValueError("dimension mismatch across convolution, path, family")
+    _check_inputs(zr, z, family)
     grid = family.grid
     n, dt = grid.n_steps, grid.dt
     a_vals = np.asarray(eval_kernel(family.kernel, grid.nodes()), dtype=float)
@@ -106,8 +94,7 @@ def bounded_A_identity_residual(
     the same sums by a blocked matrix product over kernel windows, so the
     two routes share no product code and agree only if both are right.
     """
-    if zr.grid != z.grid or zr.grid != family.grid:
-        raise ValueError("convolution, path, and family must share one grid")
+    _check_inputs(zr, z, family)
     grid = family.grid
     a_vals = np.asarray(eval_kernel(family.kernel, grid.nodes()), dtype=float)
     x = zr.values
@@ -162,11 +149,22 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
+    """Norms per level; the fitted order is computed when first read.
+
+    route_gap is the largest |weak - bounded-A| residual over every
+    convolution a weak_residual study forms, None for the other targets.
+    Reading fitted_order raises ValueError when a norm is exactly 0.
+    """
+
     target: str
     dts: np.ndarray
     norms: np.ndarray  # per level (seed-averaged for stochastic targets)
     per_seed: Optional[np.ndarray]  # (n_seeds, n_levels) or None
-    fitted_order: float
+    route_gap: Optional[float] = None
+
+    @cached_property
+    def fitted_order(self) -> float:
+        return fit_order(self.dts, self.norms)
 
     @property
     def monotone_decreasing(self) -> bool:
@@ -174,7 +172,7 @@ class ConvergenceStudy:
 
 
 def convergence_study(config: StudyConfig) -> ConvergenceStudy:
-    """Norm at every level with the same outcome across levels, plus fitted order.
+    """Norm at every level with the same outcome across levels.
 
     Builds nothing: the dts, the fine grid and the coupling factors of the
     sample paths are read from the grids of config.families.
@@ -191,11 +189,11 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
         for fam in families:
             exact = closed_form_exponential_resolvent(fam.gammas, fam.grid.nodes()[:, None])
             norms.append(np.max(np.abs(fam.s_matrix - exact)))
-        norms = np.array(norms)
-        return ConvergenceStudy(config.target, dts, norms, None, fit_order(dts, norms))
+        return ConvergenceStudy(config.target, dts, np.array(norms), None)
 
     factors = [fine.n_steps // fam.grid.n_steps for fam in families]
     per_seed = np.zeros((len(config.seeds), len(families)))
+    route_gap = 0.0 if config.target == "weak_residual" else None
     for si, sample_index in enumerate(config.seeds):
         paths = coupled_sample_paths(config.triplet, fine, factors, sample_index, config.seed)
         for li, (fam, path) in enumerate(zip(families, paths)):
@@ -206,6 +204,8 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
                 per_seed[si, li] = float(np.linalg.norm(left - right))
             else:  # weak_residual
                 zr = stieltjes_convolution(fam, path, config.tag_rule)
-                per_seed[si, li] = weak_solution_residual(zr, path, fam).sup
-    norms = per_seed.mean(axis=0)
-    return ConvergenceStudy(config.target, dts, norms, per_seed, fit_order(dts, norms))
+                weak = weak_solution_residual(zr, path, fam)
+                joint = bounded_A_identity_residual(zr, path, fam)
+                per_seed[si, li] = weak.max_abs
+                route_gap = max(route_gap, float(np.max(np.abs(weak.residuals - joint.residuals))))
+    return ConvergenceStudy(config.target, dts, per_seed.mean(axis=0), per_seed, route_gap)

@@ -33,6 +33,7 @@ from levyvolterra import (
     solve_scalar_resolvent,
     stieltjes_convolution,
 )
+from levyvolterra.cli import ROUTE_CONSISTENCY_TOL
 from levyvolterra.cli import main as cli_main
 
 KERNEL = KernelSpec.exponential(1.0)
@@ -183,8 +184,10 @@ def test_criterion_08_weak_solution_identity():
         monotone = bool(np.all(per_seed_ok))
         all_monotone = all_monotone and monotone
         print(f"    weak residual [{name}]: monotone decrease for "
-              f"{int(per_seed_ok.sum())}/10 seeds, mean sup levels {np.round(study.norms, 5)}")
+              f"{int(per_seed_ok.sum())}/10 seeds, mean sup levels {np.round(study.norms, 5)}, "
+              f"route gap {study.route_gap:.1e}")
         assert monotone, f"{name}: {study.per_seed}"
+        assert study.route_gap <= ROUTE_CONSISTENCY_TOL, name
     det = convergence_study(StudyConfig(
         target="weak_residual", families=_levels(model, TimeGrid(1.0, 400), (4, 2, 1)),
         triplet=LevyTriplet(np.array([1.0, -0.5]), np.zeros(2)),

@@ -4,12 +4,15 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from levyvolterra import spectral
 from levyvolterra.cli import _out_dir, main
 from levyvolterra.config import (
+    JUMPS_PER_PATH_BUDGET,
+    NORMALS_BUDGET,
+    PANEL_SIZE_BUDGET,
     SOLVE_WORK_BUDGET,
     ConfigError,
     RunConfig,
@@ -115,6 +118,18 @@ def no_resolvent_solve(monkeypatch):
         raise AssertionError("solve_resolvent_modes called")
 
     monkeypatch.setattr(spectral, "solve_resolvent_modes", refuse)
+
+
+@pytest.fixture
+def no_monte_carlo(monkeypatch, no_resolvent_solve):
+    """Make any path draw or ECF panel fail, so an oversized sample is never allocated."""
+    from levyvolterra import characterization, levy
+
+    def refuse(*args):
+        raise AssertionError("Monte Carlo builder called")
+
+    monkeypatch.setattr(levy, "_draw_blocks", refuse)
+    monkeypatch.setattr(characterization, "build_panel", refuse)
 
 
 # the solve a 10**13-step grid would need allocates 72.8 TiB for its nodes alone
@@ -264,9 +279,11 @@ class TestConfigBoundaries:
 
 EXAMPLE_CONFIG = json.loads((Path(__file__).parents[1] / "example-config.json").read_text())
 
-# every value json.loads can return, NaN and the infinities included
+# every value json.loads can return, NaN and the infinities included, and
+# sizes far beyond every budget
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**12, 10**300, 1e300]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=8,
 )
@@ -300,6 +317,26 @@ def one_leaf_mutations(draw):
     return cfg
 
 
+def example_with(where, value):
+    """A copy of example-config.json with the value at key path where replaced."""
+    cfg = copy.deepcopy(EXAMPLE_CONFIG)
+    parent = cfg
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    return cfg
+
+
+# Monte Carlo sizes of 10**12 on example-config.json (n_steps 1000, K 2,
+# t_end 1): a (10**12, 2) terminal-value array, a panel loop of 10**12
+# rows, 10**12 jump times per path; (key path, value, refusal message)
+HUGE_MONTE_CARLO = {
+    "n_samples": (("mc", "n_samples"), 10**12, r"n_samples \* n_steps \* K = 2.00e\+15 normals"),
+    "panel_size": (("panel_size",), 10**12, "panel_size = 1000000000000 is above the budget"),
+    "jump-rate": (("triplet", "jump", "rate"), 1e12, r"1e\+12 expected jumps per path"),
+}
+
+
 class TestConfigMutations:
     def test_example_config_parses(self):
         assert isinstance(parse_config(copy.deepcopy(EXAMPLE_CONFIG)), RunConfig)
@@ -311,9 +348,27 @@ class TestConfigMutations:
         with pytest.raises(ConfigError, match="above the budget"):
             parse_config(cfg)
 
-    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("case", sorted(HUGE_MONTE_CARLO))
+    def test_huge_monte_carlo_size_is_refused(self, no_monte_carlo, case):
+        where, value, message = HUGE_MONTE_CARLO[case]
+        with pytest.raises(ConfigError, match=message):
+            parse_config(example_with(where, value))
+
+    @pytest.mark.parametrize("where, edge", [
+        (("mc", "n_samples"), NORMALS_BUDGET // (1000 * 2)),
+        (("panel_size",), PANEL_SIZE_BUDGET),
+        (("triplet", "jump", "rate"), JUMPS_PER_PATH_BUDGET),
+    ])
+    def test_monte_carlo_budgets_admit_their_edge(self, no_monte_carlo, where, edge):
+        assert isinstance(parse_config(example_with(where, edge)), RunConfig)
+        with pytest.raises(ConfigError, match="above the budget"):
+            parse_config(example_with(where, edge + 1))
+
+    # the fixture only patches the builders, the same for every example
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(one_leaf_mutations())
-    def test_one_leaf_mutation_parses_or_is_refused(self, cfg):
+    def test_one_leaf_mutation_parses_or_is_refused(self, no_monte_carlo, cfg):
         try:
             parsed = parse_config(cfg)
         except ConfigError:
@@ -359,6 +414,16 @@ class TestCliExitCodes:
         assert "config error" in err and "Traceback" not in err
         assert not (tmp_path / "unused").exists()
         assert (tmp_path / "blocker").read_text() == ""
+
+    @pytest.mark.parametrize("case", sorted(HUGE_MONTE_CARLO))
+    def test_huge_monte_carlo_size_is_exit_2(self, tmp_path, capsys, no_monte_carlo, case):
+        where, value, _ = HUGE_MONTE_CARLO[case]
+        path = write_config(tmp_path, example_with(where, value))
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "above the budget" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_ecf_below_minimum_samples_is_exit_2(self, tmp_path):
         cfg = minimal_config(mc={"n_samples": 10, "seed": 1})
@@ -542,6 +607,44 @@ class TestStageTable:
         if sub == "all":
             assert json.loads((out / "summary.json").read_text())["verdicts"]["verify-parts"] is False
             assert sorted(json.loads((out / "run_meta.json").read_text())["timings"]) == sorted(STAGES)
+
+    @pytest.mark.parametrize("where, value, message", [
+        (("mc", "n_samples"), 500, "verify-ecf needs mc.n_samples >= 1000, got 500"),
+        (("grid", "n_steps"), 1002, "grid.n_steps admits no 3-level refinement"),
+    ])
+    def test_all_refuses_before_it_writes(self, tmp_path, capsys, where, value, message):
+        # a later stage's precondition fails: no earlier stage writes a report
+        path = write_config(tmp_path, example_with(where, value))
+        rc, out = example_out(tmp_path, "out", ["all"], path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_stage_runs_when_its_own_precondition_holds(self, tmp_path):
+        # n_steps 1002 has no refinement levels, which resolvent never needs
+        path = write_config(tmp_path, example_with(("grid", "n_steps"), 1002))
+        rc, out = example_out(tmp_path, "out", ["resolvent"], path)
+        assert rc == 0
+        assert json.loads((out / "resolvent_report.json").read_text())["passed"] is True
+
+    def test_zero_noise_triplet(self, tmp_path, capsys):
+        # every coupled outcome is the zero path: verify-weak's residuals are
+        # all 0, so the per-seed decrease fails (exit 1), and study has a
+        # norm of exactly 0 to fit an order to (exit 2)
+        path = write_config(tmp_path, example_with(
+            ("triplet",), {"drift": [0.0, 0.0], "gauss_var": [0.0, 0.0], "jump": None}))
+        rc, out = example_out(tmp_path, "weak", ["verify-weak"], path)
+        assert rc == 1
+        report = json.loads((out / "weak_report.json").read_text())
+        assert report["passed"] is False
+        assert report["results"]["route_consistency_gap"] == 0.0
+        assert all(v == 0.0 for row in report["results"]["sup_residuals"] for v in row)
+        capsys.readouterr()
+        rc, out = example_out(tmp_path, "study", ["study"], path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "study tag_discrepancy: norms must be positive" in err and "Traceback" not in err
 
     def test_seed_option_equals_seed_in_config(self, tmp_path):
         # --seed reaches the config echoed in every report, and --out and

@@ -13,6 +13,7 @@ from levyvolterra import (
     build_resolvent_family,
     build_spectral_model,
     convergence_study,
+    coupled_sample_paths,
     fit_order,
     identity_resolvent_family,
     sample_path,
@@ -54,7 +55,7 @@ class TestWeakResidual:
         path = sample_path(mixed_triplet(), grid, 0, seed=4)
         zr = stieltjes_convolution(fam, path)
         prof = weak_solution_residual(zr, path, fam)
-        assert prof.sup == 0.0
+        assert prof.max_abs == 0.0
 
     def test_node_zero_exact(self):
         grid = TimeGrid(1.0, 100)
@@ -69,7 +70,7 @@ class TestWeakResidual:
         fam = build_resolvent_family(build_spectral_model(2, "dirichlet_laplacian"), KERNEL, grid)
         path = sample_path(LevyTriplet.zero(2), grid, 0, seed=0)
         zr = stieltjes_convolution(fam, path)
-        assert weak_solution_residual(zr, path, fam).sup == 0.0
+        assert weak_solution_residual(zr, path, fam).max_abs == 0.0
 
     def test_deterministic_residual_is_quadrature_defect(self):
         sups = []
@@ -78,7 +79,7 @@ class TestWeakResidual:
             fam = build_resolvent_family(build_spectral_model(1, [np.pi**2]), KERNEL, grid)
             path = sample_path(LevyTriplet(np.array([1.0]), np.zeros(1)), grid, 0, seed=0)
             zr = stieltjes_convolution(fam, path, TagRule.MIDPOINT)
-            sups.append(weak_solution_residual(zr, path, fam).sup)
+            sups.append(weak_solution_residual(zr, path, fam).max_abs)
         assert sups[0] > sups[1] > sups[2]
         assert fit_order([1e-2, 5e-3, 2.5e-3], sups) >= 1.7
 
@@ -105,6 +106,17 @@ class TestWeakResidual:
         with pytest.raises(ValueError):
             weak_solution_residual(zr, other, fam)
 
+    @pytest.mark.parametrize("oracle", [weak_solution_residual, bounded_A_identity_residual])
+    def test_dimension_mismatch_rejected(self, oracle):
+        # a 1-mode convolution and path against a 2-mode family
+        grid = TimeGrid(1.0, 50)
+        one = build_resolvent_family(build_spectral_model(1, [1.0]), KERNEL, grid)
+        two = build_resolvent_family(build_spectral_model(2, "dirichlet_laplacian"), KERNEL, grid)
+        path = sample_path(mixed_triplet(1), grid, 0, seed=3)
+        zr = stieltjes_convolution(one, path)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            oracle(zr, path, two)
+
     def test_matches_per_node_trapezoid_loop(self):
         grid = TimeGrid(1.0, 300)
         fam = build_resolvent_family(build_spectral_model(3, "dirichlet_laplacian"), KERNEL, grid)
@@ -129,7 +141,7 @@ class TestBoundedIdentityResidual:
         fam = build_resolvent_family(build_spectral_model(3, "dirichlet_laplacian"), KERNEL, grid)
         path = sample_path(LevyTriplet.zero(3), grid, 0, seed=0)
         zr = stieltjes_convolution(fam, path)
-        assert bounded_A_identity_residual(zr, path, fam).sup == 0.0
+        assert bounded_A_identity_residual(zr, path, fam).max_abs == 0.0
 
     @pytest.mark.parametrize("K", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 200])
@@ -169,7 +181,7 @@ class TestBoundedIdentityResidual:
             path = SamplePath(grid=grid, drift=np.zeros(1), gauss_increments=np.zeros((n, 1)),
                               jump_times=np.array([0.25]), jump_marks=np.array([[1.0]]))
             zr = stieltjes_convolution(fam, path)
-            sups.append(bounded_A_identity_residual(zr, path, fam).sup)
+            sups.append(bounded_A_identity_residual(zr, path, fam).max_abs)
         assert sups[0] > sups[1] > sups[2]
         assert sups[0] / sups[2] > 3.0
 
@@ -236,6 +248,41 @@ class TestConvergenceStudy:
         assert study.per_seed.shape == (5, 3)
         assert np.all(np.diff(study.per_seed, axis=1) < 0.0)
 
+    def test_route_gap_matches_per_path_loop(self):
+        # the reference: each coupled outcome x each level -> Stieltjes route
+        # -> both residual oracles, written out path by path
+        fams = levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 256),
+                      (16, 4, 1))
+        trip, seeds, seed = mixed_triplet(), (0, 1, 2), 31
+        study = convergence_study(StudyConfig(target="weak_residual", families=fams,
+                                              triplet=trip, seeds=seeds, seed=seed))
+        per_seed = np.zeros((len(seeds), len(fams)))
+        gap = 0.0
+        for idx in seeds:
+            paths = coupled_sample_paths(trip, fams[-1].grid, (16, 4, 1), idx, seed)
+            for li, (fam, path) in enumerate(zip(fams, paths)):
+                zr = stieltjes_convolution(fam, path, TagRule.LEFT)
+                weak = weak_solution_residual(zr, path, fam)
+                joint = bounded_A_identity_residual(zr, path, fam)
+                per_seed[idx, li] = np.max(np.abs(weak.residuals))
+                gap = max(gap, float(np.max(np.abs(weak.residuals - joint.residuals))))
+        assert np.array_equal(study.per_seed, per_seed)
+        assert study.route_gap == gap
+        assert 0.0 < study.route_gap <= ROUTE_CONSISTENCY_TOL
+
+    def test_zero_norms_fail_only_when_the_order_is_read(self):
+        # a zero-noise triplet has zero residuals at every level: the study
+        # still returns its table, and only the order has nothing to fit
+        study = convergence_study(StudyConfig(
+            target="weak_residual",
+            families=levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 64),
+                            (4, 2, 1)),
+            triplet=LevyTriplet.zero(2), seeds=(0, 1)))
+        assert study.per_seed.shape == (2, 3) and np.all(study.per_seed == 0.0)
+        assert study.route_gap == 0.0
+        with pytest.raises(ValueError, match="norms must be positive"):
+            study.fitted_order
+
     def test_builds_no_family(self, monkeypatch):
         # the levels come solved; the study only reads them
         from levyvolterra import spectral, verification
@@ -253,6 +300,8 @@ class TestConvergenceStudy:
             study = convergence_study(StudyConfig(target=target, families=fams,
                                                   triplet=mixed_triplet(), seeds=(0, 1)))
             assert np.array_equal(study.dts, [1 / 16, 1 / 32, 1 / 64])
+            # only the weak target forms the convolutions both oracles check
+            assert (study.route_gap is None) == (target != "weak_residual")
 
     def test_fit_order_rejects_zero_norms(self):
         with pytest.raises(ValueError):
