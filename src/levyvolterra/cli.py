@@ -50,6 +50,15 @@ def _study_factors(cfg: RunConfig) -> tuple:
     return (4, 2, 1)
 
 
+def _study_inputs(cfg: RunConfig):
+    _study_factors(cfg)
+    # jumps weigh the same under every tag rule, so without a pathwise drift
+    # or Gaussian noise the LEFT and RIGHT sums agree bit for bit
+    if not (np.any(cfg.triplet.pathwise_drift()) or np.any(cfg.triplet.gauss_var)):
+        raise ConfigError("study needs a nonzero pathwise drift or gauss_var: without either the "
+                          "tag discrepancy is exactly 0 and has no order to fit")
+
+
 def _weak_factors(cfg: RunConfig) -> tuple:
     # prefer wide level spacing: per-seed monotone decrease of a pathwise
     # sup residual is only robust when refinement outpaces outcome noise
@@ -66,7 +75,7 @@ def _ecf_samples(cfg: RunConfig):
 
 # the config checks of the stages that have them; main runs the checks of
 # every selected stage before it creates the output directory
-_PRECONDITIONS = {"verify-weak": _weak_factors, "study": _study_factors,
+_PRECONDITIONS = {"verify-weak": _weak_factors, "study": _study_inputs,
                   "verify-ecf": _ecf_samples}
 
 

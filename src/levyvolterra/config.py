@@ -30,6 +30,10 @@ NORMALS_BUDGET = 10**9
 # most expected jumps per path, triplet.jump.rate * grid.t_end: each path
 # draws that many jump times and marks; long_grid asks 10
 JUMPS_PER_PATH_BUDGET = 10**4
+# most jump work a config may ask for, on either of two estimates: the jumps
+# verify-ecf draws, n_samples * rate * t_end, and the exact-time weights one
+# convolution route builds, n_steps * rate * t_end * K; long_grid asks 3.2e5
+JUMP_WORK_BUDGET = 10**8
 # most ECF panel rows: build_panel and ecf_comparison loop over them in Python
 PANEL_SIZE_BUDGET = 10**4
 
@@ -244,6 +248,15 @@ def parse_config(data: dict) -> RunConfig:
         if jumps > JUMPS_PER_PATH_BUDGET:
             raise ConfigError(f"triplet.jump.rate * grid.t_end = {jumps:.3g} expected jumps per "
                               f"path, above the budget of {JUMPS_PER_PATH_BUDGET:.3g}")
+        drawn = n_samples * jumps
+        if drawn > JUMP_WORK_BUDGET:
+            raise ConfigError(f"mc.n_samples * triplet.jump.rate * grid.t_end = {drawn:.3g} jumps "
+                              f"drawn by verify-ecf, above the budget of {JUMP_WORK_BUDGET:.3g}")
+        weights = n_steps * jumps * model.K
+        if weights > JUMP_WORK_BUDGET:
+            raise ConfigError(f"grid.n_steps * triplet.jump.rate * grid.t_end * K = {weights:.3g} "
+                              f"jump weights per convolution, above the budget of "
+                              f"{JUMP_WORK_BUDGET:.3g}")
 
     panel_size = _integer(data.get("panel_size", 40), "panel_size")
     if panel_size < 1:

@@ -7,7 +7,9 @@ Two routes compute int_0^t R(t - tau) dZ(tau) on the grid:
   tag point, and each jump is weighted at its exact elapsed time.
 * Summation by parts, valid under the bounded-variation certificate: the
   same sums rearranged against the increments of s, so the two routes agree
-  to roundoff on every node and every outcome.
+  to roundoff on every node and every outcome.  The jumps are Abel-summed,
+  sum_m C_m (w_m - w_{m+1}) with C_m the cumulative mark and w = 0 after
+  the latest jump, so every node runs the same sum over every jump.
 
 The convolution re-weights all past increments at every output node (the
 resolvent is a genuine two-time kernel, so values are not a running sum).
@@ -115,41 +117,33 @@ def _lag_fold(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interp_modes(elapsed: np.ndarray, nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """s(elapsed, gamma_k) for every mode k, shape elapsed.shape + (K,).
+def _jump_weights(family: ResolventFamily, t, jump_times: np.ndarray) -> np.ndarray:
+    """Exact-time jump weights W[..., k] = s(t - tau, gamma_k), and 0 where t - tau < 0.
 
-    One np.interp per mode column of s, which is tabulated on nodes.
+    t and jump_times broadcast together; one np.interp per mode column of s.
+    The zero test covers the +inf pads, and for floats it is the test tau > t.
     """
-    out = np.empty(elapsed.shape + (s.shape[1],))
-    for k in range(s.shape[1]):
-        out[..., k] = np.interp(elapsed, nodes, s[:, k])
-    return out
+    elapsed = t - jump_times
+    nodes, s = family.grid.nodes(), family.s_matrix
+    W = np.empty(elapsed.shape + (family.K,))
+    for k in range(family.K):
+        W[..., k] = np.interp(elapsed, nodes, s[:, k])
+    W[elapsed < 0] = 0.0
+    return W
 
 
-def _masked_jump_weights(family: ResolventFamily, t, jump_times: np.ndarray):
-    """Jump weights against output times t and the mask of live jumps, (W, live).
+def _jump_weight_blocks(family: ResolventFamily, path: SamplePath):
+    """Exact-time jump weights for every output node, a block of nodes at a time.
 
-    live marks the jump times tau <= t, the two broadcast together, and
-    W[..., k] = s(t - tau, gamma_k) on live entries and 0 elsewhere.
+    Yields (rows, W) for consecutive slices rows of the grid nodes, each
+    block holding about _JUMP_BLOCK_ENTRIES weights: _jump_weights of those
+    nodes' times against all of the path's jumps.
     """
-    live = jump_times <= t
-    W = _interp_modes(t - jump_times, family.grid.nodes(), family.s_matrix)
-    W[~live] = 0.0
-    return W, live
-
-
-def _jump_weight_blocks(family: ResolventFamily, path: SamplePath, node_indices: np.ndarray):
-    """Exact-time jump weights for the given output nodes, a block of nodes at a time.
-
-    Yields (rows, W, live) for consecutive slices rows of node_indices, each
-    block holding about _JUMP_BLOCK_ENTRIES weights: _masked_jump_weights of
-    those nodes' times against all of the path's jumps.
-    """
-    t = family.grid.nodes()[node_indices]
+    t = family.grid.nodes()
     block = max(1, _JUMP_BLOCK_ENTRIES // max(1, path.jump_times.size * family.K))
     for r0 in range(0, t.size, block):
         rows = slice(r0, r0 + block)
-        yield (rows, *_masked_jump_weights(family, t[rows, None], path.jump_times))
+        yield rows, _jump_weights(family, t[rows, None], path.jump_times)
 
 
 def _sum_over_jumps(terms: np.ndarray) -> np.ndarray:
@@ -183,7 +177,7 @@ def _node_values(family: ResolventFamily, i: int, weights, gauss, jump_times, ju
     drift_part, step_weights = weights
     vals = drift_part if gauss is None else drift_part + np.einsum("bjk,jk->bk", gauss, step_weights)
     if jump_times is not None:
-        W, _ = _masked_jump_weights(family, family.grid.nodes()[i], jump_times)
+        W = _jump_weights(family, family.grid.nodes()[i], jump_times)
         W *= jump_marks
         vals = vals + _sum_over_jumps(W)
     return vals
@@ -230,7 +224,7 @@ def stieltjes_convolution(
     dx_cum = np.vstack([np.zeros((1, family.K)), np.cumsum(dx, axis=0)])
     gauss_part = dx_cum + _lag_fold(lagw - 1.0, dx)  # w - 1 is exactly 0 for an identity family
     vals = drift_part + gauss_part
-    for rows, W, _ in _jump_weight_blocks(family, path, np.arange(grid.n_steps + 1)):
+    for rows, W in _jump_weight_blocks(family, path):
         W *= path.jump_marks
         vals[rows] += _sum_over_jumps(W)  # jumps summed left to right in m
     return ConvolutionPath(grid=grid, values=vals, method="stieltjes", tag_rule=tag_rule)
@@ -244,9 +238,12 @@ def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionP
         s_0 Zc(t_i) - s_i Zc(0) - sum_{j<i} Zc(t_{j+1}) [s_{i-j-1} - s_{i-j}]
 
     and the jump sum rearranged the same way against its own exact-time
-    partition:
+    partition, over every jump of the path:
 
-        w_last * (cumulative mark)_last - sum_m (cumulative mark)_m [w_{m+1} - w_m].
+        sum_m C_m [w_m - w_{m+1}],
+
+    with C_m the cumulative mark of the first m + 1 jumps, w_m the jump's
+    exact-time weight, and w = 0 after the latest jump at or before t_i.
 
     Both are pure rearrangements of the Stieltjes sums, so the two routes
     agree to roundoff node by node.
@@ -259,21 +256,17 @@ def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionP
             "integration by parts inapplicable: monotonicity/variation certificate "
             f"failed for modes {bad} (max increase {cert.max_increase.max():.3e})"
         )
-    grid = family.grid
     s = family.s_matrix
     zc = path.continuous_values()
     vals = s[0] * zc - s * zc[0] - _lag_fold(s[:-1] - s[1:], zc[1:])
 
     if path.jump_times.size:
         cummarks = np.cumsum(path.jump_marks, axis=0)
-        for rows, W, live in _jump_weight_blocks(family, path, np.arange(grid.n_steps + 1)):
-            r = np.flatnonzero(live[:, 0])  # nodes at or after the first jump
-            last = live[r].sum(axis=1) - 1  # index of the latest jump at or before t_i
-            steps = np.diff(W[r], axis=1) * cummarks[:-1]
-            steps[~live[r, 1:]] = 0.0  # no step from the latest jump to one after t_i
-            block = vals[rows]
-            block[r] += W[r, last] * cummarks[last] - _sum_over_jumps(steps)
-    return ConvolutionPath(grid=grid, values=vals, method="parts", tag_rule=None)
+        for rows, W in _jump_weight_blocks(family, path):
+            W[:, :-1] -= W[:, 1:]  # w_m - w_{m+1}, 0 past the last jump; numpy buffers the overlap
+            W *= cummarks
+            vals[rows] += _sum_over_jumps(W)
+    return ConvolutionPath(grid=family.grid, values=vals, method="parts", tag_rule=None)
 
 
 def mild_solution(

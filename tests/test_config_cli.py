@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from levyvolterra import spectral
 from levyvolterra.cli import _out_dir, main
 from levyvolterra.config import (
+    JUMP_WORK_BUDGET,
     JUMPS_PER_PATH_BUDGET,
     NORMALS_BUDGET,
     PANEL_SIZE_BUDGET,
@@ -317,23 +318,33 @@ def one_leaf_mutations(draw):
     return cfg
 
 
-def example_with(where, value):
-    """A copy of example-config.json with the value at key path where replaced."""
+def example_with(*changes):
+    """A copy of example-config.json with the value at each (key path, value) pair replaced."""
     cfg = copy.deepcopy(EXAMPLE_CONFIG)
-    parent = cfg
-    for key in where[:-1]:
-        parent = parent[key]
-    parent[where[-1]] = value
+    for where, value in changes:
+        parent = cfg
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
     return cfg
 
 
-# Monte Carlo sizes of 10**12 on example-config.json (n_steps 1000, K 2,
-# t_end 1): a (10**12, 2) terminal-value array, a panel loop of 10**12
-# rows, 10**12 jump times per path; (key path, value, refusal message)
+# the largest jump rate example-config.json admits (t_end 1): 10**4 jumps per path
+MOST_JUMPS = (("triplet", "jump", "rate"), JUMPS_PER_PATH_BUDGET)
+
+# Monte Carlo sizes on example-config.json (n_steps 1000, K 2, t_end 1): a
+# (10**12, 2) terminal-value array, a panel loop of 10**12 rows, 10**12 jump
+# times per path, 10**9 jumps drawn by verify-ecf, 1.4e9 jump weights per
+# convolution; ((key path, value) pairs, refusal message)
 HUGE_MONTE_CARLO = {
-    "n_samples": (("mc", "n_samples"), 10**12, r"n_samples \* n_steps \* K = 2.00e\+15 normals"),
-    "panel_size": (("panel_size",), 10**12, "panel_size = 1000000000000 is above the budget"),
-    "jump-rate": (("triplet", "jump", "rate"), 1e12, r"1e\+12 expected jumps per path"),
+    "n_samples": ([(("mc", "n_samples"), 10**12)],
+                  r"n_samples \* n_steps \* K = 2.00e\+15 normals"),
+    "panel_size": ([(("panel_size",), 10**12)], "panel_size = 1000000000000 is above the budget"),
+    "jump-rate": ([(("triplet", "jump", "rate"), 1e12)], r"1e\+12 expected jumps per path"),
+    "jumps-drawn": ([MOST_JUMPS, (("mc", "n_samples"), 10**5)],
+                    r"grid\.t_end = 1e\+09 jumps drawn by verify-ecf, above the budget"),
+    "jump-weights": ([MOST_JUMPS, (("grid", "n_steps"), 70000)],
+                     r"\* K = 1\.4e\+09 jump weights per convolution, above the budget"),
 }
 
 
@@ -350,19 +361,21 @@ class TestConfigMutations:
 
     @pytest.mark.parametrize("case", sorted(HUGE_MONTE_CARLO))
     def test_huge_monte_carlo_size_is_refused(self, no_monte_carlo, case):
-        where, value, message = HUGE_MONTE_CARLO[case]
+        changes, message = HUGE_MONTE_CARLO[case]
         with pytest.raises(ConfigError, match=message):
-            parse_config(example_with(where, value))
+            parse_config(example_with(*changes))
 
-    @pytest.mark.parametrize("where, edge", [
-        (("mc", "n_samples"), NORMALS_BUDGET // (1000 * 2)),
-        (("panel_size",), PANEL_SIZE_BUDGET),
-        (("triplet", "jump", "rate"), JUMPS_PER_PATH_BUDGET),
+    @pytest.mark.parametrize("fixed, where, edge", [
+        ([], ("mc", "n_samples"), NORMALS_BUDGET // (1000 * 2)),
+        ([], ("panel_size",), PANEL_SIZE_BUDGET),
+        ([], ("triplet", "jump", "rate"), JUMPS_PER_PATH_BUDGET),
+        ([MOST_JUMPS], ("mc", "n_samples"), JUMP_WORK_BUDGET // JUMPS_PER_PATH_BUDGET),
+        ([MOST_JUMPS], ("grid", "n_steps"), JUMP_WORK_BUDGET // (JUMPS_PER_PATH_BUDGET * 2)),
     ])
-    def test_monte_carlo_budgets_admit_their_edge(self, no_monte_carlo, where, edge):
-        assert isinstance(parse_config(example_with(where, edge)), RunConfig)
+    def test_monte_carlo_budgets_admit_their_edge(self, no_monte_carlo, fixed, where, edge):
+        assert isinstance(parse_config(example_with(*fixed, (where, edge))), RunConfig)
         with pytest.raises(ConfigError, match="above the budget"):
-            parse_config(example_with(where, edge + 1))
+            parse_config(example_with(*fixed, (where, edge + 1)))
 
     # the fixture only patches the builders, the same for every example
     @settings(max_examples=300, deadline=None,
@@ -417,8 +430,8 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("case", sorted(HUGE_MONTE_CARLO))
     def test_huge_monte_carlo_size_is_exit_2(self, tmp_path, capsys, no_monte_carlo, case):
-        where, value, _ = HUGE_MONTE_CARLO[case]
-        path = write_config(tmp_path, example_with(where, value))
+        changes, _ = HUGE_MONTE_CARLO[case]
+        path = write_config(tmp_path, example_with(*changes))
         out = tmp_path / "o"
         assert main(["all", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -582,6 +595,12 @@ class TestEcfThresholds:
 
 STAGES = ["resolvent", "simulate", "verify-parts", "verify-weak", "study", "verify-ecf"]
 
+# triplets whose LEFT and RIGHT tag sums agree bit for bit: no noise at all,
+# and jumps alone (|mark| > 1, so no compensator enters the pathwise drift)
+ZERO_NOISE = {"drift": [0.0, 0.0], "gauss_var": [0.0, 0.0], "jump": None}
+JUMPS_ONLY = {"drift": [0.0, 0.0], "gauss_var": [0.0, 0.0],
+              "jump": {"rate": 1.5, "law": {"kind": "point_mass", "mark": [1.2, -0.4]}}}
+
 
 def example_out(tmp_path, name, args, config=None):
     """main(args) on config (default example-config.json) into tmp_path / name."""
@@ -611,10 +630,12 @@ class TestStageTable:
     @pytest.mark.parametrize("where, value, message", [
         (("mc", "n_samples"), 500, "verify-ecf needs mc.n_samples >= 1000, got 500"),
         (("grid", "n_steps"), 1002, "grid.n_steps admits no 3-level refinement"),
+        (("triplet",), ZERO_NOISE, "study needs a nonzero pathwise drift or gauss_var"),
+        (("triplet",), JUMPS_ONLY, "study needs a nonzero pathwise drift or gauss_var"),
     ])
     def test_all_refuses_before_it_writes(self, tmp_path, capsys, where, value, message):
         # a later stage's precondition fails: no earlier stage writes a report
-        path = write_config(tmp_path, example_with(where, value))
+        path = write_config(tmp_path, example_with((where, value)))
         rc, out = example_out(tmp_path, "out", ["all"], path)
         assert rc == 2
         err = capsys.readouterr().err
@@ -623,17 +644,16 @@ class TestStageTable:
 
     def test_stage_runs_when_its_own_precondition_holds(self, tmp_path):
         # n_steps 1002 has no refinement levels, which resolvent never needs
-        path = write_config(tmp_path, example_with(("grid", "n_steps"), 1002))
+        path = write_config(tmp_path, example_with((("grid", "n_steps"), 1002)))
         rc, out = example_out(tmp_path, "out", ["resolvent"], path)
         assert rc == 0
         assert json.loads((out / "resolvent_report.json").read_text())["passed"] is True
 
     def test_zero_noise_triplet(self, tmp_path, capsys):
         # every coupled outcome is the zero path: verify-weak's residuals are
-        # all 0, so the per-seed decrease fails (exit 1), and study has a
-        # norm of exactly 0 to fit an order to (exit 2)
-        path = write_config(tmp_path, example_with(
-            ("triplet",), {"drift": [0.0, 0.0], "gauss_var": [0.0, 0.0], "jump": None}))
+        # all 0, so the per-seed decrease fails (exit 1), and study's tag
+        # discrepancy would be exactly 0, so study refuses the config (exit 2)
+        path = write_config(tmp_path, example_with((("triplet",), ZERO_NOISE)))
         rc, out = example_out(tmp_path, "weak", ["verify-weak"], path)
         assert rc == 1
         report = json.loads((out / "weak_report.json").read_text())
@@ -644,7 +664,8 @@ class TestStageTable:
         rc, out = example_out(tmp_path, "study", ["study"], path)
         assert rc == 2
         err = capsys.readouterr().err
-        assert "study tag_discrepancy: norms must be positive" in err and "Traceback" not in err
+        assert "study needs a nonzero pathwise drift or gauss_var" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_seed_option_equals_seed_in_config(self, tmp_path):
         # --seed reaches the config echoed in every report, and --out and

@@ -316,10 +316,20 @@ class TestVectorizedKernels:
         fam = identity_resolvent_family(3, KERNEL, grid)
         assert np.array_equal(stieltjes_convolution(fam, path, tag).values, path.values)
 
-    def test_parts_matches_loop_reference(self):
+    @pytest.mark.parametrize("layout", ["none", "two in one step", "at t_end", "on node 1",
+                                        "mixed"])
+    def test_parts_matches_loop_reference(self, layout):
         grid = TimeGrid(1.0, 150)
         fam = dirichlet_family(3, grid)
-        path = path_with_jumps(grid, [grid.nodes()[20], 0.3333, 0.75])
+        nodes = grid.nodes()
+        jump_times = {
+            "none": [],
+            "two in one step": [nodes[40] + 0.2 * grid.dt, nodes[40] + 0.7 * grid.dt],
+            "at t_end": [0.3333, grid.t_end],
+            "on node 1": [nodes[1], 0.75],
+            "mixed": [nodes[20], 0.3333, 0.75],
+        }[layout]
+        path = path_with_jumps(grid, jump_times)
         b = parts_convolution(fam, path).values
         ref = reference_parts(fam, path)
         assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -332,12 +342,11 @@ class TestVectorizedKernels:
         path = sample_path(trip, grid, 0, seed=8)
         m = path.jump_times.size
         assert m > 1500
-        nodes = np.arange(grid.n_steps + 1)
-        assert len(list(_jump_weight_blocks(fam, path, nodes))) == 1
+        assert len(list(_jump_weight_blocks(fam, path))) == 1
         whole = [stieltjes_convolution(fam, path, tag).values for tag in TagRule]
         whole.append(parts_convolution(fam, path).values)
         monkeypatch.setattr(convolution, "_JUMP_BLOCK_ENTRIES", 7 * m * fam.K)
-        assert len(list(_jump_weight_blocks(fam, path, nodes))) == 29  # 28 blocks of 7 nodes, then 5
+        assert len(list(_jump_weight_blocks(fam, path))) == 29  # 28 blocks of 7 nodes, then 5
         blocked = [stieltjes_convolution(fam, path, tag).values for tag in TagRule]
         blocked.append(parts_convolution(fam, path).values)
         for a, b in zip(whole, blocked):
@@ -346,7 +355,7 @@ class TestVectorizedKernels:
     def test_example_config_shape_is_one_jump_block(self):
         grid = TimeGrid(1.0, 1000)
         path = path_with_jumps(grid, [0.25, 0.5, 0.75], K=2)
-        assert len(list(_jump_weight_blocks(dirichlet_family(2, grid), path, np.arange(1001)))) == 1
+        assert len(list(_jump_weight_blocks(dirichlet_family(2, grid), path))) == 1
 
     def test_parts_agrees_with_stieltjes_at_high_jump_rate(self):
         grid = TimeGrid(1.0, 400)
