@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import TagRule, _node_values, _node_weights
+from . import levy
+from .convolution import TagRule, _jump_weights, _node_values, _node_weights, _sum_over_jumps
 from .levy import LevyTriplet, _draw_blocks, jump_rule, phi_batch, sample_rng
 from .spectral import ResolventFamily
 
@@ -139,11 +140,18 @@ def terminal_values(
     seed), node_index(t), tag_rule)`` bit for bit, whatever ``workers`` says
     and whether or not the memo below serves it.
 
-    Each range of samples is one levy._draw_blocks loop, a
-    convolution._node_values call per block and rule.  With Gaussian
-    increments the samples are split into min(workers, n_samples) ranges on
-    at most os.cpu_count() threads; a triplet without them runs on one
-    thread, since its work all holds the interpreter lock.
+    Each range of samples is one levy._draw_blocks loop: a
+    convolution._node_values call per block and rule writes the drift and
+    Gaussian part of the block's rows, and the jump sums of the pending
+    blocks are added in one _jump_weights pass whenever their padded jumps
+    reach levy._BLOCK_BYTES, at the 8 (2 + 4K) bytes per jump slot that
+    levy._sample_bytes charges, and once more at the end of the range.  A
+    pass sums each row's jumps left to right as _node_values does, so the
+    rows do not change.  With Gaussian increments the samples are split
+    into min(workers, n_samples) ranges on at most os.cpu_count() threads,
+    which overlap on mixed triplets too, since a jump pass is a few large
+    numpy calls; a triplet without them runs on one thread, since its
+    per-sample draws hold the interpreter lock.
 
     For a Gaussian-only triplet, whose outcomes ``ecf_comparison`` reads
     with LEFT and ``gaussian_covariance_check`` with MIDPOINT, each block is
@@ -170,11 +178,40 @@ def terminal_values(
     weights = [_node_weights(family, rule, i, triplet.pathwise_drift()) for rule in rules]
     outs = [np.empty((n_samples, family.K)) for _ in rules]
 
+    t_i, slot_bytes = family.grid.nodes()[i], 8 * (2 + 4 * family.K)
+
+    def add_jumps(pending, width: int):
+        """Add to outs the jump sums of consecutive blocks (b0, b1, times, marks), in one pass.
+
+        The blocks' padded jumps are padded again to the widest block, +inf
+        times and 0 marks, and summed left to right as _node_values does.
+        """
+        rows = slice(pending[0][0], pending[-1][1])
+        all_t = np.full((rows.stop - rows.start, width), np.inf)
+        all_m = np.zeros(all_t.shape + (family.K,))
+        for b0, b1, times, marks in pending:
+            all_t[b0 - rows.start : b1 - rows.start, : times.shape[1]] = times
+            all_m[b0 - rows.start : b1 - rows.start, : times.shape[1]] = marks
+        W = _jump_weights(family, t_i, all_t)
+        W *= all_m
+        sums = _sum_over_jumps(W)
+        for out in outs:
+            out[rows] += sums
+
     def run_range(lo: int, hi: int):
+        pending, width = [], 0  # blocks whose jumps are not yet summed, their widest
         for b0, b1, gauss, times, marks in _draw_blocks(triplet, family.grid, seed, lo, hi):
             steps = None if gauss is None else gauss[:, :i]
             for out, w in zip(outs, weights):
-                out[b0:b1] = _node_values(family, i, w, steps, times, marks)
+                out[b0:b1] = _node_values(family, i, w, steps, None, None)
+            if times is not None:
+                pending.append((b0, b1, times, marks))
+                width = max(width, times.shape[1])
+                if (b1 - pending[0][0]) * width * slot_bytes >= levy._BLOCK_BYTES:
+                    add_jumps(pending, width)
+                    pending, width = [], 0
+        if pending:
+            add_jumps(pending, width)
 
     # jump-only samples hold the interpreter lock for all their work, so
     # threads would only wait on each other

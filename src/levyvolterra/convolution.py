@@ -230,6 +230,22 @@ def stieltjes_convolution(
     return ConvolutionPath(grid=grid, values=vals, method="stieltjes", tag_rule=tag_rule)
 
 
+def _cumsum_with_error(x: np.ndarray):
+    """(hi, lo): hi = np.cumsum(x, axis=0) and lo the cumsum of its step rounding errors.
+
+    Each step hi[m] = fl(hi[m-1] + x[m]) loses exactly the error TwoSum
+    recovers (Knuth; Ogita, Rump & Oishi 2005), all steps in one vectorized
+    pass, so hi + lo is the cumulative sum to about eps * sum|x| instead
+    of eps times the partial sums that m steps of rounding reach.
+    """
+    hi = np.cumsum(x, axis=0)
+    prev = np.zeros_like(hi)
+    prev[1:] = hi[:-1]
+    added = hi - prev  # the part of x[m] that reached hi[m]
+    err = (prev - (hi - added)) + (x - added)
+    return hi, np.cumsum(err, axis=0)
+
+
 def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionPath:
     """Summation-by-parts route, gated on the bounded-variation certificate.
 
@@ -244,6 +260,10 @@ def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionP
 
     with C_m the cumulative mark of the first m + 1 jumps, w_m the jump's
     exact-time weight, and w = 0 after the latest jump at or before t_i.
+    C_m is carried as hi + lo (_cumsum_with_error) and both are Abel-summed:
+    C_m can be far larger than the result when the compensator drift
+    cancels the jumps, and the rounding of a plain cumsum would then enter
+    every term.
 
     Both are pure rearrangements of the Stieltjes sums, so the two routes
     agree to roundoff node by node.
@@ -261,11 +281,10 @@ def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionP
     vals = s[0] * zc - s * zc[0] - _lag_fold(s[:-1] - s[1:], zc[1:])
 
     if path.jump_times.size:
-        cummarks = np.cumsum(path.jump_marks, axis=0)
+        hi, lo = _cumsum_with_error(path.jump_marks)
         for rows, W in _jump_weight_blocks(family, path):
             W[:, :-1] -= W[:, 1:]  # w_m - w_{m+1}, 0 past the last jump; numpy buffers the overlap
-            W *= cummarks
-            vals[rows] += _sum_over_jumps(W)
+            vals[rows] += _sum_over_jumps(W * lo) + _sum_over_jumps(W * hi)
     return ConvolutionPath(grid=family.grid, values=vals, method="parts", tag_rule=None)
 
 

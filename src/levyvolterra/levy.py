@@ -16,9 +16,12 @@ streams are the design use of Philox (Salmon, Moraes, Dror & Shaw,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  ``_draw_blocks``
 owns the draw order and the block memory: within one stream Gaussian step
 increments come first (skipped entirely when all Gaussian variances are
-zero), then jump count, jump times, jump marks, and samples are drawn in
-blocks of about _BLOCK_BYTES.  sample_path, coupled_sample_paths and
-characterization.terminal_values all read its blocks.  Gaussian variates
+zero), then jump count, jump times, jump marks (none for a point mass,
+whose marks are filled in per block), and samples are drawn in blocks of
+about _BLOCK_BYTES.  sample_path and coupled_sample_paths read one-sample
+blocks; characterization.terminal_values and
+verification.convergence_study read multi-sample blocks, the study one
+call per run of consecutive sample indices.  Gaussian variates
 use numpy's Generator.standard_normal on that stream, which pins the
 transform within this implementation.
 """
@@ -407,6 +410,8 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
     scale = np.sqrt(triplet.gauss_var * grid.dt)
     block = max(1, int(_BLOCK_BYTES // _sample_bytes(triplet, n, K, t_end)))
     buf = np.empty((min(block, hi - lo), n, K)) if draw_gauss else None
+    # point-mass marks draw nothing, so they are filled in once per block
+    point_mass = jump is not None and isinstance(jump.law, PointMass)
     rng = None
     for b0 in range(lo, hi, block):
         b1 = min(b0 + block, hi)
@@ -420,7 +425,8 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
                 counts.append(count)
                 if count:
                     times.append(t_end * (1.0 - rng.random(count)))
-                    marks.append(sample_jumps(jump.law, rng, count))
+                    if not point_mass:
+                        marks.append(sample_jumps(jump.law, rng, count))
         gauss = None
         if draw_gauss:
             gauss = buf[: b1 - b0]
@@ -433,10 +439,12 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
         padded_m = np.zeros(filled.shape + (K,))
         if times:
             padded_t[filled] = np.concatenate(times)
-            padded_m[filled] = np.concatenate(marks)
+            padded_m[filled] = jump.law.mark if point_mass else np.concatenate(marks)
         order = np.argsort(padded_t, axis=1, kind="stable")
         rows = np.arange(b1 - b0)[:, None]
-        yield b0, b1, gauss, padded_t[rows, order], padded_m[rows, order]
+        # equal marks need no reordering: the filled slots lead every row
+        sorted_m = padded_m if point_mass else padded_m[rows, order]
+        yield b0, b1, gauss, padded_t[rows, order], sorted_m
 
 
 def _one_sample(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: int):
@@ -473,8 +481,9 @@ def coupled_sample_paths(
 
     Draws once on the finest grid (identically to sample_path on that grid)
     and block-sums the Gaussian increments for each coarsening factor; jump
-    times and marks are shared exactly.  Used by convergence studies so all
-    levels see the same outcome.
+    times and marks are shared exactly, so all levels see the same outcome.
+    verification.convergence_study reads the same coupling from
+    multi-sample blocks; this is its one-outcome form.
     """
     gauss, times, marks = _one_sample(triplet, fine_grid, sample_index, seed)
     K = triplet.dim

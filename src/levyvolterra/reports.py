@@ -62,19 +62,24 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """RFC-4180 CSV with a mandatory header row and repr-precision reals."""
+def _write_rows(path, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
 
 
+def write_csv(path, header, rows):
+    """RFC-4180 CSV with a mandatory header row and repr-precision reals."""
+    _write_rows(path, header, ([_cell(v) for v in row] for row in rows))
+
+
 def series_csv(path, columns: dict):
-    """Write named equal-length columns as CSV."""
-    names = list(columns)
-    arrays = [np.asarray(columns[name]) for name in names]
-    rows = zip(*arrays)
-    write_csv(path, names, rows)
+    """Write named equal-length columns as CSV, the same bytes as write_csv.
+
+    Each column goes through tolist(), whose Python floats the csv module
+    writes by their repr, as _cell does, and whose ints, bools and strings
+    it writes by str.
+    """
+    _write_rows(path, list(columns), zip(*(np.asarray(c).tolist() for c in columns.values())))

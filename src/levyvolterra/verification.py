@@ -28,9 +28,15 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .convolution import ConvolutionPath, TagRule, convolve_at, stieltjes_convolution
+from .convolution import (
+    ConvolutionPath,
+    TagRule,
+    _node_values,
+    _node_weights,
+    stieltjes_convolution,
+)
 from .kernels import _unit_exponential, closed_form_exponential_resolvent, eval_kernel
-from .levy import LevyTriplet, SamplePath, coupled_sample_paths
+from .levy import LevyTriplet, SamplePath, _draw_blocks
 from .spectral import ResidualProfile, ResolventFamily, _causal_convolution
 
 
@@ -175,7 +181,15 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
     """Norm at every level with the same outcome across levels.
 
     Builds nothing: the dts, the fine grid and the coupling factors of the
-    sample paths are read from the grids of config.families.
+    sample paths are read from the grids of config.families.  The outcomes
+    are read from levy._draw_blocks on the fine grid, one call per run of
+    consecutive indices in config.seeds, and each level block-sums the
+    Gaussian increments by its factor while the jumps are shared exactly,
+    as coupled_sample_paths does for one outcome.  tag_discrepancy makes one
+    _node_values call per block, level and rule; weak_residual builds each
+    level's SamplePath from the block row and runs the Stieltjes route and
+    both residual oracles on it.  Every norm equals the one-outcome
+    computation on coupled_sample_paths bit for bit.
     """
     families = config.families
     fine = families[-1].grid
@@ -191,21 +205,55 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
             norms.append(np.max(np.abs(fam.s_matrix - exact)))
         return ConvergenceStudy(config.target, dts, np.array(norms), None)
 
+    triplet, K = config.triplet, config.triplet.dim
+    drift = triplet.pathwise_drift()
     factors = [fine.n_steps // fam.grid.n_steps for fam in families]
+    tag = config.target == "tag_discrepancy"
+    if tag:  # (LEFT, RIGHT) weights of each level's last node
+        weights = [[_node_weights(fam, rule, fam.grid.n_steps, drift)
+                    for rule in (TagRule.LEFT, TagRule.RIGHT)] for fam in families]
     per_seed = np.zeros((len(config.seeds), len(families)))
-    route_gap = 0.0 if config.target == "weak_residual" else None
-    for si, sample_index in enumerate(config.seeds):
-        paths = coupled_sample_paths(config.triplet, fine, factors, sample_index, config.seed)
-        for li, (fam, path) in enumerate(zip(families, paths)):
-            if config.target == "tag_discrepancy":
-                i_end = fam.grid.n_steps
-                left = convolve_at(fam, path, i_end, TagRule.LEFT)
-                right = convolve_at(fam, path, i_end, TagRule.RIGHT)
-                per_seed[si, li] = float(np.linalg.norm(left - right))
-            else:  # weak_residual
-                zr = stieltjes_convolution(fam, path, config.tag_rule)
-                weak = weak_solution_residual(zr, path, fam)
-                joint = bounded_A_identity_residual(zr, path, fam)
-                per_seed[si, li] = weak.max_abs
-                route_gap = max(route_gap, float(np.max(np.abs(weak.residuals - joint.residuals))))
+    route_gap = None if tag else 0.0
+    for first, lo, hi in _index_runs(config.seeds):
+        for b0, b1, gauss, times, marks in _draw_blocks(triplet, fine, config.seed, lo, hi):
+            rows = range(first + b0 - lo, first + b1 - lo)
+            counts = [0] * len(rows) if times is None else np.isfinite(times).sum(axis=1)
+            for li, (fam, f) in enumerate(zip(families, factors)):
+                n_c = fam.grid.n_steps
+                inc = None if gauss is None else gauss.reshape(len(rows), n_c, f, K).sum(axis=2)
+                if tag:
+                    left, right = (_node_values(fam, n_c, w, inc, times, marks)
+                                   for w in weights[li])
+                    diff = np.broadcast_to(left - right, (len(rows), K))
+                    for r, row in enumerate(rows):  # each row's norm as the 1-D norm rounds
+                        per_seed[row, li] = float(np.linalg.norm(diff[r]))
+                    continue
+                for r, row in enumerate(rows):  # weak_residual: one path per outcome
+                    m = counts[r]
+                    path = SamplePath(
+                        grid=fam.grid, drift=drift,
+                        gauss_increments=np.zeros((n_c, K)) if inc is None else inc[r],
+                        jump_times=times[r, :m] if m else np.zeros(0),
+                        jump_marks=marks[r, :m] if m else np.zeros((0, K)))
+                    per_seed[row, li], gap = _weak_residual_norms(fam, path, config.tag_rule)
+                    route_gap = max(route_gap, gap)
     return ConvergenceStudy(config.target, dts, per_seed.mean(axis=0), per_seed, route_gap)
+
+
+def _weak_residual_norms(fam: ResolventFamily, path: SamplePath, tag_rule: TagRule):
+    """(sup weak residual, sup |weak - bounded-A|) of the path's Stieltjes convolution."""
+    zr = stieltjes_convolution(fam, path, tag_rule)
+    weak = weak_solution_residual(zr, path, fam)
+    joint = bounded_A_identity_residual(zr, path, fam)
+    return weak.max_abs, float(np.max(np.abs(weak.residuals - joint.residuals)))
+
+
+def _index_runs(indices):
+    """(position, lo, hi) for each run of consecutive sample indices lo..hi-1 in indices."""
+    runs = []
+    for pos, idx in enumerate(indices):
+        if runs and idx == runs[-1][2]:
+            runs[-1][2] += 1
+        else:
+            runs.append([pos, idx, idx + 1])
+    return runs

@@ -423,6 +423,31 @@ class TestBlockedTerminalValues:
             assert np.array_equal(got, [convolve_at(fam, path, i, rule) for path in paths])
         assert len(streams) == (1 if trip.jump is None else 3) * self.N
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["mixed", "mixture-and-noise"])
+    def test_jump_passes_within_a_small_budget(self, monkeypatch, name, workers):
+        # blocks of 3 samples, and a jump pass whenever the pending blocks'
+        # padded jumps reach those 3 samples' bytes
+        trip = BLOCKED_TRIPLETS[name]
+        fam = family(trip.dim, self.GRID)
+        monkeypatch.setattr(levy, "_BLOCK_BYTES", 3 * levy._sample_bytes(
+            trip, self.GRID.n_steps, trip.dim, self.GRID.t_end))
+        passes = []
+        real = characterization._jump_weights
+
+        def recording(family, t, jump_times):
+            passes.append(jump_times.shape)
+            return real(family, t, jump_times)
+
+        monkeypatch.setattr(characterization, "_jump_weights", recording)
+        got = terminal_values(fam, trip, 1.0, self.N, seed=41, workers=workers)
+        assert len(passes) >= 2 * workers
+        assert max(rows for rows, _ in passes) > 3  # a pass over several blocks
+        assert sum(rows for rows, _ in passes) == self.N
+        assert np.array_equal(got, [convolve_at(fam, sample_path(trip, self.GRID, b, seed=41),
+                                                self.GRID.n_steps, TagRule.LEFT)
+                                    for b in range(self.N)])
+
     @pytest.mark.parametrize("name", ["rate-20-K1", "rate-20-K2"])
     def test_high_rate_reaches_eight_jumps(self, name):
         trip = BLOCKED_TRIPLETS[name]

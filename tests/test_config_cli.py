@@ -3,11 +3,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from levyvolterra import spectral
+from levyvolterra import cli, spectral
 from levyvolterra.cli import _out_dir, main
 from levyvolterra.config import (
     JUMP_WORK_BUDGET,
@@ -660,12 +661,49 @@ class TestStageTable:
         assert report["passed"] is False
         assert report["results"]["route_consistency_gap"] == 0.0
         assert all(v == 0.0 for row in report["results"]["sup_residuals"] for v in row)
+        assert report["results"]["exact_seeds"] == 10  # no seed left to show a decrease
         capsys.readouterr()
         rc, out = example_out(tmp_path, "study", ["study"], path)
         assert rc == 2
         err = capsys.readouterr().err
         assert "study needs a nonzero pathwise drift or gauss_var" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows, exact, passed", [
+        ([[0.0, 0.0, 0.0], [3e-3, 2e-3, 1e-3]], 1, True),
+        ([[3e-3, 2e-3, 1e-3], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 2, True),
+        # a row that is nonzero at any level is not exact, and must decrease
+        ([[0.0, 1e-17, 0.0], [3e-3, 2e-3, 1e-3]], 0, False),
+        ([[0.0, 0.0, 0.0], [3e-3, 3e-3, 1e-3]], 1, False),
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 2, False),
+    ])
+    def test_verify_weak_leaves_exact_seeds_out_of_the_decrease(self, tmp_path, monkeypatch,
+                                                                 rows, exact, passed):
+        from levyvolterra.verification import ConvergenceStudy
+
+        per_seed = np.array(rows)
+        monkeypatch.setattr(cli, "convergence_study", lambda config: ConvergenceStudy(
+            "weak_residual", np.array([0.025, 0.005, 0.001]), per_seed.mean(axis=0), per_seed,
+            route_gap=0.0))
+        rc, out = example_out(tmp_path, "weak", ["verify-weak"])
+        results = json.loads((out / "weak_report.json").read_text())["results"]
+        assert results["exact_seeds"] == exact
+        assert results["monotone_decreasing_all_seeds"] is passed
+        assert rc == (0 if passed else 1)
+
+    def test_verify_weak_counts_jump_only_seeds_without_jumps(self, tmp_path):
+        # JUMPS_ONLY at the example seed: outcomes 1 and 5 draw no jump, so
+        # their paths and residuals are exactly 0
+        path = write_config(tmp_path, example_with((("triplet",), JUMPS_ONLY)))
+        rc, out = example_out(tmp_path, "weak", ["verify-weak"], path)
+        results = json.loads((out / "weak_report.json").read_text())["results"]
+        sup = np.array(results["sup_residuals"])
+        exact = np.all(sup == 0.0, axis=1)
+        assert np.flatnonzero(exact).tolist() == [1, 5] and results["exact_seeds"] == 2
+        assert results["route_consistency_gap"] <= cli.ROUTE_CONSISTENCY_TOL
+        decreasing = bool(np.all(np.diff(sup[~exact], axis=1) < 0.0))
+        assert results["monotone_decreasing_all_seeds"] is decreasing
+        assert rc == (0 if decreasing else 1)
 
     def test_seed_option_equals_seed_in_config(self, tmp_path):
         # --seed reaches the config echoed in every report, and --out and

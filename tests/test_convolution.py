@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from levyvolterra import (
+    DiscreteMixture,
     JumpPart,
     KernelSpec,
     LevyTriplet,
@@ -21,6 +24,7 @@ from levyvolterra import (
     stieltjes_convolution,
 )
 from levyvolterra.cli import PARTS_REL_TOL
+from levyvolterra.config import JUMPS_PER_PATH_BUDGET
 from levyvolterra import convolution
 from levyvolterra.convolution import _jump_weight_blocks, _lag_fold
 
@@ -30,6 +34,22 @@ INT_S_MU1 = 0.7161661791908469
 INT_S_MUPI2 = 0.17553380821493078
 # the FFT lag fold agrees with in-order sums to this fraction of their largest entry
 FOLD_REL_TOL = 1e-13
+
+
+def fsum_stieltjes_left(fam, path):
+    """The LEFT Stieltjes sums at every node, each added exactly by math.fsum."""
+    grid = fam.grid
+    nodes, s = grid.nodes(), fam.s_matrix
+    out = np.zeros((grid.n_steps + 1, fam.K))
+    for i in range(1, grid.n_steps + 1):
+        m = np.searchsorted(path.jump_times, nodes[i], side="right")
+        for k in range(fam.K):
+            lagw = s[i:0:-1, k]  # s(t_i - t_j) for the steps j < i
+            w = np.interp(nodes[i] - path.jump_times[:m], nodes, s[:, k])
+            out[i, k] = math.fsum([*(path.drift[k] * grid.dt * lagw),
+                                   *(lagw * path.gauss_increments[:i, k]),
+                                   *(w * path.jump_marks[:m, k])])
+    return out
 
 
 def mixed_triplet(K=3):
@@ -111,6 +131,38 @@ class TestPartsEquivalence:
         b = parts_convolution(fam, path).values
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+    # 10**4 jumps, the JUMPS_PER_PATH_BUDGET edge, whose compensator drift
+    # cancels most of the jump sum (the point mass and the mixture's atoms
+    # lie inside the unit ball)
+    @pytest.mark.parametrize("law", [
+        PointMass(np.array([0.6, -0.4])),
+        DiscreteMixture(np.array([0.5, 0.3, 0.2]),
+                        np.array([[0.6, -0.4], [-0.3, 0.5], [0.2, 0.1]])),
+    ], ids=["point-mass", "mixture"])
+    @pytest.mark.parametrize("rate", [2000.0, float(JUMPS_PER_PATH_BUDGET)])
+    def test_many_jumps_match_fsum_reference(self, law, rate):
+        grid = TimeGrid(1.0, 50)
+        fam = dirichlet_family(2, grid)
+        trip = LevyTriplet(np.array([0.3, -0.2]), np.array([0.5, 0.25]), JumpPart(rate, law))
+        path = sample_path(trip, grid, 0, seed=5)
+        assert path.jump_times.size > 0.98 * rate
+        ref = fsum_stieltjes_left(fam, path)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(parts_convolution(fam, path).values - ref)) <= PARTS_REL_TOL * scale
+        a = stieltjes_convolution(fam, path, TagRule.LEFT).values
+        assert np.max(np.abs(a - ref)) <= PARTS_REL_TOL * scale
+
+    def test_cumsum_error_term_against_fsum(self):
+        x = np.random.default_rng(4).normal(0.6, 1.0, (JUMPS_PER_PATH_BUDGET, 2))
+        hi, lo = convolution._cumsum_with_error(x)
+        assert np.array_equal(hi, np.cumsum(x, axis=0))
+        for k in range(2):
+            exact = np.array([math.fsum(x[: m + 1, k]) for m in range(0, x.shape[0], 97)])
+            plain = np.max(np.abs(hi[::97, k] - exact))
+            carried = np.max(np.abs(hi[::97, k] + lo[::97, k] - exact))
+            assert carried <= 4 * np.finfo(float).eps * np.max(np.abs(exact))
+            assert carried < plain / 10
 
     def test_deterministic_ramp(self):
         grid = TimeGrid(1.0, 200)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from levyvolterra import (
+    DiscreteMixture,
     JumpPart,
     KernelSpec,
     LevyTriplet,
@@ -13,6 +14,7 @@ from levyvolterra import (
     build_resolvent_family,
     build_spectral_model,
     convergence_study,
+    convolve_at,
     coupled_sample_paths,
     fit_order,
     identity_resolvent_family,
@@ -20,6 +22,7 @@ from levyvolterra import (
     stieltjes_convolution,
     weak_solution_residual,
 )
+from levyvolterra import levy
 from levyvolterra.cli import ROUTE_CONSISTENCY_TOL
 
 KERNEL = KernelSpec.exponential(1.0)
@@ -186,6 +189,31 @@ class TestBoundedIdentityResidual:
         assert sups[0] / sups[2] > 3.0
 
 
+# one of each branch of the block layout; at seed 16 jump-only sample 3 has no jump
+STUDY_TRIPLETS = {
+    "gaussian": LevyTriplet(np.array([0.3, -0.2]), np.array([0.5, 0.25])),
+    "jump-only": LevyTriplet(np.array([0.3, -0.2]), np.zeros(2),
+                             JumpPart(1.5, PointMass(np.array([1.2, -0.4])))),
+    "mixed": mixed_triplet(),
+    "mixture-and-noise": LevyTriplet(np.zeros(2), np.array([0.4, 0.3]), JumpPart(
+        3.0, DiscreteMixture(np.array([0.5, 0.3, 0.2]),
+                             np.array([[0.5, 0.2], [-0.4, 0.1], [0.2, -0.3]])))),
+}
+
+
+def per_sample_tag_study(trip, fams, factors, seeds, seed):
+    """The tag study one outcome at a time: coupled paths, then convolve_at LEFT and RIGHT."""
+    per_seed = np.zeros((len(seeds), len(fams)))
+    for si, idx in enumerate(seeds):
+        paths = coupled_sample_paths(trip, fams[-1].grid, factors, idx, seed)
+        for li, (fam, path) in enumerate(zip(fams, paths)):
+            n = fam.grid.n_steps
+            left = convolve_at(fam, path, n, TagRule.LEFT)
+            right = convolve_at(fam, path, n, TagRule.RIGHT)
+            per_seed[si, li] = float(np.linalg.norm(left - right))
+    return per_seed
+
+
 def levels(model, fine_grid, factors, kernel=KERNEL):
     """The study's level families: model and kernel solved on each coarsening, coarse to fine."""
     return [build_resolvent_family(model, kernel, fine_grid.coarsened(f)) for f in factors]
@@ -239,6 +267,52 @@ class TestConvergenceStudy:
         assert study.fitted_order >= 0.4
         assert study.monotone_decreasing
 
+    @pytest.mark.parametrize("block", ["default", "2-samples"])
+    @pytest.mark.parametrize("seeds", [tuple(range(12)), (3, 4, 9)], ids=["0-11", "3-4-9"])
+    @pytest.mark.parametrize("factors", [(4, 2, 1), (25, 5, 1)], ids=["4-2-1", "25-5-1"])
+    @pytest.mark.parametrize("name", sorted(STUDY_TRIPLETS))
+    def test_tag_study_equals_per_sample_reference(self, monkeypatch, name, factors, seeds,
+                                                   block):
+        trip, seed, grid = STUDY_TRIPLETS[name], 16, TimeGrid(1.0, 100)
+        fams = levels(build_spectral_model(2, "dirichlet_laplacian"), grid, factors)
+        if block == "2-samples":
+            monkeypatch.setattr(levy, "_BLOCK_BYTES", 2 * levy._sample_bytes(trip, 100, 2, 1.0))
+        study = convergence_study(StudyConfig(target="tag_discrepancy", families=fams,
+                                              triplet=trip, seeds=seeds, seed=seed))
+        assert np.array_equal(study.per_seed,
+                              per_sample_tag_study(trip, fams, factors, seeds, seed))
+        assert np.all(study.per_seed > 0.0)
+
+    def test_jump_only_study_covers_a_seed_without_jumps(self):
+        counts = [sample_path(STUDY_TRIPLETS["jump-only"], TimeGrid(1.0, 100), idx,
+                              seed=16).jump_times.size for idx in (3, 4, 9)]
+        assert 0 in counts and max(counts) > 1
+
+    @pytest.mark.parametrize("seeds, runs", [
+        ((3, 4, 9), [(3, 5), (9, 10)]),
+        (tuple(range(7)), [(0, 7)]),
+        ((5, 4, 4), [(5, 6), (4, 5), (4, 5)]),
+    ])
+    def test_one_draw_per_run_of_consecutive_indices(self, monkeypatch, seeds, runs):
+        from levyvolterra import verification
+
+        calls = []
+        real = verification._draw_blocks
+
+        def recording(triplet, grid, seed, lo, hi):
+            calls.append((lo, hi))
+            return real(triplet, grid, seed, lo, hi)
+
+        monkeypatch.setattr(verification, "_draw_blocks", recording)
+        trip = mixed_triplet()
+        fams = levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 64),
+                      (4, 2, 1))
+        study = convergence_study(StudyConfig(target="tag_discrepancy", families=fams,
+                                              triplet=trip, seeds=seeds, seed=3))
+        assert calls == runs
+        assert np.array_equal(study.per_seed,
+                              per_sample_tag_study(trip, fams, (4, 2, 1), seeds, 3))
+
     def test_weak_residual_coupled_seeds_monotone(self):
         study = convergence_study(StudyConfig(
             target="weak_residual",
@@ -269,6 +343,24 @@ class TestConvergenceStudy:
         assert np.array_equal(study.per_seed, per_seed)
         assert study.route_gap == gap
         assert 0.0 < study.route_gap <= ROUTE_CONSISTENCY_TOL
+
+    @pytest.mark.parametrize("seeds", [(0, 1, 2, 3, 4, 5), (3, 4, 9)], ids=["0-5", "3-4-9"])
+    @pytest.mark.parametrize("name", sorted(STUDY_TRIPLETS))
+    def test_weak_study_equals_per_path_loop(self, monkeypatch, name, seeds):
+        # samples of 2 per _draw_blocks block, so runs span several blocks
+        trip, seed = STUDY_TRIPLETS[name], 16
+        fams = levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 100),
+                      (25, 5, 1))
+        monkeypatch.setattr(levy, "_BLOCK_BYTES", 2 * levy._sample_bytes(trip, 100, 2, 1.0))
+        study = convergence_study(StudyConfig(target="weak_residual", families=fams,
+                                              triplet=trip, seeds=seeds, seed=seed))
+        per_seed = np.zeros((len(seeds), len(fams)))
+        for si, idx in enumerate(seeds):
+            paths = coupled_sample_paths(trip, fams[-1].grid, (25, 5, 1), idx, seed)
+            for li, (fam, path) in enumerate(zip(fams, paths)):
+                zr = stieltjes_convolution(fam, path, TagRule.LEFT)
+                per_seed[si, li] = weak_solution_residual(zr, path, fam).max_abs
+        assert np.array_equal(study.per_seed, per_seed)
 
     def test_zero_norms_fail_only_when_the_order_is_read(self):
         # a zero-noise triplet has zero residuals at every level: the study
