@@ -48,7 +48,6 @@ from .levy import (
     LevyTriplet,
     PointMass,
     SamplePath,
-    coupled_sample_paths,
     sample_path,
 )
 from .spectral import (

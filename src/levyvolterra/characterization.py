@@ -39,7 +39,7 @@ ECF_Z_SOFT, ECF_Z_HARD, ECF_FRACTION = 3.0, 5.0, 0.95
 # salt keeping panel-direction streams disjoint from per-sample streams
 _PANEL_SALT = 1 << 62
 
-# terminal_values' last Gaussian-only pass: (key, {tag rule: (N, K) array})
+# terminal_values' last Gaussian-only pass: (key, {tag rule: (N, K) view of its rows})
 _LAST_PASS = (None, {})
 
 
@@ -140,18 +140,20 @@ def terminal_values(
     seed), node_index(t), tag_rule)`` bit for bit, whatever ``workers`` says
     and whether or not the memo below serves it.
 
-    Each range of samples is one levy._draw_blocks loop: a
-    convolution._node_values call per block and rule writes the drift and
-    Gaussian part of the block's rows, and the jump sums of the pending
-    blocks are added in one _jump_weights pass whenever their padded jumps
-    reach levy._BLOCK_BYTES, at the 8 (2 + 4K) bytes per jump slot that
-    levy._sample_bytes charges, and once more at the end of the range.  A
-    pass sums each row's jumps left to right as _node_values does, so the
-    rows do not change.  With Gaussian increments the samples are split
-    into min(workers, n_samples) ranges on at most os.cpu_count() threads,
-    which overlap on mixed triplets too, since a jump pass is a few large
-    numpy calls; a triplet without them runs on one thread, since its
-    per-sample draws hold the interpreter lock.
+    Each range of samples is one levy._draw_blocks loop: one
+    convolution._node_values call per block contracts the block's
+    mode-major (B, K, n) increments with every rule at once and writes the
+    drift and Gaussian part of the block's rows of one (n_samples, R, K)
+    array, and the jump sums of the pending blocks are added in one
+    _jump_weights pass whenever their padded jumps reach levy._BLOCK_BYTES,
+    at the 8 (2 + 4K) bytes per jump slot that levy._sample_bytes charges,
+    and once more at the end of the range.  A pass sums each row's jumps
+    left to right as _node_values does, so the rows do not change.  With
+    Gaussian increments the samples are split into min(workers, n_samples)
+    ranges on at most os.cpu_count() threads, which overlap on mixed
+    triplets too, since a jump pass is a few large numpy calls; a triplet
+    without them runs on one thread, since its per-sample draws hold the
+    interpreter lock.
 
     For a Gaussian-only triplet, whose outcomes ``ecf_comparison`` reads
     with LEFT and ``gaussian_covariance_check`` with MIDPOINT, each block is
@@ -172,16 +174,16 @@ def terminal_values(
             and last_key[2:] == key[2:] and tag_rule in last_outs):
         return last_outs[tag_rule].copy()
 
-    rules = [tag_rule]
+    rules = (tag_rule,)
     if triplet.jump is None:
-        rules += [r for r in (TagRule.LEFT, TagRule.MIDPOINT) if r is not tag_rule]
-    weights = [_node_weights(family, rule, i, triplet.pathwise_drift()) for rule in rules]
-    outs = [np.empty((n_samples, family.K)) for _ in rules]
+        rules += tuple(r for r in (TagRule.LEFT, TagRule.MIDPOINT) if r is not tag_rule)
+    weights = _node_weights(family, rules, i, triplet.pathwise_drift())
+    out = np.empty((n_samples, len(rules), family.K))
 
     t_i, slot_bytes = family.grid.nodes()[i], 8 * (2 + 4 * family.K)
 
     def add_jumps(pending, width: int):
-        """Add to outs the jump sums of consecutive blocks (b0, b1, times, marks), in one pass.
+        """Add to out the jump sums of consecutive blocks (b0, b1, times, marks), in one pass.
 
         The blocks' padded jumps are padded again to the widest block, +inf
         times and 0 marks, and summed left to right as _node_values does.
@@ -194,16 +196,13 @@ def terminal_values(
             all_m[b0 - rows.start : b1 - rows.start, : times.shape[1]] = marks
         W = _jump_weights(family, t_i, all_t)
         W *= all_m
-        sums = _sum_over_jumps(W)
-        for out in outs:
-            out[rows] += sums
+        out[rows] += _sum_over_jumps(W)[:, None, :]
 
     def run_range(lo: int, hi: int):
         pending, width = [], 0  # blocks whose jumps are not yet summed, their widest
         for b0, b1, gauss, times, marks in _draw_blocks(triplet, family.grid, seed, lo, hi):
-            steps = None if gauss is None else gauss[:, :i]
-            for out, w in zip(outs, weights):
-                out[b0:b1] = _node_values(family, i, w, steps, None, None)
+            steps = None if gauss is None else gauss[:, :, :i]
+            out[b0:b1] = _node_values(family, i, weights, steps, None, None)
             if times is not None:
                 pending.append((b0, b1, times, marks))
                 width = max(width, times.shape[1])
@@ -226,8 +225,8 @@ def terminal_values(
                 f.result()
     if len(rules) > 1:
         # one assignment, so a concurrent reader sees the old entry or the new one
-        _LAST_PASS = (key, dict(zip(rules[1:], outs[1:])))
-    return outs[0]
+        _LAST_PASS = (key, {rule: out[:, r] for r, rule in enumerate(rules[1:], 1)})
+    return out[:, 0].copy()
 
 
 def build_panel(K: int, panel_size: int, seed: int) -> np.ndarray:

@@ -20,6 +20,12 @@ weights, which are built for blocks of output nodes, about
 _JUMP_BLOCK_ENTRIES at a time, and summed left to right in m, so the blocks
 change no bit of the result.
 
+One node's value for a block of outcomes is the single-node sum
+_node_values: the step increments come mode-major, (B, K, i), as
+levy._draw_blocks lays them out, and the weights of every requested tag
+rule are contracted along each mode's contiguous time row in one einsum.
+convolve_at is its one-outcome, one-rule call.
+
 The Stieltjes route adds the cumulative sum of the step increments to their
 fold against w - 1.  For an identity family w - 1 is exactly 0, so the fold
 adds only zeros and the route reproduces the path float for float.  The
@@ -153,33 +159,45 @@ def _sum_over_jumps(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def _node_weights(family: ResolventFamily, tag_rule: TagRule, i: int, drift: np.ndarray):
-    """(drift part, step weights) of Z_R(t_i) under tag_rule, for _node_values.
+def _node_weights(family: ResolventFamily, rules, i: int, drift: np.ndarray):
+    """(drift parts (R, K), step weights (R, K, i)) of Z_R(t_i) for the tag rules, for _node_values.
 
-    The drift part is drift * dt * (sum of the first i lag weights); row j
-    of the step weights is lag i - j, the weight of step j.
+    Row r of the drift parts is drift * dt * (sum of the first i lag
+    weights of rules[r]), summed in lag order; entry [r, k, j] of the step
+    weights is mode k's lag i - j weight of that rule, the weight of step j,
+    so each mode's weights are contiguous in time.
     """
-    lagw = _lag_weights(family, tag_rule)[:i]
-    drift_part = drift * (family.grid.dt * np.sum(lagw, axis=0)) if i else np.zeros(family.K)
-    return drift_part, lagw[::-1]
+    drift_parts = np.zeros((len(rules), family.K))
+    step_weights = np.empty((len(rules), family.K, i))
+    for r, rule in enumerate(rules):
+        lagw = _lag_weights(family, rule)[:i]
+        if i:
+            drift_parts[r] = drift * (family.grid.dt * np.sum(lagw, axis=0))
+        step_weights[r] = lagw[::-1].T
+    return drift_parts, step_weights
 
 
 def _node_values(family: ResolventFamily, i: int, weights, gauss, jump_times, jump_marks):
-    """Z_R(t_i) for B outcomes, (B, K): the one single-node Stieltjes sum.
+    """Z_R(t_i) for B outcomes under R tag rules, (B, R, K): the one single-node Stieltjes sum.
 
-    weights is _node_weights' pair; gauss (B, i, K) holds each outcome's
-    first i step increments, jump_times (B, M) its jump times in time order
-    padded with +inf, and jump_marks (B, M, K) their marks; gauss or
-    jump_times is None when there are none.  einsum("bjk,jk->bk") sums each
-    row over j in the same order for every B and the jumps are summed left
-    to right, so no row depends on the others.
+    weights is _node_weights' pair; gauss (B, K, i) holds each outcome's
+    first i step increments mode-major, jump_times (B, M) its jump times in
+    time order padded with +inf, and jump_marks (B, M, K) their marks;
+    gauss or jump_times is None when there are none, and with both None
+    the result is the (R, K) drift parts.  One einsum("bkj,rkj->brk")
+    contracts every rule along each mode's contiguous time row; it sums
+    every row over j in the same order whatever B, R, the row's neighbours
+    or the block's alignment, and the jumps, which weigh the same under
+    every rule, are summed left to right, so no row depends on the others.
     """
-    drift_part, step_weights = weights
-    vals = drift_part if gauss is None else drift_part + np.einsum("bjk,jk->bk", gauss, step_weights)
+    drift_parts, step_weights = weights
+    vals = drift_parts
+    if gauss is not None:
+        vals = drift_parts + np.einsum("bkj,rkj->brk", gauss, step_weights)
     if jump_times is not None:
         W = _jump_weights(family, family.grid.nodes()[i], jump_times)
         W *= jump_marks
-        vals = vals + _sum_over_jumps(W)
+        vals = vals + _sum_over_jumps(W)[:, None, :]
     return vals
 
 
@@ -189,17 +207,19 @@ def convolve_at(
     """Z_R(t_i) for a single output node, O(n K) work.
 
     Row i of stieltjes_convolution to roundoff (its jump part bit for bit),
-    summed in order rather than through the FFT fold.  It is the one-outcome
-    _node_values call, so characterization.terminal_values' rows equal it
-    on each sample's path bit for bit.
+    summed along each mode's time row rather than through the FFT fold.  It
+    is the one-outcome, one-rule _node_values call, so
+    characterization.terminal_values' rows equal it on each sample's path
+    bit for bit.
     """
     _check_shared_grid(family, path)
     i = node_index
     if not 0 <= i <= family.grid.n_steps:
         raise ValueError(f"node index {i} outside 0..{family.grid.n_steps}")
-    weights = _node_weights(family, tag_rule, i, path.drift)
-    return _node_values(family, i, weights, path.gauss_increments[None, :i],
-                        path.jump_times[None], path.jump_marks[None])[0]
+    weights = _node_weights(family, (tag_rule,), i, path.drift)
+    gauss = np.ascontiguousarray(path.gauss_increments[:i].T)[None]
+    return _node_values(family, i, weights, gauss, path.jump_times[None],
+                        path.jump_marks[None])[0, 0]
 
 
 def stieltjes_convolution(

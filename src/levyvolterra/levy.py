@@ -18,12 +18,15 @@ owns the draw order and the block memory: within one stream Gaussian step
 increments come first (skipped entirely when all Gaussian variances are
 zero), then jump count, jump times, jump marks (none for a point mass,
 whose marks are filled in per block), and samples are drawn in blocks of
-about _BLOCK_BYTES.  sample_path and coupled_sample_paths read one-sample
-blocks; characterization.terminal_values and
-verification.convergence_study read multi-sample blocks, the study one
-call per run of consecutive sample indices.  Gaussian variates
-use numpy's Generator.standard_normal on that stream, which pins the
-transform within this implementation.
+about _BLOCK_BYTES.  A block is mode-major, (B, K, n): each sample's
+normals are drawn into one (n, K) row in stream order and written scaled
+and transposed into the block in one pass, so every mode's time series is
+contiguous for the contractions that read it.  sample_path and
+coupled_sample_paths read one-sample blocks; characterization.terminal_values,
+verification.convergence_study and the verify-parts command read
+multi-sample blocks, and _block_path builds a SamplePath from a block row.
+Gaussian variates use numpy's Generator.standard_normal on that stream,
+which pins the transform within this implementation.
 """
 
 from __future__ import annotations
@@ -398,18 +401,22 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
     The one owner of the stream layout.  One generator is re-keyed per
     sample by sample_rng and draws, in order, the n * K Gaussian increments
     (skipped when every variance is 0), then the jump count, the jump times
-    uniform on (0, t_end] and the marks.  gauss is the block's (B, n, K)
-    scaled increments, in one buffer reused by the next block, or None;
-    times (B, M) holds each sample's jump times in stable time order padded
-    with +inf to the block's largest count M, marks (B, M, K) their marks
-    with 0 on the pads, both None without a jump part.  A block holds about
-    _BLOCK_BYTES (_sample_bytes per sample, at least one sample).
+    uniform on (0, t_end] and the marks.  gauss is the block's (B, K, n)
+    scaled increments, mode-major, in one buffer reused by the next block,
+    or None: each sample's normals fill one (n, K) row in stream order,
+    which is then scaled into the block with its modes as rows, the same
+    products a scaled (n, K) row would hold.  times (B, M) holds each
+    sample's jump times in stable time order padded with +inf to the
+    block's largest count M, marks (B, M, K) their marks with 0 on the
+    pads, both None without a jump part.  A block holds about _BLOCK_BYTES
+    (_sample_bytes per sample, at least one sample).
     """
     n, K, t_end, jump = grid.n_steps, triplet.dim, grid.t_end, triplet.jump
     draw_gauss = bool(np.any(triplet.gauss_var > 0.0))
-    scale = np.sqrt(triplet.gauss_var * grid.dt)
+    scale = np.sqrt(triplet.gauss_var * grid.dt)[:, None]
     block = max(1, int(_BLOCK_BYTES // _sample_bytes(triplet, n, K, t_end)))
-    buf = np.empty((min(block, hi - lo), n, K)) if draw_gauss else None
+    buf = np.empty((min(block, hi - lo), K, n)) if draw_gauss else None
+    row = np.empty((n, K)) if draw_gauss else None
     # point-mass marks draw nothing, so they are filled in once per block
     point_mass = jump is not None and isinstance(jump.law, PointMass)
     rng = None
@@ -419,7 +426,8 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
         for b in range(b0, b1):
             rng = sample_rng(seed, b, rng)
             if draw_gauss:
-                rng.standard_normal(out=buf[b - b0])
+                rng.standard_normal(out=row)
+                np.multiply(row.T, scale, out=buf[b - b0])
             if jump is not None:
                 count = int(rng.poisson(jump.rate * t_end))
                 counts.append(count)
@@ -427,10 +435,7 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
                     times.append(t_end * (1.0 - rng.random(count)))
                     if not point_mass:
                         marks.append(sample_jumps(jump.law, rng, count))
-        gauss = None
-        if draw_gauss:
-            gauss = buf[: b1 - b0]
-            gauss *= scale
+        gauss = buf[: b1 - b0] if draw_gauss else None
         if jump is None:
             yield b0, b1, gauss, None, None
             continue
@@ -447,19 +452,35 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
         yield b0, b1, gauss, padded_t[rows, order], sorted_m
 
 
-def _one_sample(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: int):
-    """Row sample_index of _draw_blocks: (gauss (n, K), times (m,), marks (m, K)).
+def _level_sums(gauss: np.ndarray, factor: int) -> np.ndarray:
+    """(B, K, n / factor) sums of each factor consecutive increments of a (B, K, n) block.
 
-    Zero increments without a Gaussian part, empty jump arrays without jumps.
+    Added to 0.0 in time order, as numpy reduces the step axis of a
+    time-major (B, n / factor, factor, K) block when K >= 2, so a level's
+    increments do not depend on the block layout.
     """
-    _, _, gauss, times, marks = next(_draw_blocks(triplet, grid, seed, sample_index,
-                                                  sample_index + 1))
-    K = triplet.dim
-    if gauss is None:
-        gauss = np.zeros((1, grid.n_steps, K))
-    if times is None:
-        times, marks = np.zeros((1, 0)), np.zeros((1, 0, K))
-    return gauss[0], times[0], marks[0]
+    parts = gauss.reshape(gauss.shape[:2] + (-1, factor))
+    out = np.zeros(parts.shape[:3])
+    for q in range(factor):
+        out += parts[..., q]
+    return out
+
+
+def _block_path(grid: TimeGrid, drift: np.ndarray, gauss, times, marks, r: int) -> SamplePath:
+    """Row r of a _draw_blocks block as a SamplePath on grid.
+
+    gauss is the block's (B, K, n_steps) increments or None (zero
+    increments), times and marks its padded jumps or None (no jumps); the
+    row's jumps are its finite times.
+    """
+    K = drift.shape[0]
+    m = 0 if times is None else int(np.count_nonzero(np.isfinite(times[r])))
+    return SamplePath(
+        grid=grid, drift=drift,
+        gauss_increments=(np.zeros((grid.n_steps, K)) if gauss is None
+                          else np.ascontiguousarray(gauss[r].T)),
+        jump_times=times[r, :m] if m else np.zeros(0),
+        jump_marks=marks[r, :m] if m else np.zeros((0, K)))
 
 
 def sample_path(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: int) -> SamplePath:
@@ -469,9 +490,9 @@ def sample_path(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: i
     count over [0, t_end] is Poisson(rate * t_end) with times uniform on
     (0, t_end] and i.i.d. marks from the jump law.
     """
-    gauss, times, marks = _one_sample(triplet, grid, sample_index, seed)
-    return SamplePath(grid=grid, drift=triplet.pathwise_drift(), gauss_increments=gauss,
-                      jump_times=times, jump_marks=marks)
+    _, _, gauss, times, marks = next(_draw_blocks(triplet, grid, seed, sample_index,
+                                                  sample_index + 1))
+    return _block_path(grid, triplet.pathwise_drift(), gauss, times, marks, 0)
 
 
 def coupled_sample_paths(
@@ -480,18 +501,16 @@ def coupled_sample_paths(
     """One random outcome realized consistently on several grid resolutions.
 
     Draws once on the finest grid (identically to sample_path on that grid)
-    and block-sums the Gaussian increments for each coarsening factor; jump
-    times and marks are shared exactly, so all levels see the same outcome.
-    verification.convergence_study reads the same coupling from
-    multi-sample blocks; this is its one-outcome form.
+    and block-sums the Gaussian increments for each coarsening factor with
+    _level_sums; jump times and marks are shared exactly, so all levels see
+    the same outcome.  verification.convergence_study reads the same
+    coupling from multi-sample blocks; this is its one-outcome form, which
+    no stage calls and the package does not export (perfbench's tracer
+    wraps it by name).
     """
-    gauss, times, marks = _one_sample(triplet, fine_grid, sample_index, seed)
-    K = triplet.dim
+    _, _, gauss, times, marks = next(_draw_blocks(triplet, fine_grid, seed, sample_index,
+                                                  sample_index + 1))
     drift = triplet.pathwise_drift()
-    paths = []
-    for f in factors:
-        coarse = fine_grid.coarsened(int(f))
-        inc = gauss.reshape(coarse.n_steps, int(f), K).sum(axis=1)
-        paths.append(SamplePath(grid=coarse, drift=drift, gauss_increments=inc,
-                                jump_times=times, jump_marks=marks))
-    return paths
+    return [_block_path(fine_grid.coarsened(int(f)), drift,
+                        None if gauss is None else _level_sums(gauss, int(f)), times, marks, 0)
+            for f in factors]

@@ -36,7 +36,7 @@ from .convolution import (
     stieltjes_convolution,
 )
 from .kernels import _unit_exponential, closed_form_exponential_resolvent, eval_kernel
-from .levy import LevyTriplet, SamplePath, _draw_blocks
+from .levy import LevyTriplet, SamplePath, _block_path, _draw_blocks, _level_sums
 from .spectral import ResidualProfile, ResolventFamily, _causal_convolution
 
 
@@ -183,13 +183,14 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
     Builds nothing: the dts, the fine grid and the coupling factors of the
     sample paths are read from the grids of config.families.  The outcomes
     are read from levy._draw_blocks on the fine grid, one call per run of
-    consecutive indices in config.seeds, and each level block-sums the
-    Gaussian increments by its factor while the jumps are shared exactly,
-    as coupled_sample_paths does for one outcome.  tag_discrepancy makes one
-    _node_values call per block, level and rule; weak_residual builds each
-    level's SamplePath from the block row and runs the Stieltjes route and
-    both residual oracles on it.  Every norm equals the one-outcome
-    computation on coupled_sample_paths bit for bit.
+    consecutive indices in config.seeds, and each level sums the block's
+    mode-major Gaussian increments by its factor in time order
+    (levy._level_sums) while the jumps are shared exactly, as
+    coupled_sample_paths does for one outcome.  tag_discrepancy makes one
+    _node_values call per block and level for LEFT and RIGHT together;
+    weak_residual builds each level's SamplePath from the block row and
+    runs the Stieltjes route and both residual oracles on it.  Every norm
+    equals the one-outcome computation on coupled_sample_paths bit for bit.
     """
     families = config.families
     fine = families[-1].grid
@@ -210,31 +211,24 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
     factors = [fine.n_steps // fam.grid.n_steps for fam in families]
     tag = config.target == "tag_discrepancy"
     if tag:  # (LEFT, RIGHT) weights of each level's last node
-        weights = [[_node_weights(fam, rule, fam.grid.n_steps, drift)
-                    for rule in (TagRule.LEFT, TagRule.RIGHT)] for fam in families]
+        weights = [_node_weights(fam, (TagRule.LEFT, TagRule.RIGHT), fam.grid.n_steps, drift)
+                   for fam in families]
     per_seed = np.zeros((len(config.seeds), len(families)))
     route_gap = None if tag else 0.0
     for first, lo, hi in _index_runs(config.seeds):
         for b0, b1, gauss, times, marks in _draw_blocks(triplet, fine, config.seed, lo, hi):
             rows = range(first + b0 - lo, first + b1 - lo)
-            counts = [0] * len(rows) if times is None else np.isfinite(times).sum(axis=1)
             for li, (fam, f) in enumerate(zip(families, factors)):
                 n_c = fam.grid.n_steps
-                inc = None if gauss is None else gauss.reshape(len(rows), n_c, f, K).sum(axis=2)
+                inc = None if gauss is None else _level_sums(gauss, f)
                 if tag:
-                    left, right = (_node_values(fam, n_c, w, inc, times, marks)
-                                   for w in weights[li])
-                    diff = np.broadcast_to(left - right, (len(rows), K))
+                    vals = _node_values(fam, n_c, weights[li], inc, times, marks)
+                    diff = np.broadcast_to(vals[..., 0, :] - vals[..., 1, :], (len(rows), K))
                     for r, row in enumerate(rows):  # each row's norm as the 1-D norm rounds
                         per_seed[row, li] = float(np.linalg.norm(diff[r]))
                     continue
                 for r, row in enumerate(rows):  # weak_residual: one path per outcome
-                    m = counts[r]
-                    path = SamplePath(
-                        grid=fam.grid, drift=drift,
-                        gauss_increments=np.zeros((n_c, K)) if inc is None else inc[r],
-                        jump_times=times[r, :m] if m else np.zeros(0),
-                        jump_marks=marks[r, :m] if m else np.zeros((0, K)))
+                    path = _block_path(fam.grid, drift, inc, times, marks, r)
                     per_seed[row, li], gap = _weak_residual_norms(fam, path, config.tag_rule)
                     route_gap = max(route_gap, gap)
     return ConvergenceStudy(config.target, dts, per_seed.mean(axis=0), per_seed, route_gap)

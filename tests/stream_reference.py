@@ -4,11 +4,20 @@ Each sample's stream is drawn on its own, on numpy's own keying of the
 (seed, index) Philox stream, in the documented order: the n * K Gaussian
 step normals (none when every variance is 0), the Poisson jump count, the
 count uniforms, the marks, then a stable sort into time order.
+coupled_reference realizes one such outcome on several coarsenings of a
+grid, summing each level's Gaussian increments in time order.
 """
 
 import numpy as np
 
-from levyvolterra import DiscreteMixture, GaussianJumps, JumpPart, LevyTriplet, PointMass
+from levyvolterra import (
+    DiscreteMixture,
+    GaussianJumps,
+    JumpPart,
+    LevyTriplet,
+    PointMass,
+    SamplePath,
+)
 from levyvolterra.levy import sample_jumps
 
 # triplets covering each branch of the stream layout and of the node sum
@@ -52,3 +61,21 @@ def reference_draw(trip, grid, index, seed):
             order = np.argsort(times, kind="stable")
             times, marks = times[order], marks[order]
     return gauss, times, marks
+
+
+def coupled_reference(trip, fine_grid, factors, index, seed):
+    """One outcome's SamplePath on fine_grid coarsened by each factor, from reference_draw.
+
+    Each level's increment is the sum of its factor fine increments, added
+    to 0.0 in time order; jumps are shared.
+    """
+    gauss, times, marks = reference_draw(trip, fine_grid, index, seed)
+    paths = []
+    for f in factors:
+        coarse = fine_grid.coarsened(int(f))
+        inc = np.zeros((coarse.n_steps, trip.dim))
+        for q in range(int(f)):
+            inc += gauss[q :: int(f)]
+        paths.append(SamplePath(grid=coarse, drift=trip.pathwise_drift(), gauss_increments=inc,
+                                jump_times=times, jump_marks=marks))
+    return paths

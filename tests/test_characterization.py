@@ -325,8 +325,9 @@ class TestTerminalValues:
 def per_sample_terminal_values(fam, trip, t, n_samples, seed, tag_rule):
     """One sample at a time: each stream drawn by reference_draw and contracted on its own.
 
-    Its jumps come in time order, as sample_path keeps them, and are summed
-    left to right.
+    Each mode's increments and weights are contiguous time rows, as in the
+    mode-major blocks, contracted by one einsum per sample.  Its jumps come
+    in time order, as sample_path keeps them, and are summed left to right.
     """
     grid = fam.grid
     K, dt = fam.K, grid.dt
@@ -341,7 +342,8 @@ def per_sample_terminal_values(fam, trip, t, n_samples, seed, tag_rule):
         g, times, marks = reference_draw(trip, grid, b, seed)
         acc = drift_part
         if np.any(trip.gauss_var > 0.0):
-            acc = drift_part + np.einsum("jk,jk->k", lagw[::-1], g[:i])
+            acc = drift_part + np.einsum("kj,kj->k", np.ascontiguousarray(lagw[::-1].T),
+                                         np.ascontiguousarray(g[:i].T))
         sel = times <= nodes[i]
         if np.any(sel):
             jw = np.column_stack([np.interp(nodes[i] - times[sel], nodes, s[:, k])

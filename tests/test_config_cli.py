@@ -490,6 +490,43 @@ class TestCliExitCodes:
         report = json.loads((out / "parts_report.json").read_text())
         assert report["results"]["max_relative_discrepancy"] <= 1e-12
 
+    def test_verify_parts_reads_one_draw(self, tmp_path, monkeypatch):
+        # blocks of 2 over the 5 outcomes: each block row is the outcome
+        # sample_path draws, so per_seed is the per-path loop's
+        from levyvolterra import levy
+        from levyvolterra.convolution import TagRule, parts_convolution, stieltjes_convolution
+
+        cfg = minimal_config(
+            model={"K": 2, "rule": "dirichlet_laplacian"},
+            triplet={"drift": [0.3, -0.2], "gauss_var": [1.0, 0.5],
+                     "jump": {"rate": 2.0, "law": {"kind": "point_mass", "mark": [0.5, -0.5]}}},
+            grid={"t_end": 1.0, "n_steps": 200},
+            mc={"n_samples": 5, "seed": 11},
+        )
+        run = load_config(write_config(tmp_path, cfg))
+        monkeypatch.setattr(levy, "_BLOCK_BYTES",
+                            2 * levy._sample_bytes(run.triplet, 200, 2, 1.0))
+        calls, real = [], levy._draw_blocks
+
+        def recording(*args):
+            calls.append(args[3:])
+            yield from real(*args)
+
+        monkeypatch.setattr(levy, "_draw_blocks", recording)
+        out = tmp_path / "out"
+        assert main(["verify-parts", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(out)]) == 0
+        assert calls == [(0, 5)]
+        fam = spectral.build_resolvent_family(run.model, run.kernel, run.grid)
+        per_path = []
+        for idx in range(5):
+            path = levy.sample_path(run.triplet, run.grid, idx, run.seed)
+            a = stieltjes_convolution(fam, path, TagRule.LEFT).values
+            b = parts_convolution(fam, path).values
+            per_path.append(float(np.max(np.abs(a - b))) / float(np.max(np.abs(a))))
+        report = json.loads((out / "parts_report.json").read_text())
+        assert report["results"]["per_seed"] == per_path
+
     def test_simulate_writes_artifacts(self, tmp_path):
         cfg = minimal_config(
             triplet={"drift": [0.1], "gauss_var": [0.5],

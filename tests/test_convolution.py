@@ -25,8 +25,9 @@ from levyvolterra import (
 )
 from levyvolterra.cli import PARTS_REL_TOL
 from levyvolterra.config import JUMPS_PER_PATH_BUDGET
-from levyvolterra import convolution
-from levyvolterra.convolution import _jump_weight_blocks, _lag_fold
+from levyvolterra import convolution, levy
+from levyvolterra.convolution import _jump_weight_blocks, _lag_fold, _node_values, _node_weights
+from stream_reference import BLOCKED_TRIPLETS
 
 KERNEL = KernelSpec.exponential(1.0)
 # int_0^1 s(tau, mu) dtau for the exponential kernel, by independent quadrature
@@ -456,3 +457,51 @@ class TestLagFold:
         w, x = -np.ones((n, 2)), np.full((n, 2), -0.0)
         out = _lag_fold(w, x)
         assert np.all(out[0] == 0.0) and not np.any(np.signbit(out[0]))
+
+
+def misaligned_copy(a):
+    """A C-contiguous copy of a whose data starts 8 bytes past a 16-byte boundary."""
+    raw = np.empty(a.nbytes + 16, dtype=np.uint8)
+    start = (8 - raw.ctypes.data) % 16
+    out = raw[start : start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 16 == 8 or a.size == 0
+    return out
+
+
+class TestStackedNodeValues:
+    """A _node_values row is the one-outcome, one-rule sum, whatever shares its call."""
+
+    GRID = TimeGrid(1.0, 60)
+    N = 7  # one default block at this grid, and a short last block of 3
+
+    @pytest.mark.parametrize("block", [1, 3, "default"])
+    @pytest.mark.parametrize("rules", [
+        (TagRule.LEFT,), (TagRule.LEFT, TagRule.MIDPOINT),
+        (TagRule.MIDPOINT, TagRule.LEFT, TagRule.RIGHT),
+    ], ids=["L", "L-M", "M-L-R"])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0], ids=["node-0", "mid", "t_end"])
+    @pytest.mark.parametrize("name", sorted(BLOCKED_TRIPLETS))
+    def test_rows_equal_one_outcome_calls(self, monkeypatch, name, t, rules, block):
+        trip = BLOCKED_TRIPLETS[name]
+        n, K = self.GRID.n_steps, trip.dim
+        fam = dirichlet_family(K, self.GRID)
+        i = self.GRID.node_index(t)
+        if block != "default":
+            monkeypatch.setattr(levy, "_BLOCK_BYTES", block * levy._sample_bytes(trip, n, K, 1.0))
+        weights = _node_weights(fam, rules, i, trip.pathwise_drift())
+        assert weights[1].shape == (len(rules), K, i) and weights[1].flags.c_contiguous
+        sizes = []
+        for b0, b1, gauss, times, marks in levy._draw_blocks(trip, self.GRID, 5, 0, self.N):
+            sizes.append(b1 - b0)
+            steps = None if gauss is None else gauss[:, :, :i]
+            got = np.broadcast_to(_node_values(fam, i, weights, steps, times, marks),
+                                  (b1 - b0, len(rules), K))
+            if steps is not None:
+                moved = _node_values(fam, i, weights, misaligned_copy(steps), times, marks)
+                assert np.array_equal(moved, got)
+            for row, b in enumerate(range(b0, b1)):
+                path = sample_path(trip, self.GRID, b, seed=5)
+                for r, rule in enumerate(rules):
+                    assert np.array_equal(got[row, r], convolve_at(fam, path, i, rule)), (b, rule)
+        assert sizes == {1: [1] * self.N, 3: [3, 3, 1], "default": [self.N]}[block]

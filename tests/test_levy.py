@@ -8,12 +8,11 @@ from levyvolterra import (
     LevyTriplet,
     PointMass,
     TimeGrid,
-    coupled_sample_paths,
     sample_path,
 )
 from levyvolterra import levy
 from levyvolterra.levy import jump_cf, jump_mean_inside_unit_ball, phi_batch, sample_rng
-from stream_reference import BLOCKED_TRIPLETS, philox_stream, reference_draw
+from stream_reference import BLOCKED_TRIPLETS, coupled_reference, philox_stream, reference_draw
 
 GRID = TimeGrid(1.0, 200)
 
@@ -312,10 +311,12 @@ class TestStreamLayout:
             if gauss is not None:
                 buffers.append(gauss)
                 assert np.shares_memory(gauss, buffers[0])  # one buffer for every block
+                # mode-major: each mode's time series is one contiguous row
+                assert gauss.shape == (b1 - b0, K, n) and gauss.flags.c_contiguous
             for row, b in enumerate(range(b0, b1)):
                 path = sample_path(trip, self.GRID, b, seed=8)
                 if gauss is not None:
-                    assert np.array_equal(gauss[row], path.gauss_increments)
+                    assert np.array_equal(gauss[row], path.gauss_increments.T)
                 if times is not None:
                     m = path.jump_times.size
                     assert np.array_equal(times[row, :m], path.jump_times)
@@ -364,7 +365,7 @@ class TestCoupledPaths:
     ], ids=["mixed", "jump-only", "gaussian-only"])
     def test_finest_level_matches_sample_path(self, trip):
         fine = TimeGrid(1.0, 256)
-        paths = coupled_sample_paths(trip, fine, (4, 2, 1), 9, seed=404)
+        paths = levy.coupled_sample_paths(trip, fine, (4, 2, 1), 9, seed=404)
         direct = sample_path(trip, fine, 9, seed=404)
         assert np.array_equal(paths[-1].values, direct.values)
         for field in ("gauss_increments", "jump_times", "jump_marks"):
@@ -374,7 +375,20 @@ class TestCoupledPaths:
         trip = LevyTriplet(np.array([0.1]), np.array([1.0]),
                            JumpPart(3.0, PointMass(np.array([0.7]))))
         fine = TimeGrid(1.0, 256)
-        coarse, mid, finest = coupled_sample_paths(trip, fine, (4, 2, 1), 3, seed=11)
+        coarse, mid, finest = levy.coupled_sample_paths(trip, fine, (4, 2, 1), 3, seed=11)
         assert np.allclose(coarse.values, finest.values[::4], atol=1e-12)
         assert np.allclose(mid.values, finest.values[::2], atol=1e-12)
         assert np.array_equal(coarse.jump_times, finest.jump_times)
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_TRIPLETS))
+    def test_levels_equal_time_order_reference(self, name):
+        # the mode-major block's level sums add each level's fine steps in
+        # time order, as the time-major reference does
+        trip, fine, factors = BLOCKED_TRIPLETS[name], TimeGrid(1.0, 200), (25, 8, 5, 1)
+        for index in (0, 3):
+            got = levy.coupled_sample_paths(trip, fine, factors, index, seed=404)
+            want = coupled_reference(trip, fine, factors, index, 404)
+            for a, b in zip(got, want):
+                assert a.grid == b.grid
+                for field in ("gauss_increments", "jump_times", "jump_marks", "values"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), (field, a.grid)

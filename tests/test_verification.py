@@ -15,7 +15,6 @@ from levyvolterra import (
     build_spectral_model,
     convergence_study,
     convolve_at,
-    coupled_sample_paths,
     fit_order,
     identity_resolvent_family,
     sample_path,
@@ -24,6 +23,7 @@ from levyvolterra import (
 )
 from levyvolterra import levy
 from levyvolterra.cli import ROUTE_CONSISTENCY_TOL
+from stream_reference import coupled_reference
 
 KERNEL = KernelSpec.exponential(1.0)
 
@@ -205,7 +205,7 @@ def per_sample_tag_study(trip, fams, factors, seeds, seed):
     """The tag study one outcome at a time: coupled paths, then convolve_at LEFT and RIGHT."""
     per_seed = np.zeros((len(seeds), len(fams)))
     for si, idx in enumerate(seeds):
-        paths = coupled_sample_paths(trip, fams[-1].grid, factors, idx, seed)
+        paths = coupled_reference(trip, fams[-1].grid, factors, idx, seed)
         for li, (fam, path) in enumerate(zip(fams, paths)):
             n = fam.grid.n_steps
             left = convolve_at(fam, path, n, TagRule.LEFT)
@@ -333,7 +333,7 @@ class TestConvergenceStudy:
         per_seed = np.zeros((len(seeds), len(fams)))
         gap = 0.0
         for idx in seeds:
-            paths = coupled_sample_paths(trip, fams[-1].grid, (16, 4, 1), idx, seed)
+            paths = coupled_reference(trip, fams[-1].grid, (16, 4, 1), idx, seed)
             for li, (fam, path) in enumerate(zip(fams, paths)):
                 zr = stieltjes_convolution(fam, path, TagRule.LEFT)
                 weak = weak_solution_residual(zr, path, fam)
@@ -356,7 +356,7 @@ class TestConvergenceStudy:
                                               triplet=trip, seeds=seeds, seed=seed))
         per_seed = np.zeros((len(seeds), len(fams)))
         for si, idx in enumerate(seeds):
-            paths = coupled_sample_paths(trip, fams[-1].grid, (25, 5, 1), idx, seed)
+            paths = coupled_reference(trip, fams[-1].grid, (25, 5, 1), idx, seed)
             for li, (fam, path) in enumerate(zip(fams, paths)):
                 zr = stieltjes_convolution(fam, path, TagRule.LEFT)
                 per_seed[si, li] = weak_solution_residual(zr, path, fam).max_abs
