@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import levy
-from .convolution import TagRule, _jump_weights, _node_values, _node_weights, _sum_over_jumps
-from .levy import LevyTriplet, _draw_blocks, jump_rule, phi_batch, sample_rng
+from .convolution import TagRule, _jump_sums, _node_values, _node_weights
+from .levy import LevyTriplet, _draw_blocks, _jump_bytes, jump_rule, phi_batch, sample_rng
 from .spectral import ResolventFamily
 
 # ECF panel acceptance: at least ECF_FRACTION of the z-scores within
@@ -144,11 +144,11 @@ def terminal_values(
     convolution._node_values call per block contracts the block's
     mode-major (B, K, n) increments with every rule at once and writes the
     drift and Gaussian part of the block's rows of one (n_samples, R, K)
-    array, and the jump sums of the pending blocks are added in one
-    _jump_weights pass whenever their padded jumps reach levy._BLOCK_BYTES,
-    at the 8 (2 + 4K) bytes per jump slot that levy._sample_bytes charges,
-    and once more at the end of the range.  A pass sums each row's jumps
-    left to right as _node_values does, so the rows do not change.  With
+    array.  The pending blocks' jumps are concatenated and summed in one
+    convolution._jump_sums pass whenever they reach levy._BLOCK_BYTES, at
+    the levy._jump_bytes per jump that levy._sample_bytes charges, and once
+    more at the end of the range; _node_values sums a row's jumps the same
+    way, so the rows do not change.  With
     Gaussian increments the samples are split into min(workers, n_samples)
     ranges on at most os.cpu_count() threads, which overlap on mixed
     triplets too, since a jump pass is a few large numpy calls; a triplet
@@ -180,37 +180,26 @@ def terminal_values(
     weights = _node_weights(family, rules, i, triplet.pathwise_drift())
     out = np.empty((n_samples, len(rules), family.K))
 
-    t_i, slot_bytes = family.grid.nodes()[i], 8 * (2 + 4 * family.K)
+    t_i, jump_bytes = family.grid.nodes()[i], _jump_bytes(family.K)
 
-    def add_jumps(pending, width: int):
-        """Add to out the jump sums of consecutive blocks (b0, b1, times, marks), in one pass.
-
-        The blocks' padded jumps are padded again to the widest block, +inf
-        times and 0 marks, and summed left to right as _node_values does.
-        """
-        rows = slice(pending[0][0], pending[-1][1])
-        all_t = np.full((rows.stop - rows.start, width), np.inf)
-        all_m = np.zeros(all_t.shape + (family.K,))
-        for b0, b1, times, marks in pending:
-            all_t[b0 - rows.start : b1 - rows.start, : times.shape[1]] = times
-            all_m[b0 - rows.start : b1 - rows.start, : times.shape[1]] = marks
-        W = _jump_weights(family, t_i, all_t)
-        W *= all_m
-        out[rows] += _sum_over_jumps(W)[:, None, :]
+    def add_jumps(pending):
+        """Add to out the jump sums of consecutive blocks (b0, b1, jumps) in one _jump_sums pass."""
+        jumps = [np.concatenate(parts) for parts in zip(*(j for _, _, j in pending))]
+        out[pending[0][0] : pending[-1][1]] += _jump_sums(family, t_i, jumps)[:, None, :]
 
     def run_range(lo: int, hi: int):
-        pending, width = [], 0  # blocks whose jumps are not yet summed, their widest
-        for b0, b1, gauss, times, marks in _draw_blocks(triplet, family.grid, seed, lo, hi):
+        pending, n_jumps = [], 0  # blocks whose jumps are not yet summed, their jump count
+        for b0, b1, gauss, jumps in _draw_blocks(triplet, family.grid, seed, lo, hi):
             steps = None if gauss is None else gauss[:, :, :i]
-            out[b0:b1] = _node_values(family, i, weights, steps, None, None)
-            if times is not None:
-                pending.append((b0, b1, times, marks))
-                width = max(width, times.shape[1])
-                if (b1 - pending[0][0]) * width * slot_bytes >= levy._BLOCK_BYTES:
-                    add_jumps(pending, width)
-                    pending, width = [], 0
+            out[b0:b1] = _node_values(family, i, weights, steps, None)
+            if jumps is not None:
+                pending.append((b0, b1, jumps))
+                n_jumps += jumps[1].size
+                if n_jumps * jump_bytes >= levy._BLOCK_BYTES:
+                    add_jumps(pending)
+                    pending, n_jumps = [], 0
         if pending:
-            add_jumps(pending, width)
+            add_jumps(pending)
 
     # jump-only samples hold the interpreter lock for all their work, so
     # threads would only wait on each other

@@ -211,10 +211,9 @@ def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int, families: dict) ->
     n_seeds = min(cfg.n_samples, 20)
     drift = cfg.triplet.pathwise_drift()
     per_seed = []
-    for b0, b1, gauss, times, marks in levy._draw_blocks(cfg.triplet, cfg.grid, cfg.seed,
-                                                         0, n_seeds):
+    for b0, b1, gauss, jumps in levy._draw_blocks(cfg.triplet, cfg.grid, cfg.seed, 0, n_seeds):
         for r in range(b1 - b0):
-            path = levy._block_path(cfg.grid, drift, gauss, times, marks, r)
+            path = levy._block_path(cfg.grid, drift, gauss, jumps, r)
             a = stieltjes_convolution(fam, path, TagRule.LEFT).values
             b = parts_convolution(fam, path).values
             scale = max(float(np.max(np.abs(a))), 1e-300)

@@ -127,7 +127,7 @@ def _jump_weights(family: ResolventFamily, t, jump_times: np.ndarray) -> np.ndar
     """Exact-time jump weights W[..., k] = s(t - tau, gamma_k), and 0 where t - tau < 0.
 
     t and jump_times broadcast together; one np.interp per mode column of s.
-    The zero test covers the +inf pads, and for floats it is the test tau > t.
+    For floats the zero test is the test tau > t.
     """
     elapsed = t - jump_times
     nodes, s = family.grid.nodes(), family.s_matrix
@@ -177,27 +177,38 @@ def _node_weights(family: ResolventFamily, rules, i: int, drift: np.ndarray):
     return drift_parts, step_weights
 
 
-def _node_values(family: ResolventFamily, i: int, weights, gauss, jump_times, jump_marks):
+def _jump_sums(family: ResolventFamily, t: float, jumps) -> np.ndarray:
+    """(B, K) jump sums at time t of _draw_blocks' jumps (counts, times, marks), one per row.
+
+    Each row's terms _jump_weights * mark are added to 0.0 left to right.
+    """
+    counts, times, marks = jumps
+    W = _jump_weights(family, t, times)
+    W *= marks
+    out = np.zeros((counts.size, family.K))
+    np.add.at(out, np.repeat(np.arange(counts.size), counts), W)
+    return out
+
+
+def _node_values(family: ResolventFamily, i: int, weights, gauss, jumps):
     """Z_R(t_i) for B outcomes under R tag rules, (B, R, K): the one single-node Stieltjes sum.
 
     weights is _node_weights' pair; gauss (B, K, i) holds each outcome's
-    first i step increments mode-major, jump_times (B, M) its jump times in
-    time order padded with +inf, and jump_marks (B, M, K) their marks;
-    gauss or jump_times is None when there are none, and with both None
-    the result is the (R, K) drift parts.  One einsum("bkj,rkj->brk")
-    contracts every rule along each mode's contiguous time row; it sums
-    every row over j in the same order whatever B, R, the row's neighbours
-    or the block's alignment, and the jumps, which weigh the same under
-    every rule, are summed left to right, so no row depends on the others.
+    first i step increments mode-major, and jumps its (counts, times,
+    marks) as levy._draw_blocks lays them out; either is None when there
+    are none, and with both None the result is the (R, K) drift parts.
+    One einsum("bkj,rkj->brk") contracts every rule along each mode's
+    contiguous time row; it sums every row over j in the same order
+    whatever B, R, the row's neighbours or the block's alignment, and the
+    jumps, which weigh the same under every rule, are summed by _jump_sums,
+    so no row depends on the others.
     """
     drift_parts, step_weights = weights
     vals = drift_parts
     if gauss is not None:
         vals = drift_parts + np.einsum("bkj,rkj->brk", gauss, step_weights)
-    if jump_times is not None:
-        W = _jump_weights(family, family.grid.nodes()[i], jump_times)
-        W *= jump_marks
-        vals = vals + _sum_over_jumps(W)[:, None, :]
+    if jumps is not None:
+        vals = vals + _jump_sums(family, family.grid.nodes()[i], jumps)[:, None, :]
     return vals
 
 
@@ -218,8 +229,8 @@ def convolve_at(
         raise ValueError(f"node index {i} outside 0..{family.grid.n_steps}")
     weights = _node_weights(family, (tag_rule,), i, path.drift)
     gauss = np.ascontiguousarray(path.gauss_increments[:i].T)[None]
-    return _node_values(family, i, weights, gauss, path.jump_times[None],
-                        path.jump_marks[None])[0, 0]
+    jumps = (np.array([path.jump_times.size]), path.jump_times, path.jump_marks)
+    return _node_values(family, i, weights, gauss, jumps)[0, 0]
 
 
 def stieltjes_convolution(

@@ -379,24 +379,25 @@ def sample_rng(
     return rng
 
 
+def _jump_bytes(K: int) -> int:
+    """Bytes of one jump: its time and mark, drawn and sorted, and its weight in a jump sum."""
+    return 8 * (2 + 4 * K)
+
+
 def _sample_bytes(triplet: LevyTriplet, n: int, K: int, t_end: float) -> float:
     """Bytes one sample holds in a _draw_blocks block.
 
-    The n * K Gaussian increments when it draws them, plus 2 + 4K floats
-    for each of about 1 + rate * t_end jump slots: the drawn time and mark,
-    their time-sorted copies in the block's padded arrays, and the slot's
-    elapsed time and weight in the caller's jump sum.  The block pads every
-    sample to its largest jump count, so a jump-only block at a low rate can
-    hold about twice _BLOCK_BYTES.  Blocks shrink as the jump rate grows,
-    with or without Gaussian noise.
+    The n * K Gaussian increments when it draws them, plus _jump_bytes for
+    each of about 1 + rate * t_end jumps.  Blocks shrink as the jump rate
+    grows, with or without Gaussian noise.
     """
     gauss = 8.0 * n * K if np.any(triplet.gauss_var > 0.0) else 0.0
     rate = triplet.jump.rate if triplet.jump is not None else 0.0
-    return gauss + 8.0 * (1.0 + rate * t_end) * (2 + 4 * K)
+    return gauss + (1.0 + rate * t_end) * _jump_bytes(K)
 
 
 def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: int):
-    """Samples lo..hi-1 in consecutive blocks: yields (b0, b1, gauss, times, marks).
+    """Samples lo..hi-1 in consecutive blocks: yields (b0, b1, gauss, jumps).
 
     The one owner of the stream layout.  One generator is re-keyed per
     sample by sample_rng and draws, in order, the n * K Gaussian increments
@@ -405,11 +406,11 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
     scaled increments, mode-major, in one buffer reused by the next block,
     or None: each sample's normals fill one (n, K) row in stream order,
     which is then scaled into the block with its modes as rows, the same
-    products a scaled (n, K) row would hold.  times (B, M) holds each
-    sample's jump times in stable time order padded with +inf to the
-    block's largest count M, marks (B, M, K) their marks with 0 on the
-    pads, both None without a jump part.  A block holds about _BLOCK_BYTES
-    (_sample_bytes per sample, at least one sample).
+    products a scaled (n, K) row would hold.  jumps is None without a jump
+    part, else (counts (B,), times (J,), marks (J, K)): the block's J jumps
+    row by row, each row's counts[r] jumps in stable time order, so row r
+    holds jumps counts[:r].sum() up to counts[:r + 1].sum().  A block holds
+    about _BLOCK_BYTES (_sample_bytes per sample, at least one sample).
     """
     n, K, t_end, jump = grid.n_steps, triplet.dim, grid.t_end, triplet.jump
     draw_gauss = bool(np.any(triplet.gauss_var > 0.0))
@@ -422,7 +423,8 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
     rng = None
     for b0 in range(lo, hi, block):
         b1 = min(b0 + block, hi)
-        counts, times, marks = [], [], []  # each sample's jump data, in draw order
+        # each sample's jump data in draw order, led by an empty entry
+        counts, times, marks = [], [np.zeros(0)], [np.zeros((0, K))]
         for b in range(b0, b1):
             rng = sample_rng(seed, b, rng)
             if draw_gauss:
@@ -437,19 +439,14 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
                         marks.append(sample_jumps(jump.law, rng, count))
         gauss = buf[: b1 - b0] if draw_gauss else None
         if jump is None:
-            yield b0, b1, gauss, None, None
+            yield b0, b1, gauss, None
             continue
-        filled = np.arange(max(counts)) < np.array(counts)[:, None]
-        padded_t = np.full(filled.shape, np.inf)
-        padded_m = np.zeros(filled.shape + (K,))
-        if times:
-            padded_t[filled] = np.concatenate(times)
-            padded_m[filled] = jump.law.mark if point_mass else np.concatenate(marks)
-        order = np.argsort(padded_t, axis=1, kind="stable")
-        rows = np.arange(b1 - b0)[:, None]
-        # equal marks need no reordering: the filled slots lead every row
-        sorted_m = padded_m if point_mass else padded_m[rows, order]
-        yield b0, b1, gauss, padded_t[rows, order], sorted_m
+        counts, times = np.array(counts), np.concatenate(times)
+        # rows are drawn in order, so one stable sort by (row, time) sorts each row
+        order = np.lexsort((times, np.repeat(np.arange(b1 - b0), counts)))
+        marks = (np.broadcast_to(jump.law.mark, (times.size, K)) if point_mass
+                 else np.concatenate(marks)[order])
+        yield b0, b1, gauss, (counts, times[order], marks)
 
 
 def _level_sums(gauss: np.ndarray, factor: int) -> np.ndarray:
@@ -466,21 +463,20 @@ def _level_sums(gauss: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-def _block_path(grid: TimeGrid, drift: np.ndarray, gauss, times, marks, r: int) -> SamplePath:
+def _block_path(grid: TimeGrid, drift: np.ndarray, gauss, jumps, r: int) -> SamplePath:
     """Row r of a _draw_blocks block as a SamplePath on grid.
 
     gauss is the block's (B, K, n_steps) increments or None (zero
-    increments), times and marks its padded jumps or None (no jumps); the
-    row's jumps are its finite times.
+    increments), jumps its (counts, times, marks) or None (no jumps).
     """
     K = drift.shape[0]
-    m = 0 if times is None else int(np.count_nonzero(np.isfinite(times[r])))
+    counts, times, marks = jumps or (np.zeros(r + 1, int), np.zeros(0), np.zeros((0, K)))
+    row = slice(int(counts[:r].sum()), int(counts[: r + 1].sum()))
     return SamplePath(
         grid=grid, drift=drift,
         gauss_increments=(np.zeros((grid.n_steps, K)) if gauss is None
                           else np.ascontiguousarray(gauss[r].T)),
-        jump_times=times[r, :m] if m else np.zeros(0),
-        jump_marks=marks[r, :m] if m else np.zeros((0, K)))
+        jump_times=times[row], jump_marks=marks[row])
 
 
 def sample_path(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: int) -> SamplePath:
@@ -490,9 +486,8 @@ def sample_path(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: i
     count over [0, t_end] is Poisson(rate * t_end) with times uniform on
     (0, t_end] and i.i.d. marks from the jump law.
     """
-    _, _, gauss, times, marks = next(_draw_blocks(triplet, grid, seed, sample_index,
-                                                  sample_index + 1))
-    return _block_path(grid, triplet.pathwise_drift(), gauss, times, marks, 0)
+    _, _, gauss, jumps = next(_draw_blocks(triplet, grid, seed, sample_index, sample_index + 1))
+    return _block_path(grid, triplet.pathwise_drift(), gauss, jumps, 0)
 
 
 def coupled_sample_paths(
@@ -508,9 +503,9 @@ def coupled_sample_paths(
     no stage calls and the package does not export (perfbench's tracer
     wraps it by name).
     """
-    _, _, gauss, times, marks = next(_draw_blocks(triplet, fine_grid, seed, sample_index,
-                                                  sample_index + 1))
+    _, _, gauss, jumps = next(_draw_blocks(triplet, fine_grid, seed, sample_index,
+                                           sample_index + 1))
     drift = triplet.pathwise_drift()
     return [_block_path(fine_grid.coarsened(int(f)), drift,
-                        None if gauss is None else _level_sums(gauss, int(f)), times, marks, 0)
+                        None if gauss is None else _level_sums(gauss, int(f)), jumps, 0)
             for f in factors]

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +36,11 @@ def to_jsonable(obj):
 
 
 def atomic_write_text(path, text: str):
+    """Write text to a temp file beside path and rename it there, mode 0o666 & ~umask like open."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)

@@ -216,19 +216,19 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
     per_seed = np.zeros((len(config.seeds), len(families)))
     route_gap = None if tag else 0.0
     for first, lo, hi in _index_runs(config.seeds):
-        for b0, b1, gauss, times, marks in _draw_blocks(triplet, fine, config.seed, lo, hi):
+        for b0, b1, gauss, jumps in _draw_blocks(triplet, fine, config.seed, lo, hi):
             rows = range(first + b0 - lo, first + b1 - lo)
             for li, (fam, f) in enumerate(zip(families, factors)):
                 n_c = fam.grid.n_steps
                 inc = None if gauss is None else _level_sums(gauss, f)
                 if tag:
-                    vals = _node_values(fam, n_c, weights[li], inc, times, marks)
+                    vals = _node_values(fam, n_c, weights[li], inc, jumps)
                     diff = np.broadcast_to(vals[..., 0, :] - vals[..., 1, :], (len(rows), K))
                     for r, row in enumerate(rows):  # each row's norm as the 1-D norm rounds
                         per_seed[row, li] = float(np.linalg.norm(diff[r]))
                     continue
                 for r, row in enumerate(rows):  # weak_residual: one path per outcome
-                    path = _block_path(fam.grid, drift, inc, times, marks, r)
+                    path = _block_path(fam.grid, drift, inc, jumps, r)
                     per_seed[row, li], gap = _weak_residual_norms(fam, path, config.tag_rule)
                     route_gap = max(route_gap, gap)
     return ConvergenceStudy(config.target, dts, per_seed.mean(axis=0), per_seed, route_gap)

@@ -33,6 +33,11 @@ BLOCKED_TRIPLETS = {
                               JumpPart(20.0, GaussianJumps(np.array([0.2]), np.array([0.5])))),
     "rate-20-K2": LevyTriplet(np.array([0.1, 0.0]), np.array([0.3, 0.2]),
                               JumpPart(20.0, PointMass(np.array([0.3, -0.7])))),
+    # rate 2**-7: whole blocks without a jump, and blocks mixing rows with
+    # and without one; a power of two keeps the tests' budgets of a few
+    # samples' bytes exact multiples of one sample's
+    "rare-jumps": LevyTriplet(np.array([0.3, -0.2]), np.array([0.5, 0.25]),
+                              JumpPart(2.0**-7, PointMass(np.array([0.6, -0.4])))),
     # normals, then mixture marks (a choice draw) on one stream
     "mixture-and-noise": LevyTriplet(np.zeros(3), np.array([0.4, 0.3, 0.2]), JumpPart(
         3.0, DiscreteMixture(np.array([0.5, 0.3, 0.2]),

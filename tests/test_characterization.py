@@ -429,23 +429,26 @@ class TestBlockedTerminalValues:
     @pytest.mark.parametrize("name", ["mixed", "mixture-and-noise"])
     def test_jump_passes_within_a_small_budget(self, monkeypatch, name, workers):
         # blocks of 3 samples, and a jump pass whenever the pending blocks'
-        # padded jumps reach those 3 samples' bytes
+        # jumps reach those 3 samples' bytes
         trip = BLOCKED_TRIPLETS[name]
         fam = family(trip.dim, self.GRID)
-        monkeypatch.setattr(levy, "_BLOCK_BYTES", 3 * levy._sample_bytes(
-            trip, self.GRID.n_steps, trip.dim, self.GRID.t_end))
+        budget = 3 * levy._sample_bytes(trip, self.GRID.n_steps, trip.dim, self.GRID.t_end)
+        monkeypatch.setattr(levy, "_BLOCK_BYTES", budget)
         passes = []
-        real = characterization._jump_weights
+        real = characterization._jump_sums
 
-        def recording(family, t, jump_times):
-            passes.append(jump_times.shape)
-            return real(family, t, jump_times)
+        def recording(family, t, jumps):
+            passes.append((jumps[0].size, jumps[1].size))
+            return real(family, t, jumps)
 
-        monkeypatch.setattr(characterization, "_jump_weights", recording)
+        monkeypatch.setattr(characterization, "_jump_sums", recording)
         got = terminal_values(fam, trip, 1.0, self.N, seed=41, workers=workers)
-        assert len(passes) >= 2 * workers
+        assert len(passes) > workers  # a range that passes before its end
         assert max(rows for rows, _ in passes) > 3  # a pass over several blocks
         assert sum(rows for rows, _ in passes) == self.N
+        # only the last pass of a range may hold less than the budget
+        short = [n_jumps * levy._jump_bytes(trip.dim) < budget for _, n_jumps in passes]
+        assert sum(short) <= workers
         assert np.array_equal(got, [convolve_at(fam, sample_path(trip, self.GRID, b, seed=41),
                                                 self.GRID.n_steps, TagRule.LEFT)
                                     for b in range(self.N)])

@@ -492,13 +492,13 @@ class TestStackedNodeValues:
         weights = _node_weights(fam, rules, i, trip.pathwise_drift())
         assert weights[1].shape == (len(rules), K, i) and weights[1].flags.c_contiguous
         sizes = []
-        for b0, b1, gauss, times, marks in levy._draw_blocks(trip, self.GRID, 5, 0, self.N):
+        for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 5, 0, self.N):
             sizes.append(b1 - b0)
             steps = None if gauss is None else gauss[:, :, :i]
-            got = np.broadcast_to(_node_values(fam, i, weights, steps, times, marks),
+            got = np.broadcast_to(_node_values(fam, i, weights, steps, jumps),
                                   (b1 - b0, len(rules), K))
             if steps is not None:
-                moved = _node_values(fam, i, weights, misaligned_copy(steps), times, marks)
+                moved = _node_values(fam, i, weights, misaligned_copy(steps), jumps)
                 assert np.array_equal(moved, got)
             for row, b in enumerate(range(b0, b1)):
                 path = sample_path(trip, self.GRID, b, seed=5)

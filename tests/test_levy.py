@@ -304,24 +304,29 @@ class TestStreamLayout:
         n, K = self.GRID.n_steps, trip.dim
         monkeypatch.setattr(levy, "_BLOCK_BYTES", 3 * levy._sample_bytes(trip, n, K, 1.0))
         bounds, buffers = [], []
-        for b0, b1, gauss, times, marks in levy._draw_blocks(trip, self.GRID, 8, 5, 16):
+        for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 8, 5, 16):
             bounds.append((b0, b1))
             assert (gauss is None) == (not np.any(trip.gauss_var > 0.0))
-            assert (times is None) == (marks is None) == (trip.jump is None)
+            assert (jumps is None) == (trip.jump is None)
             if gauss is not None:
                 buffers.append(gauss)
                 assert np.shares_memory(gauss, buffers[0])  # one buffer for every block
                 # mode-major: each mode's time series is one contiguous row
                 assert gauss.shape == (b1 - b0, K, n) and gauss.flags.c_contiguous
+            if jumps is not None:
+                # flat: the rows' jumps one after another, no slot beyond them
+                counts, times, marks = jumps
+                assert counts.shape == (b1 - b0,)
+                assert times.shape == (counts.sum(),) and marks.shape == (counts.sum(), K)
+                starts = np.concatenate([[0], np.cumsum(counts)])
             for row, b in enumerate(range(b0, b1)):
                 path = sample_path(trip, self.GRID, b, seed=8)
                 if gauss is not None:
                     assert np.array_equal(gauss[row], path.gauss_increments.T)
-                if times is not None:
-                    m = path.jump_times.size
-                    assert np.array_equal(times[row, :m], path.jump_times)
-                    assert np.array_equal(marks[row, :m], path.jump_marks)
-                    assert np.all(times[row, m:] == np.inf) and np.all(marks[row, m:] == 0.0)
+                if jumps is not None:
+                    rows = slice(starts[row], starts[row + 1])
+                    assert np.array_equal(times[rows], path.jump_times)
+                    assert np.array_equal(marks[rows], path.jump_marks)
         assert bounds == [(5, 8), (8, 11), (11, 14), (14, 16)]
 
     def test_block_sized_by_what_a_sample_holds(self):
