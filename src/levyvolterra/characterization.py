@@ -29,6 +29,7 @@ import numpy as np
 
 from . import levy
 from .convolution import TagRule, _jump_sums, _node_values, _node_weights
+from .grid import _frozen_floats
 from .levy import LevyTriplet, _draw_blocks, _jump_bytes, jump_rule, phi_batch, sample_rng
 from .spectral import ResolventFamily
 
@@ -59,9 +60,7 @@ class PredictedTriplet:
 
     def __post_init__(self):
         for name in ("alpha", "q_diag"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.flags.writeable = False
+            object.__setattr__(self, name, _frozen_floats(getattr(self, name)))
 
 
 def predicted_triplet(family: ResolventFamily, triplet: LevyTriplet, t: float) -> PredictedTriplet:

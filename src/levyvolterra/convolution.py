@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TimeGrid
+from .grid import TimeGrid, _frozen_floats
 from .kernels import certify_resolvent_properties
 from .levy import SamplePath
 from .spectral import ResolventFamily
@@ -72,11 +72,10 @@ class ConvolutionPath:
     tag_rule: Optional[TagRule] = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen_floats(self.values)
         if v.shape[0] != self.grid.n_steps + 1:
             raise ValueError("values must have one row per grid node")
         object.__setattr__(self, "values", v)
-        v.flags.writeable = False
 
     @property
     def dim(self) -> int:

@@ -7,6 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _frozen_floats(value, ndmin: int = 0) -> np.ndarray:
+    """A read-only float copy of value with at least ndmin dimensions.
+
+    Every frozen value object stores its arrays through this, so it never
+    keeps (or makes read-only) the caller's own array or a view of it.
+    """
+    arr = np.array(value, dtype=float, ndmin=ndmin)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [0, t_end] into n_steps steps.

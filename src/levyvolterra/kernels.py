@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TimeGrid
+from .grid import TimeGrid, _frozen_floats
 
 EXPONENTIAL = "exponential"
 CONSTANT = "constant"
@@ -47,8 +47,7 @@ class KernelSpec:
         if self.family == CONSTANT and not self.level > 0.0:
             raise ValueError(f"constant kernel level must be > 0, got {self.level}")
         if self.family == TABULATED:
-            t = np.asarray(self.times, dtype=float)
-            v = np.asarray(self.values, dtype=float)
+            t, v = _frozen_floats(self.times), _frozen_floats(self.values)
             if t.ndim != 1 or t.size < 2 or v.shape != t.shape:
                 raise ValueError("tabulated kernel needs matching 1-d times and values, len >= 2")
             if np.any(np.diff(t) <= 0) or t[0] > 0.0:
@@ -70,8 +69,7 @@ class KernelSpec:
 
     @classmethod
     def tabulated(cls, times, values) -> "KernelSpec":
-        return cls(family=TABULATED, times=np.asarray(times, dtype=float),
-                   values=np.asarray(values, dtype=float))
+        return cls(family=TABULATED, times=times, values=values)
 
 
 def eval_kernel(kernel: KernelSpec, t) -> np.ndarray | float:

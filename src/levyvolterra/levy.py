@@ -17,14 +17,16 @@ streams are the design use of Philox (Salmon, Moraes, Dror & Shaw,
 owns the draw order and the block memory: within one stream Gaussian step
 increments come first (skipped entirely when all Gaussian variances are
 zero), then jump count, jump times, jump marks (none for a point mass,
-whose marks are filled in per block), and samples are drawn in blocks of
-about _BLOCK_BYTES.  A block is mode-major, (B, K, n): each sample's
-normals are drawn into one (n, K) row in stream order and written scaled
-and transposed into the block in one pass, so every mode's time series is
-contiguous for the contractions that read it.  sample_path and
-coupled_sample_paths read one-sample blocks; characterization.terminal_values,
-verification.convergence_study and the verify-parts command read
-multi-sample blocks, and _block_path builds a SamplePath from a block row.
+whose marks are filled in per block; a mixture draws one uniform per mark
+and looks it up in the law's cdf, as Generator.choice with its weights
+would), and samples are drawn in blocks of about _BLOCK_BYTES.  A block is
+mode-major, (B, K, n): each sample's normals are drawn into one (n, K) row
+in stream order and written scaled and transposed into the block in one
+pass, so every mode's time series is contiguous for the contractions that
+read it.  sample_path and coupled_sample_paths read one-sample blocks;
+characterization.terminal_values, verification.convergence_study and the
+verify-parts command read multi-sample blocks, and _block_path builds a
+SamplePath from a block row.
 Gaussian variates use numpy's Generator.standard_normal on that stream,
 which pins the transform within this implementation.
 """
@@ -38,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TimeGrid
+from .grid import TimeGrid, _frozen_floats
 
 # Gauss-Hermite nodes per dimension for Gaussian-jump ball expectations
 _HERMITE_NODES = {2: 64, 3: 24, 4: 16}
@@ -58,11 +60,10 @@ class PointMass:
     mark: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.mark, dtype=float))
+        m = _frozen_floats(self.mark, 1)
         if m.ndim != 1 or not np.all(np.isfinite(m)):
             raise ValueError("point mass mark must be a finite vector")
         object.__setattr__(self, "mark", m)
-        m.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -75,20 +76,22 @@ class DiscreteMixture:
 
     weights: np.ndarray
     atoms: np.ndarray
+    # normalized cumulative weights, as Generator.choice builds them
+    cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        a = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        w = _frozen_floats(self.weights)
+        a = _frozen_floats(self.atoms, 2)
         if w.ndim != 1 or a.shape[0] != w.shape[0]:
             raise ValueError("need one atom row per weight")
         if np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("atoms must be finite")
+        cdf = w.cumsum()
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "atoms", a)
-        w.flags.writeable = False
-        a.flags.writeable = False
+        object.__setattr__(self, "cdf", _frozen_floats(cdf / cdf[-1]))
 
     @property
     def dim(self) -> int:
@@ -103,14 +106,11 @@ class GaussianJumps:
     var: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        v = np.atleast_1d(np.asarray(self.var, dtype=float))
+        m, v = _frozen_floats(self.mean, 1), _frozen_floats(self.var, 1)
         if m.shape != v.shape or m.ndim != 1 or np.any(v < 0):
             raise ValueError("mean and var must be matching vectors with var >= 0")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "var", v)
-        m.flags.writeable = False
-        v.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -203,8 +203,7 @@ def sample_jumps(law: JumpLaw, rng: np.random.Generator, count: int) -> np.ndarr
     if isinstance(law, PointMass):
         return np.tile(law.mark, (count, 1))
     if isinstance(law, DiscreteMixture):
-        idx = rng.choice(law.weights.shape[0], size=count, p=law.weights)
-        return law.atoms[idx]
+        return law.atoms[np.searchsorted(law.cdf, rng.random(count), side="right")]
     return law.mean[None, :] + np.sqrt(law.var)[None, :] * rng.standard_normal((count, law.dim))
 
 
@@ -230,9 +229,7 @@ class JumpPart:
 
     @cached_property
     def compensator(self) -> np.ndarray:
-        comp = np.asarray(jump_mean_inside_unit_ball(self.law), dtype=float)
-        comp.flags.writeable = False
-        return comp
+        return _frozen_floats(jump_mean_inside_unit_ball(self.law))
 
 
 @dataclass(frozen=True)
@@ -244,8 +241,7 @@ class LevyTriplet:
     jump: Optional[JumpPart] = None
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.drift, dtype=float))
-        v = np.atleast_1d(np.asarray(self.gauss_var, dtype=float))
+        d, v = _frozen_floats(self.drift, 1), _frozen_floats(self.gauss_var, 1)
         if d.ndim != 1 or v.shape != d.shape:
             raise ValueError("drift and gauss_var must be vectors of equal length")
         if np.any(v < 0):
@@ -254,8 +250,6 @@ class LevyTriplet:
             raise ValueError("jump law dimension must match the triplet dimension")
         object.__setattr__(self, "drift", d)
         object.__setattr__(self, "gauss_var", v)
-        d.flags.writeable = False
-        v.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -308,14 +302,14 @@ class SamplePath:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = np.atleast_1d(np.array(self.drift, dtype=float))
+        d = _frozen_floats(self.drift, 1)
         object.__setattr__(self, "drift", d)
         n, K = self.grid.n_steps, d.shape[0]
-        g = np.array(self.gauss_increments, dtype=float)
+        g = _frozen_floats(self.gauss_increments)
         if g.shape != (n, K):
             raise ValueError(f"gauss_increments must be ({n}, {K})")
-        jt = np.atleast_1d(np.array(self.jump_times, dtype=float))
-        jm = np.atleast_2d(np.array(self.jump_marks, dtype=float)) if jt.size else np.zeros((0, K))
+        jt = _frozen_floats(self.jump_times, 1)
+        jm = _frozen_floats(self.jump_marks if jt.size else np.zeros((0, K)), 2)
         if jt.size and (jm.shape != (jt.size, K) or np.any(np.diff(jt) < 0)):
             raise ValueError("jump_marks must be (m, K) with sorted jump_times")
         if jt.size and (jt[0] <= 0.0 or jt[-1] > self.grid.t_end * (1 + 1e-12)):
@@ -326,10 +320,8 @@ class SamplePath:
 
         # grouping pinned as (drift part + Gaussian part) + jump part so that
         # the identity-resolvent convolution reproduces these floats exactly
-        vals = self.continuous_values() + self.jump_cumulative()
-        for arr in (vals, d, g, jt, jm):
-            arr.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_floats(self.continuous_values()
+                                                          + self.jump_cumulative()))
 
     @property
     def dim(self) -> int:

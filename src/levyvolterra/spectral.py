@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TimeGrid
+from .grid import TimeGrid, _frozen_floats
 from .kernels import KernelSpec, eval_kernel, solve_resolvent_modes
 
 DIRICHLET_LAPLACIAN = "dirichlet_laplacian"
@@ -27,9 +27,7 @@ class SpectralModel:
     mu: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        mu.flags.writeable = False
+        object.__setattr__(self, "mu", _frozen_floats(self.mu))
 
 
 def build_spectral_model(K: int, rule="dirichlet_laplacian") -> SpectralModel:
@@ -70,12 +68,11 @@ class ResolventFamily:
     s_matrix: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s_matrix, dtype=float)
+        s = _frozen_floats(self.s_matrix)
         if s.shape != (self.grid.n_steps + 1, self.model.K):
             raise ValueError(f"s_matrix must be (n_steps + 1, K) = "
                              f"{(self.grid.n_steps + 1, self.model.K)}, got {s.shape}")
         object.__setattr__(self, "s_matrix", s)
-        s.flags.writeable = False
 
     @property
     def K(self) -> int:
@@ -110,9 +107,7 @@ class ResidualProfile:
     residuals: np.ndarray  # (n_steps + 1, K)
 
     def __post_init__(self):
-        r = np.asarray(self.residuals, dtype=float)
-        object.__setattr__(self, "residuals", r)
-        r.flags.writeable = False
+        object.__setattr__(self, "residuals", _frozen_floats(self.residuals))
 
     @property
     def max_per_mode(self) -> np.ndarray:

@@ -6,6 +6,7 @@ step normals (none when every variance is 0), the Poisson jump count, the
 count uniforms, the marks, then a stable sort into time order.
 coupled_reference realizes one such outcome on several coarsenings of a
 grid, summing each level's Gaussian increments in time order.
+block_budget sizes levy._BLOCK_BYTES for blocks of a given sample count.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from levyvolterra import (
     PointMass,
     SamplePath,
 )
-from levyvolterra.levy import sample_jumps
+from levyvolterra.levy import _sample_bytes, sample_jumps
 
 # triplets covering each branch of the stream layout and of the node sum
 BLOCKED_TRIPLETS = {
@@ -34,15 +35,23 @@ BLOCKED_TRIPLETS = {
     "rate-20-K2": LevyTriplet(np.array([0.1, 0.0]), np.array([0.3, 0.2]),
                               JumpPart(20.0, PointMass(np.array([0.3, -0.7])))),
     # rate 2**-7: whole blocks without a jump, and blocks mixing rows with
-    # and without one; a power of two keeps the tests' budgets of a few
-    # samples' bytes exact multiples of one sample's
+    # and without one
     "rare-jumps": LevyTriplet(np.array([0.3, -0.2]), np.array([0.5, 0.25]),
                               JumpPart(2.0**-7, PointMass(np.array([0.6, -0.4])))),
-    # normals, then mixture marks (a choice draw) on one stream
+    # normals, then mixture marks (uniforms looked up in the law's cdf) on one stream
     "mixture-and-noise": LevyTriplet(np.zeros(3), np.array([0.4, 0.3, 0.2]), JumpPart(
         3.0, DiscreteMixture(np.array([0.5, 0.3, 0.2]),
                              np.array([[0.5, 0.2, -0.1], [-0.4, 0.1, 0.2], [0.2, -0.3, 0.4]])))),
 }
+
+
+def block_budget(trip, grid, k):
+    """A levy._BLOCK_BYTES that gives _draw_blocks blocks of exactly k samples on grid.
+
+    Half a sample above k samples' bytes: _draw_blocks floor-divides the
+    budget by one sample's bytes, and k times them can round below k.
+    """
+    return (k + 0.5) * _sample_bytes(trip, grid.n_steps, trip.dim, grid.t_end)
 
 
 def philox_stream(seed, index):

@@ -30,7 +30,7 @@ from levyvolterra import (
     sample_path,
     terminal_values,
 )
-from stream_reference import BLOCKED_TRIPLETS, philox_stream, reference_draw
+from stream_reference import BLOCKED_TRIPLETS, block_budget, philox_stream, reference_draw
 
 KERNEL = KernelSpec.exponential(1.0)
 # independent quadrature of int_0^1 s(tau, 1)^2 dtau for the exponential kernel
@@ -370,8 +370,7 @@ class TestBlockedTerminalValues:
         trip = BLOCKED_TRIPLETS[name]
         fam = family(trip.dim, self.GRID)
         if block == "3-samples":
-            monkeypatch.setattr(levy, "_BLOCK_BYTES", 3 * levy._sample_bytes(
-                trip, self.GRID.n_steps, trip.dim, self.GRID.t_end))
+            monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, self.GRID, 3))
         monkeypatch.setattr(characterization, "_LAST_PASS", (None, {}))
         got = terminal_values(fam, trip, t, self.N, seed=17, tag_rule=TagRule.RIGHT,
                               workers=workers)
@@ -429,7 +428,9 @@ class TestBlockedTerminalValues:
     @pytest.mark.parametrize("name", ["mixed", "mixture-and-noise"])
     def test_jump_passes_within_a_small_budget(self, monkeypatch, name, workers):
         # blocks of 3 samples, and a jump pass whenever the pending blocks'
-        # jumps reach those 3 samples' bytes
+        # jumps reach those 3 samples' bytes: the budget is also the pass
+        # threshold, so it stays 3 samples' bytes (whole numbers here, so the
+        # blocks are exactly 3) rather than block_budget's 3.5
         trip = BLOCKED_TRIPLETS[name]
         fam = family(trip.dim, self.GRID)
         budget = 3 * levy._sample_bytes(trip, self.GRID.n_steps, trip.dim, self.GRID.t_end)

@@ -22,6 +22,7 @@ from levyvolterra.config import (
     parse_config,
 )
 from levyvolterra.reports import write_json
+from stream_reference import block_budget
 
 
 def minimal_config(**overrides):
@@ -504,8 +505,7 @@ class TestCliExitCodes:
             mc={"n_samples": 5, "seed": 11},
         )
         run = load_config(write_config(tmp_path, cfg))
-        monkeypatch.setattr(levy, "_BLOCK_BYTES",
-                            2 * levy._sample_bytes(run.triplet, 200, 2, 1.0))
+        monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(run.triplet, run.grid, 2))
         calls, real = [], levy._draw_blocks
 
         def recording(*args):

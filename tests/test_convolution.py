@@ -27,7 +27,7 @@ from levyvolterra.cli import PARTS_REL_TOL
 from levyvolterra.config import JUMPS_PER_PATH_BUDGET
 from levyvolterra import convolution, levy
 from levyvolterra.convolution import _jump_weight_blocks, _lag_fold, _node_values, _node_weights
-from stream_reference import BLOCKED_TRIPLETS
+from stream_reference import BLOCKED_TRIPLETS, block_budget
 
 KERNEL = KernelSpec.exponential(1.0)
 # int_0^1 s(tau, mu) dtau for the exponential kernel, by independent quadrature
@@ -488,7 +488,7 @@ class TestStackedNodeValues:
         fam = dirichlet_family(K, self.GRID)
         i = self.GRID.node_index(t)
         if block != "default":
-            monkeypatch.setattr(levy, "_BLOCK_BYTES", block * levy._sample_bytes(trip, n, K, 1.0))
+            monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, self.GRID, block))
         weights = _node_weights(fam, rules, i, trip.pathwise_drift())
         assert weights[1].shape == (len(rules), K, i) and weights[1].flags.c_contiguous
         sizes = []

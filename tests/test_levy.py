@@ -11,8 +11,20 @@ from levyvolterra import (
     sample_path,
 )
 from levyvolterra import levy
-from levyvolterra.levy import jump_cf, jump_mean_inside_unit_ball, phi_batch, sample_rng
-from stream_reference import BLOCKED_TRIPLETS, coupled_reference, philox_stream, reference_draw
+from levyvolterra.levy import (
+    jump_cf,
+    jump_mean_inside_unit_ball,
+    phi_batch,
+    sample_jumps,
+    sample_rng,
+)
+from stream_reference import (
+    BLOCKED_TRIPLETS,
+    block_budget,
+    coupled_reference,
+    philox_stream,
+    reference_draw,
+)
 
 GRID = TimeGrid(1.0, 200)
 
@@ -69,6 +81,26 @@ class TestJumpLawHelpers:
         draws = 0.3 + np.sqrt(0.4) * rng.standard_normal(400_000)
         mc = np.mean(draws * (np.abs(draws) < 1.0))
         assert jump_mean_inside_unit_ball(law)[0] == pytest.approx(mc, abs=4e-3)
+
+    @pytest.mark.parametrize("law", [
+        DiscreteMixture(np.array([0.5, 0.3, 0.2]), np.array([[0.5], [-0.4], [0.2]])),
+        DiscreteMixture(np.array([0.1, 0.2, 0.3, 0.25, 0.15]),
+                        np.arange(15.0).reshape(5, 3) / 10.0),
+        DiscreteMixture(np.array([0.5, 0.0, 0.3, 0.2]),
+                        np.array([[0.5, 0.2], [9.0, -9.0], [-0.4, 0.1], [0.2, -0.3]])),
+    ], ids=["3-atoms", "5-atoms", "zero-weight-atom"])
+    def test_mixture_marks_are_choice_draws(self, law):
+        # Generator.choice with the law's weights is the reference: the same
+        # marks, and the stream left at the same position
+        n_atoms, drawn = law.weights.size, np.zeros(law.weights.size, bool)
+        for index in range(300):
+            rng, ref = philox_stream(9, index), philox_stream(9, index)
+            count = index % 8
+            idx = ref.choice(n_atoms, size=count, p=law.weights)
+            assert np.array_equal(sample_jumps(law, rng, count), law.atoms[idx])
+            assert np.array_equal(rng.random(3), ref.random(3))
+            drawn[idx] = True
+        assert np.array_equal(drawn, law.weights > 0.0)
 
     def test_mixture_weights_must_normalize(self):
         with pytest.raises(ValueError):
@@ -302,7 +334,7 @@ class TestStreamLayout:
         # blocks of 3 over samples 5..15: four blocks, the last one short
         trip = BLOCKED_TRIPLETS[name]
         n, K = self.GRID.n_steps, trip.dim
-        monkeypatch.setattr(levy, "_BLOCK_BYTES", 3 * levy._sample_bytes(trip, n, K, 1.0))
+        monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, self.GRID, 3))
         bounds, buffers = [], []
         for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 8, 5, 16):
             bounds.append((b0, b1))
@@ -328,6 +360,16 @@ class TestStreamLayout:
                     assert np.array_equal(times[rows], path.jump_times)
                     assert np.array_equal(marks[rows], path.jump_marks)
         assert bounds == [(5, 8), (8, 11), (11, 14), (14, 16)]
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_TRIPLETS))
+    def test_block_budget_gives_the_samples_it_names(self, monkeypatch, name):
+        trip = BLOCKED_TRIPLETS[name]
+        for n in (60, 100, 200, 1000):
+            grid = TimeGrid(1.0, n)
+            for k in (2, 3, 5, 7):
+                monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, grid, k))
+                blocks = [(b0, b1) for b0, b1, _, _ in levy._draw_blocks(trip, grid, 3, 0, 2 * k)]
+                assert blocks == [(0, k), (k, 2 * k)], (n, k)
 
     def test_block_sized_by_what_a_sample_holds(self):
         # Gaussian increments when drawn plus the expected jump data: the

@@ -23,7 +23,7 @@ from levyvolterra import (
 )
 from levyvolterra import levy
 from levyvolterra.cli import ROUTE_CONSISTENCY_TOL
-from stream_reference import coupled_reference
+from stream_reference import block_budget, coupled_reference
 
 KERNEL = KernelSpec.exponential(1.0)
 
@@ -276,7 +276,7 @@ class TestConvergenceStudy:
         trip, seed, grid = STUDY_TRIPLETS[name], 16, TimeGrid(1.0, 100)
         fams = levels(build_spectral_model(2, "dirichlet_laplacian"), grid, factors)
         if block == "2-samples":
-            monkeypatch.setattr(levy, "_BLOCK_BYTES", 2 * levy._sample_bytes(trip, 100, 2, 1.0))
+            monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, grid, 2))
         study = convergence_study(StudyConfig(target="tag_discrepancy", families=fams,
                                               triplet=trip, seeds=seeds, seed=seed))
         assert np.array_equal(study.per_seed,
@@ -351,7 +351,7 @@ class TestConvergenceStudy:
         trip, seed = STUDY_TRIPLETS[name], 16
         fams = levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 100),
                       (25, 5, 1))
-        monkeypatch.setattr(levy, "_BLOCK_BYTES", 2 * levy._sample_bytes(trip, 100, 2, 1.0))
+        monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, TimeGrid(1.0, 100), 2))
         study = convergence_study(StudyConfig(target="weak_residual", families=fams,
                                               triplet=trip, seeds=seeds, seed=seed))
         per_seed = np.zeros((len(seeds), len(fams)))
