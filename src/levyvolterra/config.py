@@ -21,8 +21,8 @@ from .levy import (
 from .spectral import SpectralModel, build_spectral_model
 
 SCHEMA_VERSION = 1
-# most Gregory solve work K * n_steps**2 a config may ask for: the solve is
-# O(n_steps**2) per mode, and long_grid (K = 8, n_steps = 4000) asks 1.28e8
+# most work K * n_steps**2 a config may ask of the weak_solution_residual
+# oracle, O(n_steps**2) per mode; long_grid (K = 8, n_steps = 4000) asks 1.28e8
 SOLVE_WORK_BUDGET = 10**10
 # most Monte Carlo normals n_samples * n_steps * K a config may ask for (the
 # terminal values alone are n_samples * K floats); mc_jumps asks 8e7
@@ -218,11 +218,11 @@ def parse_config(data: dict) -> RunConfig:
         grid = TimeGrid(_real(gsec["t_end"], "grid.t_end"), n_steps)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
-    solve_work = model.K * n_steps**2
-    if solve_work > SOLVE_WORK_BUDGET:
-        raise ConfigError(f"grid.n_steps = {n_steps} at K = {model.K} needs a resolvent solve of "
-                          f"K * n_steps**2 = {Decimal(solve_work):.3g} steps, above the budget of "
-                          f"{SOLVE_WORK_BUDGET:.3g}")
+    residual_work = model.K * n_steps**2
+    if residual_work > SOLVE_WORK_BUDGET:
+        raise ConfigError(f"grid.n_steps = {n_steps} at K = {model.K} needs a weak-solution "
+                          f"residual of K * n_steps**2 = {Decimal(residual_work):.3g} steps, above "
+                          f"the budget of {SOLVE_WORK_BUDGET:.3g}")
     # the same span tolerance eval_kernel applies to tabulated queries
     if kernel.family == "tabulated" and grid.t_end > kernel.times[-1] * (1 + 1e-12):
         raise ConfigError(f"tabulated kernel ends at t={kernel.times[-1]}, "

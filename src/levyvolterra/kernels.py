@@ -94,17 +94,40 @@ def eval_kernel(kernel: KernelSpec, t) -> np.ndarray | float:
     return out if arr.ndim else float(out)
 
 
+def _lower_toeplitz_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with sum_{j <= i} g[i - j] x[j] = b[i] for every row i, column by column.
+
+    The inverse has the symbol h = 1/g, a power series in m terms grown from
+    1/g[0] by Newton doubling h <- h - h*(g*h - 1).  x = h*b then takes one
+    refinement step x += h*(b - g*x).  Every product is a zero-padded real
+    FFT one: O(m log m) per column.
+    """
+    def conv(p, q, size):
+        fp, fq = np.fft.rfft(p, size, axis=0), np.fft.rfft(q, size, axis=0)
+        return np.fft.irfft(fp * fq, size, axis=0)
+
+    m = g.shape[0]
+    h = 1.0 / g[:1]
+    while (k := h.shape[0]) < m:
+        # g*h - 1 vanishes below term k, and terms k..2k-1 do not alias at 2k points
+        h = np.concatenate([h, -conv(h, conv(g[: 2 * k], h, 2 * k)[k:], 2 * k)[:k]])
+    size = 1 << (2 * m - 2).bit_length()
+    x = conv(h[:m], b, size)[:m]
+    return x + conv(h[:m], b - conv(g, x, size)[:m], size)[:m]
+
+
 def solve_resolvent_modes(kernel: KernelSpec, gammas, grid: TimeGrid) -> np.ndarray:
     """Solve s(t) + gamma * int_0^t a(t-tau) s(tau) dtau = 1 for every gamma at once.
 
     Returns the (n_steps + 1, K) array of s(t_i, gamma_k).  The memory
     integral is discretized by the order-3 Gregory product rule (trapezoid
     weights with end corrections -1/12 at both ends and +1/12 next to them
-    once there are three nodes); each step solves the resulting implicit
-    equation exactly (in exact arithmetic) for all modes, so every column
-    satisfies the discrete equation to roundoff.  The implicit coefficient
-    1 + gamma*dt*w_i*a(0) is >= 1 for gamma, a(0) >= 0, so every step is
-    solvable.  Raises ValueError when a solved table is not finite.
+    once there are three nodes; the plain trapezoid at node 1).  In
+    u = 1 - s, u_0 = 0 and rows i >= 1 are one lower-triangular Toeplitz
+    system in u_1..u_n, once the u_1 column's extra weight is moved to the
+    right side; it is solved for all modes at once, O(n log n) per mode.
+    The right side is a multiple of gamma, so gamma = 0 gives s = 1 exactly.
+    Raises ValueError when a solved table is not finite.
     """
     gammas = np.asarray(gammas, dtype=float)
     for gamma in gammas:
@@ -115,24 +138,21 @@ def solve_resolvent_modes(kernel: KernelSpec, gammas, grid: TimeGrid) -> np.ndar
     if not np.all(np.isfinite(a_vals)):
         raise ValueError("kernel evaluated to NaN/inf on the grid")
 
-    a_rev = a_vals[::-1].copy()  # a_rev[n - m] = a(t_m)
-    a_twelfth = a_vals / 12.0
     gdt = gammas * dt
-    s = np.empty((n + 1, gammas.size))
-    s[0] = 1.0
-    row = np.empty(n)
+    s = np.ones((n + 1, gammas.size))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as not finite
-        # step 1 is the plain trapezoid, weights (1/2, 1/2)
-        s[1] = (1.0 - gdt * (0.5 * a_vals[1])) / (1.0 + gdt * 0.5 * a_vals[0])
-        denom = 1.0 + gdt * (5.0 / 12.0) * a_vals[0]
-        for i in range(2, n + 1):
-            # w_j * a(t_i - t_j) over the known nodes j < i
-            r = row[:i]
-            r[:] = a_rev[n - i : n]
-            r[0] *= 5.0 / 12.0
-            r[1] += a_twelfth[i - 1]
-            r[i - 1] += a_twelfth[1]
-            s[i] = (1.0 - gdt * (r @ s[:i])) / denom
+        # row i >= 1: every Gregory weight against a(t_i - t_j); row 1 is the
+        # plain trapezoid (1/2, 1/2) and alone gives u_1
+        weight_sum = (np.cumsum(a_vals)[1:] - (7.0 / 12.0) * (a_vals[1:] + a_vals[0])
+                      + (a_vals[:n] + a_vals[1]) / 12.0)
+        u1 = gdt * weight_sum[0] / (1.0 + gdt * 0.5 * a_vals[0])
+        # symbol 1 + gdt*(5/12)*a(0), gdt*(13/12)*a(t_1), gdt*a(t_m) for m >= 2;
+        # the u_1 column's extra weight a(t_{i-1})/12 moves to the right side
+        g = np.outer(a_vals[:n], gdt)
+        g[0] = 1.0 + (5.0 / 12.0) * g[0]
+        g[1:2] *= 13.0 / 12.0
+        rhs = gdt * (weight_sum[:, None] - np.outer(a_vals[:n], u1) / 12.0)
+        s[1:] -= _lower_toeplitz_solve(g, rhs)
     if not np.all(np.isfinite(s)):
         bad = gammas[~np.all(np.isfinite(s), axis=0)]
         raise ValueError(f"resolvent table is not finite for gamma {bad.tolist()} on {grid}")

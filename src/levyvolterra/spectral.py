@@ -84,7 +84,7 @@ class ResolventFamily:
 
 
 def build_resolvent_family(model: SpectralModel, kernel: KernelSpec, grid: TimeGrid) -> ResolventFamily:
-    """Solve the scalar resolvent for all modes in one recurrence on the shared grid."""
+    """Solve the scalar resolvent for all modes in one Toeplitz solve on the shared grid."""
     s = solve_resolvent_modes(kernel, model.mu, grid)
     return ResolventFamily(model=model, kernel=kernel, grid=grid, s_matrix=s)
 
@@ -144,9 +144,9 @@ def resolvent_equation_residual(family: ResolventFamily) -> ResidualProfile:
     sum_j a(t_i - t_j) s_j for all rows and modes are one FFT product, and
     the end weights are rank-1 terms in a(t_i) s_0, a(0) s_i, a(t_{i-1}) s_1
     and a(t_1) s_{i-1}.  Neither the product nor the weight placement goes
-    through the solver's step-by-step recurrence, so any defect in the
-    solver's weights or indexing shows up at the gamma * dt scale instead of
-    cancelling by construction.  For a correct solve the residual is pure
+    through the solver's Toeplitz symbol and weight sums, so any defect in
+    the solver's weights or indexing shows up at the gamma * dt scale instead
+    of cancelling by construction.  For a correct solve the residual is pure
     roundoff.
     """
     grid = family.grid

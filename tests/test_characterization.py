@@ -430,7 +430,11 @@ class TestBlockedTerminalValues:
         # blocks of 3 samples, and a jump pass whenever the pending blocks'
         # jumps reach those 3 samples' bytes: the budget is also the pass
         # threshold, so it stays 3 samples' bytes (whole numbers here, so the
-        # blocks are exactly 3) rather than block_budget's 3.5
+        # blocks are exactly 3) rather than block_budget's 3.5.  That
+        # threshold is 44 jumps (mixed) or 51 (mixture-and-noise), and a
+        # range of at least 100 samples expects 150 or 300: more than 8
+        # standard deviations above, so every range passes before its end
+        n_samples = 200
         trip = BLOCKED_TRIPLETS[name]
         fam = family(trip.dim, self.GRID)
         budget = 3 * levy._sample_bytes(trip, self.GRID.n_steps, trip.dim, self.GRID.t_end)
@@ -443,16 +447,16 @@ class TestBlockedTerminalValues:
             return real(family, t, jumps)
 
         monkeypatch.setattr(characterization, "_jump_sums", recording)
-        got = terminal_values(fam, trip, 1.0, self.N, seed=41, workers=workers)
+        got = terminal_values(fam, trip, 1.0, n_samples, seed=41, workers=workers)
         assert len(passes) > workers  # a range that passes before its end
         assert max(rows for rows, _ in passes) > 3  # a pass over several blocks
-        assert sum(rows for rows, _ in passes) == self.N
+        assert sum(rows for rows, _ in passes) == n_samples
         # only the last pass of a range may hold less than the budget
         short = [n_jumps * levy._jump_bytes(trip.dim) < budget for _, n_jumps in passes]
         assert sum(short) <= workers
         assert np.array_equal(got, [convolve_at(fam, sample_path(trip, self.GRID, b, seed=41),
                                                 self.GRID.n_steps, TagRule.LEFT)
-                                    for b in range(self.N)])
+                                    for b in range(n_samples)])
 
     @pytest.mark.parametrize("name", ["rate-20-K1", "rate-20-K2"])
     def test_high_rate_reaches_eight_jumps(self, name):

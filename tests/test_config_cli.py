@@ -273,6 +273,16 @@ class TestConfigBoundaries:
             assert main([sub, "--config", str(path), "--out", str(out)]) == 2
             assert "not finite" in capsys.readouterr().err
 
+    def test_past_the_gregory_stability_limit(self, tmp_path, capsys):
+        # gamma * dt = 100 at mu = 1e5 and n_steps = 1000, far past the
+        # rule's monotone range gamma * dt * a(0) <= 1.5: the table either
+        # fails its checks (exit 1) or overflows (exit 2), with no traceback
+        cfg = copy.deepcopy(EXAMPLE_CONFIG)
+        cfg["model"] = {"K": 2, "rule": "custom", "mu": [2000, 1e5]}
+        path = write_config(tmp_path, cfg)
+        assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "o")]) in (1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_reports_are_strict_json(self, tmp_path, bad):
         with pytest.raises(ValueError):

@@ -14,8 +14,14 @@ from levyvolterra import (
     solve_scalar_resolvent,
 )
 from levyvolterra.kernels import solve_resolvent_modes
+from resolvent_reference import solve_reference
 
 GAMMA_CATALOG = [0.0, 1.0, np.pi**2, 4 * np.pi**2, 9 * np.pi**2]
+REFERENCE_KERNELS = {
+    "exponential": KernelSpec.exponential(1.0),
+    "constant": KernelSpec.constant(1.0),
+    "tabulated": KernelSpec.tabulated([0.0, 0.3, 1.0], [1.0, 0.5, 0.7]),
+}
 
 
 def default_property_tolerance(kernel, gamma, grid):
@@ -122,6 +128,21 @@ class TestModeSolve:
         s2 = (1.0 - g * dt * (5 / 12 * a[2] + 14 / 12 * a[1] * s1)) / (1.0 + g * dt * 5 / 12)
         assert s[1] == pytest.approx(s1, rel=1e-14)
         assert s[2] == pytest.approx(s2, rel=1e-14)
+
+    @pytest.mark.parametrize("K", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 1000])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_KERNELS))
+    def test_matches_the_recurrence(self, name, n, K):
+        # the Toeplitz solve and the node-by-node recurrence round
+        # differently; up to gamma * dt * max a = 1.5 they differ by at most
+        # 5e-13 (n = 1000), the roundoff of a right side near gamma * t * max a
+        kern, grid = REFERENCE_KERNELS[name], TimeGrid(1.0, n)
+        assert np.all(solve_resolvent_modes(kern, np.zeros(K), grid) == 1.0)
+        # the K largest of the first 8 Dirichlet eigenvalues, and gamma * dt
+        # spread up to 1.5
+        for gammas in (np.pi**2 * np.arange(9 - K, 9) ** 2, np.linspace(1.5 / K, 1.5, K) / grid.dt):
+            s = solve_resolvent_modes(kern, gammas, grid)
+            assert np.max(np.abs(s - solve_reference(kern, gammas, grid))) <= 1e-12
 
     def test_non_finite_table_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
