@@ -36,6 +36,8 @@ from .spectral import ResolventFamily
 # ECF panel acceptance: at least ECF_FRACTION of the z-scores within
 # ECF_Z_SOFT and all of them within ECF_Z_HARD
 ECF_Z_SOFT, ECF_Z_HARD, ECF_FRACTION = 3.0, 5.0, 0.95
+# fewest samples the ECF comparison scores a panel with
+ECF_MIN_SAMPLES = 1000
 
 # salt keeping panel-direction streams disjoint from per-sample streams
 _PANEL_SALT = 1 << 62
@@ -289,8 +291,9 @@ def ecf_comparison(
     workers: int = 1,
 ) -> EcfReport:
     """Simulate, convolve, and score the panel; deterministic in (seed, N, grid)."""
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be >= 1000 for the ECF comparison, got {n_samples}")
+    if n_samples < ECF_MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {ECF_MIN_SAMPLES} for the ECF comparison, "
+                         f"got {n_samples}")
     panel = build_panel(family.K, panel_size, seed)
     samples = terminal_values(family, triplet, t, n_samples, seed, tag_rule, workers)
     rows = []

@@ -69,8 +69,9 @@ def _weak_factors(cfg: RunConfig) -> tuple:
 
 
 def _ecf_samples(cfg: RunConfig):
-    if cfg.n_samples < 1000:
-        raise ConfigError(f"verify-ecf needs mc.n_samples >= 1000, got {cfg.n_samples}")
+    least = characterization.ECF_MIN_SAMPLES
+    if cfg.n_samples < least:
+        raise ConfigError(f"verify-ecf needs mc.n_samples >= {least}, got {cfg.n_samples}")
 
 
 # the config checks of the stages that have them; main runs the checks of
@@ -83,7 +84,7 @@ def _out_dir(cfg: RunConfig, out_override) -> Path:
     out = Path(out_override) if out_override else Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a regular file in the way, no permission, ...
+    except (OSError, ValueError) as exc:  # a regular file in the way, no permission, a NUL byte
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 

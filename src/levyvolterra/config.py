@@ -10,14 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .grid import TimeGrid
-from .kernels import KernelSpec
-from .levy import (
-    DiscreteMixture,
-    GaussianJumps,
-    JumpPart,
-    LevyTriplet,
-    PointMass,
-)
+from .kernels import KernelSpec, eval_kernel
+from .levy import DiscreteMixture, GaussianJumps, JumpPart, LevyTriplet, PointMass
 from .spectral import SpectralModel, build_spectral_model
 
 SCHEMA_VERSION = 1
@@ -42,13 +36,23 @@ class ConfigError(Exception):
     """Config parse/schema violation; the CLI maps this to exit code 2."""
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str):
-    for key in section:
-        if key not in allowed:
+def _object(value, where: str, keys, optional=()) -> dict:
+    """value as a JSON object with every key of keys and none outside keys and optional."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key in value:
+        if key not in keys and key not in optional:
             raise ConfigError(f"unknown key {key!r} in {where}")
-    for key in required:
-        if key not in section:
+    for key in keys:
+        if key not in value:
             raise ConfigError(f"missing key {key!r} in {where}")
+    return value
+
+
+def _refuse_above(work, budget, estimate: str):
+    """Refuse a config whose work exceeds budget; estimate says what it would be."""
+    if work > budget:
+        raise ConfigError(f"{estimate}, above the budget of {budget:.3g}")
 
 
 def _integer(value, where: str) -> int:
@@ -102,24 +106,30 @@ class RunConfig:
     raw: dict
 
 
-def _parse_kernel(section, where="kernel") -> KernelSpec:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    family = section.get("family")
+# each kind: its constructor and the (field, reader) pairs of its arguments
+_KERNEL_FAMILIES = {
+    "exponential": (KernelSpec.exponential, ("rate", _real)),
+    "constant": (KernelSpec.constant, ("level", _real)),
+    "tabulated": (KernelSpec.tabulated, ("times", _reals), ("values", _reals)),
+}
+_JUMP_LAWS = {
+    "point_mass": (PointMass, ("mark", _reals)),
+    "discrete_mixture": (DiscreteMixture, ("weights", _reals), ("atoms", _reals)),
+    "gaussian": (GaussianJumps, ("mean", _reals), ("var", _reals)),
+}
+
+
+def _parse_kind(section, where: str, tag: str, kinds: dict):
+    """The object kinds[section[tag]] builds from the section's fields."""
+    kind = _object(section, where, (tag,), optional=section)[tag]  # any key until kind is known
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"unknown {tag} {kind!r} in {where}")
+    build, *fields = kinds[kind]
+    _object(section, where, (tag, *(name for name, _ in fields)))
     try:
-        if family == "exponential":
-            _require_keys(section, {"family", "rate"}, {"family", "rate"}, where)
-            return KernelSpec.exponential(_real(section["rate"], f"{where}.rate"))
-        if family == "constant":
-            _require_keys(section, {"family", "level"}, {"family", "level"}, where)
-            return KernelSpec.constant(_real(section["level"], f"{where}.level"))
-        if family == "tabulated":
-            _require_keys(section, {"family", "times", "values"}, {"family", "times", "values"}, where)
-            return KernelSpec.tabulated(_reals(section["times"], f"{where}.times"),
-                                       _reals(section["values"], f"{where}.values"))
+        return build(*(read(section[name], f"{where}.{name}") for name, read in fields))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
-    raise ConfigError(f"unknown kernel family {family!r} in {where}")
 
 
 def _parse_model(section, dim: int) -> SpectralModel:
@@ -127,63 +137,31 @@ def _parse_model(section, dim: int) -> SpectralModel:
 
     K is checked before the model is built, so a huge K allocates nothing.
     """
-    if not isinstance(section, dict):
-        raise ConfigError("model must be an object")
-    _require_keys(section, {"K", "rule", "mu"}, {"K", "rule"}, "model")
+    rule = _object(section, "model", ("K", "rule"), optional=("mu",))["rule"]
     K = _integer(section["K"], "model.K")
     if K != dim:
         raise ConfigError(f"triplet dimension {dim} != model K {K}")
+    if rule not in ("dirichlet_laplacian", "custom"):
+        raise ConfigError(f"unknown rule {rule!r} in model")
+    if ("mu" in section) != (rule == "custom"):
+        raise ConfigError("model.mu is required with rule 'custom' and refused with any other")
+    spectrum = _reals(section["mu"], "model.mu") if rule == "custom" else rule
     try:
-        if section["rule"] == "dirichlet_laplacian":
-            if "mu" in section:
-                raise ConfigError("model.mu is only valid with rule 'custom'")
-            return build_spectral_model(K, "dirichlet_laplacian")
-        if section["rule"] == "custom":
-            if "mu" not in section:
-                raise ConfigError("model rule 'custom' requires key 'mu'")
-            return build_spectral_model(K, _reals(section["mu"], "model.mu"))
-    except ConfigError:
-        raise
+        return build_spectral_model(K, spectrum)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
-    raise ConfigError(f"unknown model rule {section['rule']!r}")
-
-
-def _parse_law(section):
-    if not isinstance(section, dict):
-        raise ConfigError("triplet.jump.law must be an object")
-    kind = section.get("kind")
-    try:
-        if kind == "point_mass":
-            _require_keys(section, {"kind", "mark"}, {"kind", "mark"}, "triplet.jump.law")
-            return PointMass(_reals(section["mark"], "triplet.jump.law.mark"))
-        if kind == "discrete_mixture":
-            _require_keys(section, {"kind", "weights", "atoms"}, {"kind", "weights", "atoms"},
-                          "triplet.jump.law")
-            return DiscreteMixture(_reals(section["weights"], "triplet.jump.law.weights"),
-                                   _reals(section["atoms"], "triplet.jump.law.atoms"))
-        if kind == "gaussian":
-            _require_keys(section, {"kind", "mean", "var"}, {"kind", "mean", "var"},
-                          "triplet.jump.law")
-            return GaussianJumps(_reals(section["mean"], "triplet.jump.law.mean"),
-                                 _reals(section["var"], "triplet.jump.law.var"))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid triplet.jump.law: {exc}") from exc
-    raise ConfigError(f"unknown jump law kind {kind!r}")
 
 
 def _parse_triplet(section) -> LevyTriplet:
-    if not isinstance(section, dict):
-        raise ConfigError("triplet must be an object")
-    _require_keys(section, {"drift", "gauss_var", "jump"}, {"drift", "gauss_var"}, "triplet")
-    jump = None
-    if section.get("jump") is not None:
-        jsec = section["jump"]
-        if not isinstance(jsec, dict):
+    section = _object(section, "triplet", ("drift", "gauss_var"), optional=("jump",))
+    jump = section.get("jump")
+    if jump is not None:
+        if not isinstance(jump, dict):
             raise ConfigError("triplet.jump must be an object or null")
-        _require_keys(jsec, {"rate", "law"}, {"rate", "law"}, "triplet.jump")
+        _object(jump, "triplet.jump", ("rate", "law"))
         try:
-            jump = JumpPart(rate=_real(jsec["rate"], "triplet.jump.rate"), law=_parse_law(jsec["law"]))
+            jump = JumpPart(rate=_real(jump["rate"], "triplet.jump.rate"),
+                            law=_parse_kind(jump["law"], "triplet.jump.law", "kind", _JUMP_LAWS))
         except ValueError as exc:
             raise ConfigError(f"invalid triplet.jump: {exc}") from exc
     try:
@@ -199,64 +177,52 @@ def _parse_triplet(section) -> LevyTriplet:
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = {"schema_version", "kernel", "model", "triplet", "grid", "mc", "panel_size", "output"}
-    required = {"schema_version", "kernel", "model", "triplet", "grid", "mc"}
-    _require_keys(data, allowed, required, "config")
+    _object(data, "config", ("schema_version", "kernel", "model", "triplet", "grid", "mc"),
+            optional=("panel_size", "output"))
     if isinstance(data["schema_version"], bool) or data["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data['schema_version']!r}")
 
-    kernel = _parse_kernel(data["kernel"])
+    kernel = _parse_kind(data["kernel"], "kernel", "family", _KERNEL_FAMILIES)
     triplet = _parse_triplet(data["triplet"])
     model = _parse_model(data["model"], triplet.dim)
+    K = model.K
 
-    gsec = data["grid"]
-    if not isinstance(gsec, dict):
-        raise ConfigError("grid must be an object")
-    _require_keys(gsec, {"t_end", "n_steps"}, {"t_end", "n_steps"}, "grid")
+    gsec = _object(data["grid"], "grid", ("t_end", "n_steps"))
     n_steps = _integer(gsec["n_steps"], "grid.n_steps")
     try:
         grid = TimeGrid(_real(gsec["t_end"], "grid.t_end"), n_steps)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
-    residual_work = model.K * n_steps**2
-    if residual_work > SOLVE_WORK_BUDGET:
-        raise ConfigError(f"grid.n_steps = {n_steps} at K = {model.K} needs a weak-solution "
-                          f"residual of K * n_steps**2 = {Decimal(residual_work):.3g} steps, above "
-                          f"the budget of {SOLVE_WORK_BUDGET:.3g}")
-    # the same span tolerance eval_kernel applies to tabulated queries
-    if kernel.family == "tabulated" and grid.t_end > kernel.times[-1] * (1 + 1e-12):
-        raise ConfigError(f"tabulated kernel ends at t={kernel.times[-1]}, "
-                          f"before grid.t_end={grid.t_end}")
+    residual_work = K * n_steps**2
+    _refuse_above(residual_work, SOLVE_WORK_BUDGET,
+                  f"grid.n_steps = {n_steps} at K = {K} needs a weak-solution residual of "
+                  f"K * n_steps**2 = {Decimal(residual_work):.3g} steps")
+    try:  # a tabulated kernel must span the grid
+        eval_kernel(kernel, grid.t_end)
+    except ValueError as exc:
+        raise ConfigError(f"invalid kernel: {exc}") from exc
 
-    msec = data["mc"]
-    if not isinstance(msec, dict):
-        raise ConfigError("mc must be an object")
-    _require_keys(msec, {"n_samples", "seed"}, {"n_samples", "seed"}, "mc")
+    msec = _object(data["mc"], "mc", ("n_samples", "seed"))
     n_samples = _integer(msec["n_samples"], "mc.n_samples")
     seed = _integer(msec["seed"], "mc.seed")
     if n_samples < 1:
         raise ConfigError("mc.n_samples must be >= 1")
     if not 0 <= seed < 2**64:
         raise ConfigError("mc.seed must be a 64-bit unsigned value")
-    normals = n_samples * n_steps * model.K
-    if normals > NORMALS_BUDGET:
-        raise ConfigError(f"mc.n_samples = {n_samples} at n_steps = {n_steps} and K = {model.K} "
-                          f"needs n_samples * n_steps * K = {Decimal(normals):.3g} normals, "
-                          f"above the budget of {NORMALS_BUDGET:.3g}")
+    normals = n_samples * n_steps * K
+    _refuse_above(normals, NORMALS_BUDGET,
+                  f"mc.n_samples = {n_samples} at n_steps = {n_steps} and K = {K} needs "
+                  f"n_samples * n_steps * K = {Decimal(normals):.3g} normals")
     if triplet.jump is not None:
         jumps = triplet.jump.rate * grid.t_end
-        if jumps > JUMPS_PER_PATH_BUDGET:
-            raise ConfigError(f"triplet.jump.rate * grid.t_end = {jumps:.3g} expected jumps per "
-                              f"path, above the budget of {JUMPS_PER_PATH_BUDGET:.3g}")
-        drawn = n_samples * jumps
-        if drawn > JUMP_WORK_BUDGET:
-            raise ConfigError(f"mc.n_samples * triplet.jump.rate * grid.t_end = {drawn:.3g} jumps "
-                              f"drawn by verify-ecf, above the budget of {JUMP_WORK_BUDGET:.3g}")
-        weights = n_steps * jumps * model.K
-        if weights > JUMP_WORK_BUDGET:
-            raise ConfigError(f"grid.n_steps * triplet.jump.rate * grid.t_end * K = {weights:.3g} "
-                              f"jump weights per convolution, above the budget of "
-                              f"{JUMP_WORK_BUDGET:.3g}")
+        _refuse_above(jumps, JUMPS_PER_PATH_BUDGET,
+                      f"triplet.jump.rate * grid.t_end = {jumps:.3g} expected jumps per path")
+        _refuse_above(n_samples * jumps, JUMP_WORK_BUDGET,
+                      f"mc.n_samples * triplet.jump.rate * grid.t_end = {n_samples * jumps:.3g} "
+                      f"jumps drawn by verify-ecf")
+        _refuse_above(n_steps * jumps * K, JUMP_WORK_BUDGET,
+                      f"grid.n_steps * triplet.jump.rate * grid.t_end * K = "
+                      f"{n_steps * jumps * K:.3g} jump weights per convolution")
 
     panel_size = _integer(data.get("panel_size", 40), "panel_size")
     if panel_size < 1:
@@ -265,10 +231,8 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"panel_size = {panel_size} is above the budget of "
                           f"{PANEL_SIZE_BUDGET:.3g} panel rows")
 
-    osec = data.get("output", {"directory": "out", "formats": ["csv", "json"]})
-    if not isinstance(osec, dict):
-        raise ConfigError("output must be an object")
-    _require_keys(osec, {"directory", "formats"}, {"directory"}, "output")
+    osec = _object(data.get("output", {"directory": "out"}), "output", ("directory",),
+                   optional=("formats",))
     directory = osec["directory"]
     if not (isinstance(directory, str) and directory):
         raise ConfigError(f"output.directory must be a non-empty string, got {directory!r}")
@@ -290,9 +254,11 @@ def load_config(path) -> RunConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, a too-long integer, deep nesting
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(data)

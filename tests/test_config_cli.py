@@ -401,6 +401,44 @@ class TestConfigMutations:
         assert isinstance(parsed, RunConfig)
 
 
+# every config section, with one of its required keys; one reader checks each
+SECTIONS = [("kernel", "rate"), ("model", "rule"), ("triplet", "drift"), ("triplet.jump", "rate"),
+            ("triplet.jump.law", "mark"), ("grid", "n_steps"), ("mc", "seed"),
+            ("output", "directory")]
+
+
+def section_of(where):
+    section = EXAMPLE_CONFIG
+    for key in where.split("."):
+        section = section[key]
+    return section
+
+
+class TestSectionShape:
+    @pytest.mark.parametrize("fault", ["not-an-object", "unknown-key", "missing-key"])
+    @pytest.mark.parametrize("where, key", SECTIONS)
+    def test_fault_names_section_and_key(self, where, key, fault):
+        section = section_of(where)
+        if fault == "not-an-object":
+            section, message = [1.0], f"{where} must be an object"
+        elif fault == "unknown-key":
+            section, message = {**section, "extra": 1.0}, f"unknown key 'extra' in {where}"
+        else:
+            section = {name: value for name, value in section.items() if name != key}
+            message = f"missing key {key!r} in {where}"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(example_with((tuple(where.split(".")), section)))
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("value", [["exponential"], 5, None], ids=["list", "number", "null"])
+    @pytest.mark.parametrize("where, tag", [("kernel", "family"), ("model", "rule"),
+                                            ("triplet.jump.law", "kind")])
+    def test_kind_that_is_not_a_string(self, where, tag, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(example_with(((*where.split("."), tag), value)))
+        assert str(exc.value) == f"unknown {tag} {value!r} in {where}"
+
+
 def blocked_output(tmp_path, where):
     """(config path, --out value or None) whose output directory is a regular file."""
     blocker = tmp_path / "blocker"
@@ -424,6 +462,37 @@ class TestCliExitCodes:
         assert main(["resolvent", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["deep-nesting", "long-integer"])
+    def test_undecodable_config_is_exit_2(self, tmp_path, case, capsys):
+        # past the recursion limit, and past the int digit limit of json.loads
+        if case == "deep-nesting":
+            text = json.dumps(minimal_config())[:-1] + ', "extra": ' + "[" * 5000 + "]" * 5000 + "}"
+        else:
+            text = json.dumps(minimal_config(mc={"n_samples": 2000, "seed": 0})).replace(
+                '"seed": 0', '"seed": ' + "1" * 5000)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            load_config(path)
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_output_directory_with_a_nul_byte(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, minimal_config(
+            output={"directory": "a\u0000b", "formats": ["json"]}))
+        with pytest.raises(ConfigError, match="cannot create output directory"):
+            _out_dir(load_config(path), None)
+        with pytest.raises(ConfigError, match="cannot create output directory"):
+            _out_dir(load_config(path), "c\u0000d")
+        assert main(["resolvent", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("where", ["--out", "output.directory"])
     def test_output_path_that_is_a_file(self, tmp_path, where):
