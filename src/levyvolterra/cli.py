@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, characterization, convolution, levy
 from .characterization import ecf_comparison, gaussian_covariance_check
 from .config import ConfigError, RunConfig, load_config
-from .convolution import TagRule, parts_convolution, stieltjes_convolution
+from .convolution import TagRule, stieltjes_convolution
 from .kernels import (
     _unit_exponential,
     certify_resolvent_properties,
@@ -213,10 +213,10 @@ def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int, families: dict) ->
     drift = cfg.triplet.pathwise_drift()
     per_seed = []
     for b0, b1, gauss, jumps in levy._draw_blocks(cfg.triplet, cfg.grid, cfg.seed, 0, n_seeds):
-        for r in range(b1 - b0):
-            path = levy._block_path(cfg.grid, drift, gauss, jumps, r)
-            a = stieltjes_convolution(fam, path, TagRule.LEFT).values
-            b = parts_convolution(fam, path).values
+        # both routes on the block's rows, each jump weight built once for both
+        stieltjes, parts = convolution._block_routes(fam, (TagRule.LEFT, None), drift, b1 - b0,
+                                                     gauss, jumps)
+        for a, b in zip(stieltjes, parts):
             scale = max(float(np.max(np.abs(a))), 1e-300)
             per_seed.append(float(np.max(np.abs(a - b))) / scale)
     worst = max(per_seed)

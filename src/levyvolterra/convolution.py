@@ -15,10 +15,19 @@ The convolution re-weights all past increments at every output node (the
 resolvent is a genuine two-time kernel, so values are not a running sum).
 Both routes form that lag sum for all nodes and modes as one zero-padded
 numpy.fft.rfft product along the time axis: O(n log n K) work and O(n K)
-memory per route.  The m jumps add O(n m K) work for their exact-time
-weights, which are built for blocks of output nodes, about
-_JUMP_BLOCK_ENTRIES at a time, and summed left to right in m, so the blocks
+memory per route and outcome.  The m jumps add O(n m K) work for their
+exact-time weights, which are built for slices of output nodes, about
+_JUMP_BLOCK_ENTRIES at a time, and summed left to right in m, so the slices
 change no bit of the result.
+
+Both routes are block routes: _block_routes takes a levy._draw_blocks
+block's (B, K, n) increments and (counts, times, marks) jumps and returns
+each route's (B, n + 1, K) values.  A pass of rows folds its B * K columns
+in one _lag_fold call, builds each node slice of its jump weights once for
+every route it was asked for, and adds each row's jump terms to 0.0 left to
+right (_row_sums).  Every column of the FFT and every row's jump sum come
+out as they would alone, so a block row is that row's one-path result bit
+for bit; stieltjes_convolution and parts_convolution are the one-row calls.
 
 One node's value for a block of outcomes is the single-node sum
 _node_values: the step increments come mode-major, (B, K, i), as
@@ -44,14 +53,17 @@ import numpy as np
 
 from .grid import TimeGrid, _frozen_floats
 from .kernels import certify_resolvent_properties
-from .levy import SamplePath
+from . import levy
+from .levy import SamplePath, _continuous_values
 from .spectral import ResolventFamily
 
 # largest increase of s, or excursion outside [0, 1], that the parts route accepts
 VARIATION_TOL = 1e-8
 
-# entries of the (nodes, jumps, K) jump-weight array held at once
+# entries of the (jumps, nodes, K) jump-weight array held at once
 _JUMP_BLOCK_ENTRIES = 1 << 20
+# terms per jump from which _row_sums adds jump by jump instead of by np.add.at
+_LOOP_TERMS = 100
 
 
 class TagRule(Enum):
@@ -106,17 +118,20 @@ def _lag_weights(family: ResolventFamily, tag_rule: TagRule) -> np.ndarray:
 
 
 def _lag_fold(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[i] = sum_{j<i} w[i-1-j] * x[j] for i = 0..n, all columns at once.
+    """out[i] = sum_{j<i} w[i-1-j] * x[j] for i = 0..n, every column of x at once.
 
-    One real FFT product along axis 0, zero-padded to the next power of two
-    >= 2n - 1 so that the circular product is the linear one.  It agrees
-    with the in-order sums to roundoff relative to their largest entry, not
-    bit for bit; node 0 is +0.0.
+    x is (n, ...), w broadcasts against it.  One real FFT product along axis
+    0, zero-padded to the next power of two >= 2n - 1 so that the circular
+    product is the linear one; a column's result does not depend on the
+    others.  It agrees with the in-order sums to roundoff relative to their
+    largest entry, not bit for bit; node 0 is +0.0.
     """
-    n, K = x.shape
+    n = x.shape[0]
     size = 1 << (2 * n - 2).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(w, size, axis=0) * np.fft.rfft(x, size, axis=0), size, axis=0)
-    out = np.empty((n + 1, K))
+    spectrum = np.fft.rfft(x, size, axis=0)
+    np.multiply(np.fft.rfft(w, size, axis=0), spectrum, out=spectrum)
+    conv = np.fft.irfft(spectrum, size, axis=0)
+    out = np.empty((n + 1,) + conv.shape[1:])
     out[0] = 0.0
     out[1:] = conv[:n]
     return out
@@ -137,25 +152,43 @@ def _jump_weights(family: ResolventFamily, t, jump_times: np.ndarray) -> np.ndar
     return W
 
 
-def _jump_weight_blocks(family: ResolventFamily, path: SamplePath):
+def _jump_weight_blocks(family: ResolventFamily, jump_times: np.ndarray):
     """Exact-time jump weights for every output node, a block of nodes at a time.
 
-    Yields (rows, W) for consecutive slices rows of the grid nodes, each
-    block holding about _JUMP_BLOCK_ENTRIES weights: _jump_weights of those
-    nodes' times against all of the path's jumps.
+    Yields (rows, W) for consecutive slices rows of the grid nodes: W is the
+    (m, nodes, K) _jump_weights of the m jump_times at those nodes' times,
+    about _JUMP_BLOCK_ENTRIES entries (at least one node).
     """
     t = family.grid.nodes()
-    block = max(1, _JUMP_BLOCK_ENTRIES // max(1, path.jump_times.size * family.K))
+    block = max(1, _JUMP_BLOCK_ENTRIES // max(1, jump_times.size * family.K))
     for r0 in range(0, t.size, block):
         rows = slice(r0, r0 + block)
-        yield rows, _jump_weights(family, t[rows, None], path.jump_times)
+        yield rows, _jump_weights(family, t[None, rows], jump_times[:, None])
 
 
-def _sum_over_jumps(terms: np.ndarray) -> np.ndarray:
-    """Sum of an (r, m, K) array over m, strictly left to right (cumsum never sums pairwise)."""
-    if terms.shape[1] == 0:
-        return np.zeros((terms.shape[0], terms.shape[2]))
-    return np.cumsum(terms, axis=1)[:, -1]
+def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(B, ...) sums of a block's jump terms (J, ...), row r's counts[r] terms after row r - 1's.
+
+    Each row's terms are added to 0.0 left to right: one vector add per
+    jump while a jump has _LOOP_TERMS terms or more, else one np.add.at
+    over all jumps, which adds them in the same order.
+    """
+    out = np.zeros((counts.size,) + terms.shape[1:])
+    owner = np.repeat(np.arange(counts.size), counts)
+    if terms.size >= _LOOP_TERMS * owner.size:
+        for j, r in enumerate(owner):
+            out[r] += terms[j]
+    else:
+        np.add.at(out, owner, terms)
+    return out
+
+
+def _times_marks(W: np.ndarray, marks: np.ndarray, out=None) -> np.ndarray:
+    """W * marks[:, None] of (J, nodes, K) weights and (J, K) marks, one multiply per mode."""
+    out = np.empty_like(W) if out is None else out
+    for k in range(W.shape[2]):
+        np.multiply(W[..., k], marks[:, k, None], out=out[..., k])
+    return out
 
 
 def _node_weights(family: ResolventFamily, rules, i: int, drift: np.ndarray):
@@ -184,9 +217,7 @@ def _jump_sums(family: ResolventFamily, t: float, jumps) -> np.ndarray:
     counts, times, marks = jumps
     W = _jump_weights(family, t, times)
     W *= marks
-    out = np.zeros((counts.size, family.K))
-    np.add.at(out, np.repeat(np.arange(counts.size), counts), W)
-    return out
+    return _row_sums(W, counts)
 
 
 def _node_values(family: ResolventFamily, i: int, weights, gauss, jumps):
@@ -243,21 +274,11 @@ def stieltjes_convolution(
     with dZcont the drift + Gaussian step increments and each jump weighted
     at its exact recorded time through the mode column's interpolant.  With
     all columns identically 1 this reproduces the path values float for
-    float.
+    float.  It is the one-row _block_routes call.
     """
     _check_shared_grid(family, path)
-    grid = family.grid
-    lagw = _lag_weights(family, tag_rule)
-    wcum = np.vstack([np.zeros((1, family.K)), np.cumsum(lagw, axis=0)])  # wcum[i] = sum_{m<=i} w_m
-    drift_part = path.drift[None, :] * (grid.dt * wcum)
-    dx = path.gauss_increments
-    dx_cum = np.vstack([np.zeros((1, family.K)), np.cumsum(dx, axis=0)])
-    gauss_part = dx_cum + _lag_fold(lagw - 1.0, dx)  # w - 1 is exactly 0 for an identity family
-    vals = drift_part + gauss_part
-    for rows, W in _jump_weight_blocks(family, path):
-        W *= path.jump_marks
-        vals[rows] += _sum_over_jumps(W)  # jumps summed left to right in m
-    return ConvolutionPath(grid=grid, values=vals, method="stieltjes", tag_rule=tag_rule)
+    vals = _block_routes(family, (tag_rule,), path.drift, 1, *_path_block(path))[0][0]
+    return ConvolutionPath(grid=family.grid, values=vals, method="stieltjes", tag_rule=tag_rule)
 
 
 def _cumsum_with_error(x: np.ndarray):
@@ -296,26 +317,99 @@ def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionP
     every term.
 
     Both are pure rearrangements of the Stieltjes sums, so the two routes
-    agree to roundoff node by node.
+    agree to roundoff node by node.  It is the one-row _block_routes call.
     """
     _check_shared_grid(family, path)
-    cert = certify_resolvent_properties(family.s_matrix, VARIATION_TOL)
-    if not cert.passed:
+    vals = _block_routes(family, (None,), path.drift, 1, *_path_block(path))[0][0]
+    return ConvolutionPath(grid=family.grid, values=vals, method="parts", tag_rule=None)
+
+
+def _path_block(path: SamplePath):
+    """(gauss (1, K, n), jumps) of a path in levy._draw_blocks' block layout."""
+    return (path.gauss_increments.T[None],
+            (np.array([path.jump_times.size]), path.jump_times, path.jump_marks))
+
+
+def _block_routes(family: ResolventFamily, routes, drift: np.ndarray, n_rows: int, gauss, jumps):
+    """Route values of every row of a levy._draw_blocks block, one (n_rows, n + 1, K) array per route.
+
+    routes holds a TagRule for each Stieltjes route and None for the parts
+    route, whose certificate is checked once per call (ValueError if it
+    fails).  gauss is the block's (n_rows, K, n) increments or None (zero
+    increments), jumps its (counts, times, marks) or None (no jumps).
+    Rows go in passes of about levy._BLOCK_BYTES of FFT spectrum: each
+    route folds a pass's B * K columns in one _lag_fold call, and each node
+    slice of the pass's jump weights is built once for every route.  Every
+    row equals the route's one-path call on that row's SamplePath bit for
+    bit, whatever else the block holds.
+    """
+    cert = certify_resolvent_properties(family.s_matrix, VARIATION_TOL) if None in routes else None
+    if cert is not None and not cert.passed:
         bad = np.flatnonzero(~cert.mode_passed).tolist()
         raise ValueError(
             "integration by parts inapplicable: monotonicity/variation certificate "
             f"failed for modes {bad} (max increase {cert.max_increase.max():.3e})"
         )
-    s = family.s_matrix
-    zc = path.continuous_values()
-    vals = s[0] * zc - s * zc[0] - _lag_fold(s[:-1] - s[1:], zc[1:])
+    n, K = family.grid.n_steps, family.K
+    if gauss is None:
+        gauss = np.zeros((n_rows, K, n))
+    outs = [np.empty((n_rows, n + 1, K)) for _ in routes]
+    step = max(1, int(levy._BLOCK_BYTES // (32 * n * K)))
+    ends = None if jumps is None else np.cumsum(jumps[0])
+    for r0 in range(0, n_rows, step):
+        r1 = min(r0 + step, n_rows)
+        for out, rule in zip(outs, routes):
+            cont = (_parts_continuous(family, drift, gauss[r0:r1]) if rule is None
+                    else _stieltjes_continuous(family, rule, drift, gauss[r0:r1]))
+            out[r0:r1] = cont.transpose(1, 0, 2)
+        if jumps is None:
+            continue
+        j0, j1 = ends[r0] - jumps[0][r0], ends[r1 - 1]
+        counts, times, marks = jumps[0][r0:r1], jumps[1][j0:j1], jumps[2][j0:j1]
+        abel = _abel_marks(counts, marks) if None in routes else None
+        for rows, W in _jump_weight_blocks(family, times):
+            for out, rule in zip(outs, routes):
+                out[r0:r1, rows] += (_parts_jump_sums(W, counts, abel) if rule is None
+                                     else _row_sums(_times_marks(W, marks), counts))
+    return outs
 
-    if path.jump_times.size:
-        hi, lo = _cumsum_with_error(path.jump_marks)
-        for rows, W in _jump_weight_blocks(family, path):
-            W[:, :-1] -= W[:, 1:]  # w_m - w_{m+1}, 0 past the last jump; numpy buffers the overlap
-            vals[rows] += _sum_over_jumps(W * lo) + _sum_over_jumps(W * hi)
-    return ConvolutionPath(grid=family.grid, values=vals, method="parts", tag_rule=None)
+
+def _stieltjes_continuous(family: ResolventFamily, rule: TagRule, drift, gauss) -> np.ndarray:
+    """Drift and Gaussian part of the Stieltjes route, (n + 1, B, K), of (B, K, n) increments."""
+    lagw = _lag_weights(family, rule)
+    wcum = np.vstack([np.zeros((1, family.K)), np.cumsum(lagw, axis=0)])  # wcum[i] = sum_{m<=i} w_m
+    drift_part = drift[None, :] * (family.grid.dt * wcum)
+    dx = gauss.transpose(2, 0, 1)
+    dx_cum = np.zeros((dx.shape[0] + 1,) + dx.shape[1:])
+    dx_cum[1:] = np.cumsum(dx, axis=0)
+    # w - 1 is exactly 0 for an identity family
+    return drift_part[:, None] + (dx_cum + _lag_fold((lagw - 1.0)[:, None], dx))
+
+
+def _parts_continuous(family: ResolventFamily, drift, gauss) -> np.ndarray:
+    """Continuous part of the parts route, (n + 1, B, K), of (B, K, n) increments."""
+    s = family.s_matrix
+    zc = _continuous_values(family.grid, drift, gauss).transpose(1, 0, 2)
+    return s[0] * zc - s[:, None] * zc[0] - _lag_fold((s[:-1] - s[1:])[:, None], zc[1:])
+
+
+def _abel_marks(counts: np.ndarray, marks: np.ndarray):
+    """(hi, lo, last): each row's _cumsum_with_error of its marks, and each row's last jump index."""
+    ends = np.cumsum(counts)
+    hi, lo = (np.concatenate(c) for c in zip(*(_cumsum_with_error(marks[e - c : e])
+                                                for c, e in zip(counts, ends))))
+    return hi, lo, ends[counts > 0] - 1
+
+
+def _parts_jump_sums(W: np.ndarray, counts: np.ndarray, abel) -> np.ndarray:
+    """Abel sums of each row's jumps against the (J, nodes, K) weights W, (B, nodes, K)."""
+    hi, lo, last = abel
+    steps = np.empty_like(W)  # w_m - w_{m+1} inside a row, w_m at its last jump
+    np.subtract(W[:-1], W[1:], out=steps[:-1])
+    steps[last] = W[last]
+    terms = _times_marks(steps, lo)
+    low = _row_sums(terms, counts)
+    return low + _row_sums(_times_marks(steps, hi, out=terms), counts)
 
 
 def mild_solution(

@@ -195,9 +195,11 @@ class PropertyReport:
     Each field holds one entry per mode (a scalar for a single column):
     max_range_violation: how far any s_i leaves [0, 1] (0 if none).
     max_increase: largest positive jump s_{i+1} - s_i (0 if nonincreasing).
-    total_variation: sum |s_{i+1} - s_i|; for a monotone column this equals
-    s_0 - s_n and is the bounded-variation certificate used by the
-    integration-by-parts route.
+    total_variation: sum |s_{i+1} - s_i|, reported by the resolvent stage
+    and read by no gate (the parts route gates on the range violation and
+    max_increase).  For a monotone column it is s_0 - s_n only in exact
+    arithmetic: in floats the sum adds every step's roundoff, so it moves
+    with n (about 2e-10 between two solves 1e-13 apart at n = 20000).
     """
 
     max_range_violation: np.ndarray

@@ -20,13 +20,15 @@ zero), then jump count, jump times, jump marks (none for a point mass,
 whose marks are filled in per block; a mixture draws one uniform per mark
 and looks it up in the law's cdf, as Generator.choice with its weights
 would), and samples are drawn in blocks of about _BLOCK_BYTES.  A block is
-mode-major, (B, K, n): each sample's normals are drawn into one (n, K) row
-in stream order and written scaled and transposed into the block in one
-pass, so every mode's time series is contiguous for the contractions that
-read it.  sample_path and coupled_sample_paths read one-sample blocks;
-characterization.terminal_values, verification.convergence_study and the
-verify-parts command read multi-sample blocks, and _block_path builds a
-SamplePath from a block row.
+mode-major, (B, K, n): each sample's normals are drawn in stream order into
+row r of a (B, n, K) buffer, and the whole block is scaled and transposed
+in one pass, so every mode's time series is contiguous for the contractions
+that read it; the jump times of a block are formed from its uniforms in one
+pass too.  sample_path and coupled_sample_paths read one-sample blocks and
+_block_path builds their SamplePath; characterization.terminal_values,
+verification.convergence_study and the verify-parts command read
+multi-sample blocks row for row without building one (_block_values gives
+a block's path values).
 Gaussian variates use numpy's Generator.standard_normal on that stream,
 which pins the transform within this implementation.
 """
@@ -329,18 +331,12 @@ class SamplePath:
 
     def jump_cumulative(self) -> np.ndarray:
         """(n_steps + 1, K): summed marks with jump time <= t_i, left-fold order."""
-        K = self.drift.shape[0]
-        if self.jump_times.size == 0:
-            return np.zeros((self.grid.n_steps + 1, K))
-        cum = np.vstack([np.zeros((1, K)), np.cumsum(self.jump_marks, axis=0)])
-        idx = np.searchsorted(self.jump_times, self.grid.nodes(), side="right")
-        return cum[idx]
+        jumps = (np.array([self.jump_times.size]), self.jump_times, self.jump_marks)
+        return _jump_cumulative(self.grid, self.dim, 1, jumps)[0]
 
     def continuous_values(self) -> np.ndarray:
         """Node values of the drift + Gaussian component only."""
-        K = self.drift.shape[0]
-        gauss_cum = np.vstack([np.zeros((1, K)), np.cumsum(self.gauss_increments, axis=0)])
-        return self.drift[None, :] * self.grid.nodes()[:, None] + gauss_cum
+        return _continuous_values(self.grid, self.drift, self.gauss_increments.T[None])[0]
 
 
 def sample_rng(
@@ -396,9 +392,9 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
     (skipped when every variance is 0), then the jump count, the jump times
     uniform on (0, t_end] and the marks.  gauss is the block's (B, K, n)
     scaled increments, mode-major, in one buffer reused by the next block,
-    or None: each sample's normals fill one (n, K) row in stream order,
-    which is then scaled into the block with its modes as rows, the same
-    products a scaled (n, K) row would hold.  jumps is None without a jump
+    or None: each sample's normals fill row r of a (B, n, K) buffer in
+    stream order, and one multiply scales and transposes the block, the
+    same products a scaled (n, K) row would hold.  jumps is None without a jump
     part, else (counts (B,), times (J,), marks (J, K)): the block's J jumps
     row by row, each row's counts[r] jumps in stable time order, so row r
     holds jumps counts[:r].sum() up to counts[:r + 1].sum().  A block holds
@@ -409,31 +405,33 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
     scale = np.sqrt(triplet.gauss_var * grid.dt)[:, None]
     block = max(1, int(_BLOCK_BYTES // _sample_bytes(triplet, n, K, t_end)))
     buf = np.empty((min(block, hi - lo), K, n)) if draw_gauss else None
-    row = np.empty((n, K)) if draw_gauss else None
+    normals = np.empty((min(block, hi - lo), n, K)) if draw_gauss else None
+    mean_count = jump.rate * t_end if jump is not None else 0.0
     # point-mass marks draw nothing, so they are filled in once per block
     point_mass = jump is not None and isinstance(jump.law, PointMass)
     rng = None
     for b0 in range(lo, hi, block):
         b1 = min(b0 + block, hi)
         # each sample's jump data in draw order, led by an empty entry
-        counts, times, marks = [], [np.zeros(0)], [np.zeros((0, K))]
+        counts, uniforms, marks = [], [np.zeros(0)], [np.zeros((0, K))]
         for b in range(b0, b1):
             rng = sample_rng(seed, b, rng)
             if draw_gauss:
-                rng.standard_normal(out=row)
-                np.multiply(row.T, scale, out=buf[b - b0])
+                rng.standard_normal(out=normals[b - b0])
             if jump is not None:
-                count = int(rng.poisson(jump.rate * t_end))
+                count = int(rng.poisson(mean_count))
                 counts.append(count)
                 if count:
-                    times.append(t_end * (1.0 - rng.random(count)))
+                    uniforms.append(rng.random(count))
                     if not point_mass:
                         marks.append(sample_jumps(jump.law, rng, count))
-        gauss = buf[: b1 - b0] if draw_gauss else None
+        gauss = None
+        if draw_gauss:
+            gauss = np.multiply(normals[: b1 - b0].transpose(0, 2, 1), scale, out=buf[: b1 - b0])
         if jump is None:
             yield b0, b1, gauss, None
             continue
-        counts, times = np.array(counts), np.concatenate(times)
+        counts, times = np.array(counts), t_end * (1.0 - np.concatenate(uniforms))
         # rows are drawn in order, so one stable sort by (row, time) sorts each row
         order = np.lexsort((times, np.repeat(np.arange(b1 - b0), counts)))
         marks = (np.broadcast_to(jump.law.mark, (times.size, K)) if point_mass
@@ -453,6 +451,39 @@ def _level_sums(gauss: np.ndarray, factor: int) -> np.ndarray:
     for q in range(factor):
         out += parts[..., q]
     return out
+
+
+def _continuous_values(grid: TimeGrid, drift: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """(B, n_steps + 1, K) drift * t plus the cumulative Gaussian sum of (B, K, n_steps) increments."""
+    gauss_cum = np.zeros((gauss.shape[0], grid.n_steps + 1, gauss.shape[1]))
+    gauss_cum[:, 1:] = np.cumsum(gauss, axis=2).transpose(0, 2, 1)
+    return (drift[None, :] * grid.nodes()[:, None]) + gauss_cum
+
+
+def _jump_cumulative(grid: TimeGrid, K: int, n_rows: int, jumps) -> np.ndarray:
+    """(n_rows, n_steps + 1, K) summed marks with jump time <= t_i of each row's jumps."""
+    out = np.zeros((n_rows, grid.n_steps + 1, K))
+    if jumps is not None:
+        counts, times, marks = jumps
+        ends = np.cumsum(counts)
+        for r in np.flatnonzero(counts):
+            row = slice(ends[r] - counts[r], ends[r])
+            cum = np.vstack([np.zeros((1, K)), np.cumsum(marks[row], axis=0)])
+            out[r] = cum[np.searchsorted(times[row], grid.nodes(), side="right")]
+    return out
+
+
+def _block_values(grid: TimeGrid, drift: np.ndarray, n_rows: int, gauss, jumps) -> np.ndarray:
+    """Node values Z of every row of a _draw_blocks block, (n_rows, n_steps + 1, K).
+
+    The continuous part, then plus the jump part: the grouping
+    SamplePath.values pins, so row r is that row's SamplePath values bit
+    for bit.  gauss and jumps are as _block_path takes them.
+    """
+    K = drift.shape[0]
+    if gauss is None:
+        gauss = np.zeros((n_rows, K, grid.n_steps))
+    return _continuous_values(grid, drift, gauss) + _jump_cumulative(grid, K, n_rows, jumps)
 
 
 def _block_path(grid: TimeGrid, drift: np.ndarray, gauss, jumps, r: int) -> SamplePath:

@@ -13,6 +13,14 @@ refinement; convergence studies realize one random outcome consistently
 across resolutions (block-summed Gaussian increments, shared jumps) to
 isolate that defect from Monte Carlo noise.
 
+The two residual oracles take whole blocks: _weak_residuals and
+_bounded_A_residuals check B convolutions against B path values at once,
+and the public weak_solution_residual and bounded_A_identity_residual are
+their one-row calls.  The weak-residual study runs each level of a
+levy._draw_blocks block through convolution._block_routes, levy._block_values
+and both oracles, so no SamplePath is built per outcome and every row's
+norm is the one-path norm bit for bit.
+
 The textbook derivation of the duality identity passes through transformed
 test functions and a differentiated-kernel form; those intermediate
 identities add no testable content on the diagonal truncation and are
@@ -28,15 +36,9 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .convolution import (
-    ConvolutionPath,
-    TagRule,
-    _node_values,
-    _node_weights,
-    stieltjes_convolution,
-)
+from .convolution import ConvolutionPath, TagRule, _block_routes, _node_values, _node_weights
 from .kernels import _unit_exponential, closed_form_exponential_resolvent, eval_kernel
-from .levy import LevyTriplet, SamplePath, _block_path, _draw_blocks, _level_sums
+from .levy import LevyTriplet, SamplePath, _block_values, _draw_blocks, _level_sums
 from .spectral import ResidualProfile, ResolventFamily, _causal_convolution
 
 
@@ -65,25 +67,38 @@ def weak_solution_residual(
     family's gammas, so an identity surrogate family scores a zero integral
     term.  The integrals for all nodes and modes are one lower-triangular
     Toeplitz product, formed in blocks of rows, with the trapezoid end
-    weights applied as rank-1 corrections.
+    weights applied as rank-1 corrections.  It is the one-row
+    _weak_residuals call.
     """
     _check_inputs(zr, z, family)
+    res = _weak_residuals(family, zr.values[None], z.values[None])[0]
+    return ResidualProfile(grid=family.grid, residuals=res)
+
+
+def _weak_residuals(family: ResolventFamily, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """weak_solution_residual of B convolutions x against path values z, both (B, n + 1, K).
+
+    Each window block of the Toeplitz matrix is copied to contiguous memory
+    once and multiplied with every row in turn, so a row's residual does not
+    depend on the other rows.
+    """
     grid = family.grid
     n, dt = grid.n_steps, grid.dt
     a_vals = np.asarray(eval_kernel(family.kernel, grid.nodes()), dtype=float)
-    x = zr.values
     # window p of the reversed, zero-padded kernel is row n - p of the
     # lower-triangular Toeplitz matrix L[i, j] = a(t_i - t_j) (0 for j > i)
     windows = sliding_window_view(np.concatenate([a_vals[::-1], np.zeros(n)]), n + 1)
-    quad = np.empty((n + 1, family.K))
+    quad = np.empty(x.shape)
     for lo in range(0, n + 1, _TOEPLITZ_BLOCK_ROWS):
         hi = min(lo + _TOEPLITZ_BLOCK_ROWS, n + 1)
-        quad[lo:hi] = (windows[n - hi + 1 : n - lo + 1, :hi] @ x[:hi])[::-1]
+        window = np.ascontiguousarray(windows[n - hi + 1 : n - lo + 1, :hi])
+        for r in range(x.shape[0]):
+            quad[r, lo:hi] = (window @ x[r, :hi])[::-1]
     # trapezoid end weights: half of a(t_i) Z_R(0) and of a(0) Z_R(t_i)
-    quad -= 0.5 * np.outer(a_vals, x[0]) + 0.5 * a_vals[0] * x
-    res = x + family.gammas * (dt * quad) - z.values
-    res[0] = 0.0
-    return ResidualProfile(grid=grid, residuals=res)
+    quad -= 0.5 * (a_vals[:, None] * x[:, :1]) + 0.5 * a_vals[0] * x
+    res = x + family.gammas * (dt * quad) - z
+    res[:, 0] = 0.0
+    return res
 
 
 def bounded_A_identity_residual(
@@ -98,17 +113,30 @@ def bounded_A_identity_residual(
     at once, with the end weights applied as the rank-1 terms
     -1/2 a(t_i) Z_R(0) and -1/2 a(0) Z_R(t_i).  weak_solution_residual forms
     the same sums by a blocked matrix product over kernel windows, so the
-    two routes share no product code and agree only if both are right.
+    two routes share no product code and agree only if both are right.  It
+    is the one-row _bounded_A_residuals call.
     """
     _check_inputs(zr, z, family)
+    res = _bounded_A_residuals(family, zr.values[None], z.values[None])[0]
+    return ResidualProfile(grid=family.grid, residuals=res)
+
+
+def _bounded_A_residuals(family: ResolventFamily, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """bounded_A_identity_residual of B convolutions x against path values z, both (B, n + 1, K).
+
+    The B * K columns go through one _causal_convolution, which computes
+    every column as it would alone.
+    """
     grid = family.grid
+    B, m, K = x.shape
     a_vals = np.asarray(eval_kernel(family.kernel, grid.nodes()), dtype=float)
-    x = zr.values
-    quad = _causal_convolution(a_vals, x)
-    quad -= 0.5 * (np.outer(a_vals, x[0]) + a_vals[0] * x)
-    res = x + family.gammas * (grid.dt * quad) - z.values
+    cols = x.transpose(1, 0, 2).reshape(m, B * K)
+    quad = _causal_convolution(a_vals, cols).reshape(m, B, K)
+    x = x.transpose(1, 0, 2)
+    quad -= 0.5 * (a_vals[:, None, None] * x[0] + a_vals[0] * x)
+    res = x + family.gammas * (grid.dt * quad) - z.transpose(1, 0, 2)
     res[0] = 0.0
-    return ResidualProfile(grid=grid, residuals=res)
+    return res.transpose(1, 0, 2)
 
 
 def fit_order(dts: Sequence[float], norms: Sequence[float]) -> float:
@@ -188,9 +216,9 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
     (levy._level_sums) while the jumps are shared exactly, as
     coupled_sample_paths does for one outcome.  tag_discrepancy makes one
     _node_values call per block and level for LEFT and RIGHT together;
-    weak_residual builds each level's SamplePath from the block row and
-    runs the Stieltjes route and both residual oracles on it.  Every norm
-    equals the one-outcome computation on coupled_sample_paths bit for bit.
+    weak_residual runs each level's block rows through the block Stieltjes
+    route and both block oracles.  Every norm equals the one-outcome
+    computation on coupled_sample_paths bit for bit.
     """
     families = config.families
     fine = families[-1].grid
@@ -227,19 +255,15 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
                     for r, row in enumerate(rows):  # each row's norm as the 1-D norm rounds
                         per_seed[row, li] = float(np.linalg.norm(diff[r]))
                     continue
-                for r, row in enumerate(rows):  # weak_residual: one path per outcome
-                    path = _block_path(fam.grid, drift, inc, jumps, r)
-                    per_seed[row, li], gap = _weak_residual_norms(fam, path, config.tag_rule)
-                    route_gap = max(route_gap, gap)
+                # weak_residual: the block's rows through the block route and oracles
+                zr = _block_routes(fam, (config.tag_rule,), drift, len(rows), inc, jumps)[0]
+                z = _block_values(fam.grid, drift, len(rows), inc, jumps)
+                weak = _weak_residuals(fam, zr, z)
+                gap = np.abs(weak - _bounded_A_residuals(fam, zr, z))
+                for r, row in enumerate(rows):
+                    per_seed[row, li] = float(np.max(np.abs(weak[r])))
+                    route_gap = max(route_gap, float(np.max(gap[r])))
     return ConvergenceStudy(config.target, dts, per_seed.mean(axis=0), per_seed, route_gap)
-
-
-def _weak_residual_norms(fam: ResolventFamily, path: SamplePath, tag_rule: TagRule):
-    """(sup weak residual, sup |weak - bounded-A|) of the path's Stieltjes convolution."""
-    zr = stieltjes_convolution(fam, path, tag_rule)
-    weak = weak_solution_residual(zr, path, fam)
-    joint = bounded_A_identity_residual(zr, path, fam)
-    return weak.max_abs, float(np.max(np.abs(weak.residuals - joint.residuals)))
 
 
 def _index_runs(indices):

@@ -26,7 +26,19 @@ from levyvolterra import (
 from levyvolterra.cli import PARTS_REL_TOL
 from levyvolterra.config import JUMPS_PER_PATH_BUDGET
 from levyvolterra import convolution, levy
-from levyvolterra.convolution import _jump_weight_blocks, _lag_fold, _node_values, _node_weights
+from levyvolterra.convolution import (
+    _block_routes,
+    _jump_weight_blocks,
+    _lag_fold,
+    _node_values,
+    _node_weights,
+)
+from levyvolterra.verification import (
+    _bounded_A_residuals,
+    _weak_residuals,
+    bounded_A_identity_residual,
+    weak_solution_residual,
+)
 from stream_reference import BLOCKED_TRIPLETS, block_budget
 
 KERNEL = KernelSpec.exponential(1.0)
@@ -395,11 +407,11 @@ class TestVectorizedKernels:
         path = sample_path(trip, grid, 0, seed=8)
         m = path.jump_times.size
         assert m > 1500
-        assert len(list(_jump_weight_blocks(fam, path))) == 1
+        assert len(list(_jump_weight_blocks(fam, path.jump_times))) == 1
         whole = [stieltjes_convolution(fam, path, tag).values for tag in TagRule]
         whole.append(parts_convolution(fam, path).values)
         monkeypatch.setattr(convolution, "_JUMP_BLOCK_ENTRIES", 7 * m * fam.K)
-        assert len(list(_jump_weight_blocks(fam, path))) == 29  # 28 blocks of 7 nodes, then 5
+        assert len(list(_jump_weight_blocks(fam, path.jump_times))) == 29  # 28 blocks of 7 nodes, then 5
         blocked = [stieltjes_convolution(fam, path, tag).values for tag in TagRule]
         blocked.append(parts_convolution(fam, path).values)
         for a, b in zip(whole, blocked):
@@ -408,7 +420,7 @@ class TestVectorizedKernels:
     def test_example_config_shape_is_one_jump_block(self):
         grid = TimeGrid(1.0, 1000)
         path = path_with_jumps(grid, [0.25, 0.5, 0.75], K=2)
-        assert len(list(_jump_weight_blocks(dirichlet_family(2, grid), path))) == 1
+        assert len(list(_jump_weight_blocks(dirichlet_family(2, grid), path.jump_times))) == 1
 
     def test_parts_agrees_with_stieltjes_at_high_jump_rate(self):
         grid = TimeGrid(1.0, 400)
@@ -505,3 +517,87 @@ class TestStackedNodeValues:
                 for r, rule in enumerate(rules):
                     assert np.array_equal(got[row, r], convolve_at(fam, path, i, rule)), (b, rule)
         assert sizes == {1: [1] * self.N, 3: [3, 3, 1], "default": [self.N]}[block]
+
+
+class TestBlockRows:
+    """A block row of each route and oracle is that row's one-path call, bit for bit."""
+
+    GRID = TimeGrid(1.0, 60)
+    N = 7  # one default block at this grid, and a short last block of 3
+    ROUTES = (TagRule.LEFT, TagRule.RIGHT, TagRule.MIDPOINT, None)  # None: the parts route
+
+    @staticmethod
+    def one_path_rows(fam, trip, index):
+        """Each route's, the path's and each oracle's one-path values for sample index."""
+        path = sample_path(trip, fam.grid, index, seed=5)
+        left = stieltjes_convolution(fam, path, TagRule.LEFT)
+        routes = [left.values] + [stieltjes_convolution(fam, path, rule).values
+                                  for rule in (TagRule.RIGHT, TagRule.MIDPOINT)]
+        routes.append(parts_convolution(fam, path).values)
+        oracles = [weak_solution_residual(left, path, fam).residuals,
+                   bounded_A_identity_residual(left, path, fam).residuals]
+        return routes, path.values, oracles
+
+    def block_rows(self, fam, trip, gauss, jumps, n_rows):
+        drift = trip.pathwise_drift()
+        routes = _block_routes(fam, self.ROUTES, drift, n_rows, gauss, jumps)
+        values = levy._block_values(fam.grid, drift, n_rows, gauss, jumps)
+        oracles = [_weak_residuals(fam, routes[0], values),
+                   _bounded_A_residuals(fam, routes[0], values)]
+        return routes, values, oracles
+
+    def assert_rows(self, fam, trip, b0, got):
+        routes, values, oracles = got
+        for row in range(values.shape[0]):
+            want_routes, want_values, want_oracles = self.one_path_rows(fam, trip, b0 + row)
+            for r, rule in enumerate(self.ROUTES):
+                assert np.array_equal(routes[r][row], want_routes[r]), (b0 + row, rule)
+            assert np.array_equal(values[row], want_values), b0 + row
+            for name, a, b in zip(("weak", "bounded-A"), oracles, want_oracles):
+                assert np.array_equal(a[row], b), (b0 + row, name)
+
+    @pytest.mark.parametrize("block", [1, 3, "default"])
+    @pytest.mark.parametrize("name", sorted(BLOCKED_TRIPLETS))
+    def test_rows_equal_one_path_calls(self, monkeypatch, name, block):
+        trip = BLOCKED_TRIPLETS[name]
+        fam = dirichlet_family(trip.dim, self.GRID)
+        if block != "default":
+            monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, self.GRID, block))
+        sizes = []
+        for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 5, 0, self.N):
+            sizes.append(b1 - b0)
+            got = self.block_rows(fam, trip, gauss, jumps, b1 - b0)
+            self.assert_rows(fam, trip, b0, got)
+            if gauss is not None:
+                moved = self.block_rows(fam, trip, misaligned_copy(gauss), jumps, b1 - b0)
+                for a, b in zip([*got[0], got[1], *got[2]], [*moved[0], moved[1], *moved[2]]):
+                    assert np.array_equal(a, b)
+        assert sizes == {1: [1] * self.N, 3: [3, 3, 1], "default": [self.N]}[block]
+
+    @pytest.mark.parametrize("name", sorted(n for n, t in BLOCKED_TRIPLETS.items() if t.jump))
+    def test_small_jump_weight_budget(self, monkeypatch, name):
+        # node slices of a few nodes each: no weight array above the bound,
+        # and the rows are the default-budget rows
+        trip = BLOCKED_TRIPLETS[name]
+        fam = dirichlet_family(trip.dim, self.GRID)
+        blocks = list(levy._draw_blocks(trip, self.GRID, 5, 0, self.N))
+        whole = [_block_routes(fam, self.ROUTES, trip.pathwise_drift(), b1 - b0, gauss, jumps)
+                 for b0, b1, gauss, jumps in blocks]
+        most = max(jumps[1].size for *_, jumps in blocks)
+        bound = 4 * trip.dim * max(most, 1)
+        monkeypatch.setattr(convolution, "_JUMP_BLOCK_ENTRIES", bound)
+        sizes, real = [], convolution._jump_weights
+
+        def recording(*args):
+            W = real(*args)
+            sizes.append(W.size)
+            return W
+
+        monkeypatch.setattr(convolution, "_jump_weights", recording)
+        for (b0, b1, gauss, jumps), want in zip(blocks, whole):
+            got = _block_routes(fam, self.ROUTES, trip.pathwise_drift(), b1 - b0, gauss, jumps)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        assert max(sizes) <= bound
+        if most:  # weights came a few nodes at a time
+            assert len(sizes) > self.GRID.n_steps // 4
