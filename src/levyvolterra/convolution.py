@@ -23,17 +23,22 @@ change no bit of the result.
 Both routes are block routes: _block_routes takes a levy._draw_blocks
 block's (B, K, n) increments and (counts, times, marks) jumps and returns
 each route's (B, n + 1, K) values.  A pass of rows folds its B * K columns
-in one _lag_fold call, builds each node slice of its jump weights once for
-every route it was asked for, and adds each row's jump terms to 0.0 left to
-right (_row_sums).  Every column of the FFT and every row's jump sum come
-out as they would alone, so a block row is that row's one-path result bit
-for bit; stieltjes_convolution and parts_convolution are the one-row calls.
+in one _lag_fold call and builds each node slice of its jump weights once
+for every route it was asked for.  _mark_sums is the one mark-weighted
+jump sum: it multiplies a block's jump weights by their marks, one multiply
+per mode, and adds each row's terms to 0.0 left to right (_row_sums); the
+Stieltjes route, both Abel halves of the parts route and _jump_sums call
+it.  Every column of the FFT and every row's jump sum come out as they
+would alone, so a block row is that row's one-path result bit for bit;
+stieltjes_convolution and parts_convolution are the one-row calls, on the
+block levy._path_block packs a path into.
 
 One node's value for a block of outcomes is the single-node sum
 _node_values: the step increments come mode-major, (B, K, i), as
 levy._draw_blocks lays them out, and the weights of every requested tag
 rule are contracted along each mode's contiguous time row in one einsum.
-convolve_at is its one-outcome, one-rule call.
+convolve_at is its one-outcome, one-rule call, on the first i steps of
+levy._path_block.
 
 The Stieltjes route adds the cumulative sum of the step increments to their
 fold against w - 1.  For an identity family w - 1 is exactly 0, so the fold
@@ -54,7 +59,7 @@ import numpy as np
 from .grid import TimeGrid, _frozen_floats
 from .kernels import certify_resolvent_properties
 from . import levy
-from .levy import SamplePath, _continuous_values
+from .levy import SamplePath, _continuous_values, _path_block
 from .spectral import ResolventFamily
 
 # largest increase of s, or excursion outside [0, 1], that the parts route accepts
@@ -152,18 +157,20 @@ def _jump_weights(family: ResolventFamily, t, jump_times: np.ndarray) -> np.ndar
     return W
 
 
-def _jump_weight_blocks(family: ResolventFamily, jump_times: np.ndarray):
+def _jump_weight_blocks(family: ResolventFamily, jump_times: np.ndarray, weights=None):
     """Exact-time jump weights for every output node, a block of nodes at a time.
 
     Yields (rows, W) for consecutive slices rows of the grid nodes: W is the
-    (m, nodes, K) _jump_weights of the m jump_times at those nodes' times,
-    about _JUMP_BLOCK_ENTRIES entries (at least one node).
+    (m, nodes, K) weights(family, t, tau) (by default _jump_weights) of the
+    m jump_times tau at those nodes' times t, about _JUMP_BLOCK_ENTRIES
+    entries (at least one node).
     """
     t = family.grid.nodes()
+    weights = weights or _jump_weights
     block = max(1, _JUMP_BLOCK_ENTRIES // max(1, jump_times.size * family.K))
     for r0 in range(0, t.size, block):
         rows = slice(r0, r0 + block)
-        yield rows, _jump_weights(family, t[None, rows], jump_times[:, None])
+        yield rows, weights(family, t[None, rows], jump_times[:, None])
 
 
 def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -183,12 +190,16 @@ def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times_marks(W: np.ndarray, marks: np.ndarray, out=None) -> np.ndarray:
-    """W * marks[:, None] of (J, nodes, K) weights and (J, K) marks, one multiply per mode."""
-    out = np.empty_like(W) if out is None else out
+def _mark_sums(W: np.ndarray, marks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(B, nodes, K) _row_sums of a block's (J, nodes, K) jump weights times their (J, K) marks.
+
+    The one place a jump weight meets its mark: one multiply per mode, then
+    each row's terms added to 0.0 left to right.
+    """
+    terms = np.empty(W.shape)
     for k in range(W.shape[2]):
-        np.multiply(W[..., k], marks[:, k, None], out=out[..., k])
-    return out
+        np.multiply(W[..., k], marks[:, k, None], out=terms[..., k])
+    return _row_sums(terms, counts)
 
 
 def _node_weights(family: ResolventFamily, rules, i: int, drift: np.ndarray):
@@ -215,9 +226,7 @@ def _jump_sums(family: ResolventFamily, t: float, jumps) -> np.ndarray:
     Each row's terms _jump_weights * mark are added to 0.0 left to right.
     """
     counts, times, marks = jumps
-    W = _jump_weights(family, t, times)
-    W *= marks
-    return _row_sums(W, counts)
+    return _mark_sums(_jump_weights(family, t, times)[:, None], marks, counts)[:, 0]
 
 
 def _node_values(family: ResolventFamily, i: int, weights, gauss, jumps):
@@ -258,9 +267,8 @@ def convolve_at(
     if not 0 <= i <= family.grid.n_steps:
         raise ValueError(f"node index {i} outside 0..{family.grid.n_steps}")
     weights = _node_weights(family, (tag_rule,), i, path.drift)
-    gauss = np.ascontiguousarray(path.gauss_increments[:i].T)[None]
-    jumps = (np.array([path.jump_times.size]), path.jump_times, path.jump_marks)
-    return _node_values(family, i, weights, gauss, jumps)[0, 0]
+    gauss, jumps = _path_block(path)
+    return _node_values(family, i, weights, np.ascontiguousarray(gauss[:, :, :i]), jumps)[0, 0]
 
 
 def stieltjes_convolution(
@@ -324,12 +332,6 @@ def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionP
     return ConvolutionPath(grid=family.grid, values=vals, method="parts", tag_rule=None)
 
 
-def _path_block(path: SamplePath):
-    """(gauss (1, K, n), jumps) of a path in levy._draw_blocks' block layout."""
-    return (path.gauss_increments.T[None],
-            (np.array([path.jump_times.size]), path.jump_times, path.jump_marks))
-
-
 def _block_routes(family: ResolventFamily, routes, drift: np.ndarray, n_rows: int, gauss, jumps):
     """Route values of every row of a levy._draw_blocks block, one (n_rows, n + 1, K) array per route.
 
@@ -370,7 +372,7 @@ def _block_routes(family: ResolventFamily, routes, drift: np.ndarray, n_rows: in
         for rows, W in _jump_weight_blocks(family, times):
             for out, rule in zip(outs, routes):
                 out[r0:r1, rows] += (_parts_jump_sums(W, counts, abel) if rule is None
-                                     else _row_sums(_times_marks(W, marks), counts))
+                                     else _mark_sums(W, marks, counts))
     return outs
 
 
@@ -407,9 +409,7 @@ def _parts_jump_sums(W: np.ndarray, counts: np.ndarray, abel) -> np.ndarray:
     steps = np.empty_like(W)  # w_m - w_{m+1} inside a row, w_m at its last jump
     np.subtract(W[:-1], W[1:], out=steps[:-1])
     steps[last] = W[last]
-    terms = _times_marks(steps, lo)
-    low = _row_sums(terms, counts)
-    return low + _row_sums(_times_marks(steps, hi, out=terms), counts)
+    return _mark_sums(steps, lo, counts) + _mark_sums(steps, hi, counts)
 
 
 def mild_solution(

@@ -25,7 +25,9 @@ row r of a (B, n, K) buffer, and the whole block is scaled and transposed
 in one pass, so every mode's time series is contiguous for the contractions
 that read it; the jump times of a block are formed from its uniforms in one
 pass too.  sample_path and coupled_sample_paths read one-sample blocks and
-_block_path builds their SamplePath; characterization.terminal_values,
+_block_path builds their SamplePath; _path_block is the one packer of a
+SamplePath back into a one-row block, which its own values and every
+one-path convolution read.  characterization.terminal_values,
 verification.convergence_study and the verify-parts command read
 multi-sample blocks row for row without building one (_block_values gives
 a block's path values).
@@ -331,12 +333,17 @@ class SamplePath:
 
     def jump_cumulative(self) -> np.ndarray:
         """(n_steps + 1, K): summed marks with jump time <= t_i, left-fold order."""
-        jumps = (np.array([self.jump_times.size]), self.jump_times, self.jump_marks)
-        return _jump_cumulative(self.grid, self.dim, 1, jumps)[0]
+        return _jump_cumulative(self.grid, self.dim, 1, _path_block(self)[1])[0]
 
     def continuous_values(self) -> np.ndarray:
         """Node values of the drift + Gaussian component only."""
-        return _continuous_values(self.grid, self.drift, self.gauss_increments.T[None])[0]
+        return _continuous_values(self.grid, self.drift, _path_block(self)[0])[0]
+
+
+def _path_block(path: SamplePath):
+    """(gauss (1, K, n_steps), jumps): a path as the one-row _draw_blocks block _block_path reads."""
+    return (path.gauss_increments.T[None],
+            (np.array([path.jump_times.size]), path.jump_times, path.jump_marks))
 
 
 def sample_rng(

@@ -450,12 +450,10 @@ def blocked_output(tmp_path, where):
 
 
 class TestCliExitCodes:
-    @pytest.mark.xfail(strict=True, reason=(
-        "a jump inside a cell gives the trapezoid an O(dt) error that shrinks only on average "
-        "over where the jump falls, so some pure-jump seeds do not decrease strictly"))
     def test_verify_weak_passes_on_jump_only_example(self, tmp_path):
-        # the verdict ROADMAP direction 1 mends: exit 1 until the jump cells
-        # are integrated exactly
+        # a jump inside a cell gives the trapezoid an O(dt) excess that
+        # depends on where the jump falls; the weak study subtracts it, so
+        # every pure-jump seed decreases strictly
         cfg = example_with((("triplet", "drift"), [0.0, 0.0]), (("triplet", "gauss_var"), [0.0, 0.0]),
                            (("triplet", "jump", "law", "mark"), [1.2, -0.4]))
         assert cfg["triplet"]["jump"]["rate"] == 1.5

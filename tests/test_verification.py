@@ -21,7 +21,7 @@ from levyvolterra import (
     stieltjes_convolution,
     weak_solution_residual,
 )
-from levyvolterra import levy
+from levyvolterra import convolution, levy, verification
 from levyvolterra.cli import ROUTE_CONSISTENCY_TOL
 from stream_reference import block_budget, coupled_reference
 
@@ -219,6 +219,48 @@ def levels(model, fine_grid, factors, kernel=KERNEL):
     return [build_resolvent_family(model, kernel, fine_grid.coarsened(f)) for f in factors]
 
 
+def jump_cell_defects(fam, path):
+    """The weak study's jump-cell correction of one path, the one-row call."""
+    return verification._jump_cell_defects(fam, 1, levy._path_block(path)[1])[0]
+
+
+class TestJumpCellDefects:
+    GRID = TimeGrid(1.0, 50)
+
+    def family(self, level):
+        return build_resolvent_family(build_spectral_model(2, "dirichlet_laplacian"),
+                                      KernelSpec.constant(level), self.GRID)
+
+    @pytest.mark.parametrize("theta", [1.0, 0.75, 0.5, 0.2, 1e-9])
+    def test_one_jump_under_a_constant_kernel(self, theta):
+        # a(t) = level: a jump at tau = t_j + theta dt puts the trapezoid
+        # gamma dt level J (theta - 1/2) above the exact integral at every
+        # node from the end of the jump's cell on, and nothing before it
+        level, j, mark = 0.7, 17, np.array([1.2, -0.4])
+        fam, nodes, dt = self.family(level), self.GRID.nodes(), self.GRID.dt
+        tau = nodes[j + 1] if theta == 1.0 else nodes[j] + theta * dt
+        c = verification._jump_cell_defects(
+            fam, 2, (np.array([1, 0]), np.array([tau]), mark[None]))
+        expected = fam.gammas * dt * level * mark * (theta - 0.5)
+        assert np.all(c[0, : j + 1] == 0.0) and np.all(c[1] == 0.0)
+        assert np.allclose(c[0, j + 1 :], expected, rtol=1e-9, atol=1e-15)
+
+    def test_no_jumps_are_exact_zeros(self):
+        c = verification._jump_cell_defects(self.family(1.0), 3, None)
+        assert c.shape == (3, 51, 2) and np.all(c == 0.0)
+
+    def test_node_slices_change_no_bit(self, monkeypatch):
+        # the terms are built a slice of output nodes at a time, within the
+        # jump-weight budget; a budget of 3 nodes gives the same floats
+        fam = build_resolvent_family(build_spectral_model(2, "dirichlet_laplacian"), KERNEL,
+                                     TimeGrid(1.0, 100))
+        _, _, _, jumps = next(levy._draw_blocks(mixed_triplet(), fam.grid, 5, 0, 4))
+        whole = verification._jump_cell_defects(fam, 4, jumps)
+        monkeypatch.setattr(convolution, "_JUMP_BLOCK_ENTRIES", 3 * jumps[1].size * fam.K)
+        assert np.array_equal(verification._jump_cell_defects(fam, 4, jumps), whole)
+        assert np.any(whole != 0.0)
+
+
 class TestConvergenceStudy:
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):
@@ -338,7 +380,7 @@ class TestConvergenceStudy:
                 zr = stieltjes_convolution(fam, path, TagRule.LEFT)
                 weak = weak_solution_residual(zr, path, fam)
                 joint = bounded_A_identity_residual(zr, path, fam)
-                per_seed[idx, li] = np.max(np.abs(weak.residuals))
+                per_seed[idx, li] = np.max(np.abs(weak.residuals - jump_cell_defects(fam, path)))
                 gap = max(gap, float(np.max(np.abs(weak.residuals - joint.residuals))))
         assert np.array_equal(study.per_seed, per_seed)
         assert study.route_gap == gap
@@ -359,7 +401,8 @@ class TestConvergenceStudy:
             paths = coupled_reference(trip, fams[-1].grid, (25, 5, 1), idx, seed)
             for li, (fam, path) in enumerate(zip(fams, paths)):
                 zr = stieltjes_convolution(fam, path, TagRule.LEFT)
-                per_seed[si, li] = weak_solution_residual(zr, path, fam).max_abs
+                weak = weak_solution_residual(zr, path, fam).residuals
+                per_seed[si, li] = np.max(np.abs(weak - jump_cell_defects(fam, path)))
         assert np.array_equal(study.per_seed, per_seed)
 
     def test_zero_norms_fail_only_when_the_order_is_read(self):
