@@ -24,14 +24,14 @@ Both routes are block routes: _block_routes takes a levy._draw_blocks
 block's (B, K, n) increments and (counts, times, marks) jumps and returns
 each route's (B, n + 1, K) values.  A pass of rows folds its B * K columns
 in one _lag_fold call and builds each node slice of its jump weights once
-for every route it was asked for.  _mark_sums is the one mark-weighted
-jump sum: it multiplies a block's jump weights by their marks, one multiply
-per mode, and adds each row's terms to 0.0 left to right (_row_sums); the
-Stieltjes route, both Abel halves of the parts route and _jump_sums call
-it.  Every column of the FFT and every row's jump sum come out as they
-would alone, so a block row is that row's one-path result bit for bit;
-stieltjes_convolution and parts_convolution are the one-row calls, on the
-block levy._path_block packs a path into.
+for every route it was asked for.  The weights are mode-major, (jumps, K,
+nodes), and _mark_sums is the one mark-weighted jump sum: one broadcast
+multiply by the marks, then each row's terms added to 0.0 left to right
+(_row_sums); the Stieltjes route, both Abel halves of the parts route and
+_jump_sums call it.  Every column of the FFT and every row's jump sum come
+out as they would alone, so a block row is that row's one-path result bit
+for bit; stieltjes_convolution and parts_convolution are the one-row
+calls, on the block levy._path_block packs a path into.
 
 One node's value for a block of outcomes is the single-node sum
 _node_values: the step increments come mode-major, (B, K, i), as
@@ -65,7 +65,7 @@ from .spectral import ResolventFamily
 # largest increase of s, or excursion outside [0, 1], that the parts route accepts
 VARIATION_TOL = 1e-8
 
-# entries of the (jumps, nodes, K) jump-weight array held at once
+# entries of the (jumps, K, nodes) jump-weight array held at once
 _JUMP_BLOCK_ENTRIES = 1 << 20
 # terms per jump from which _row_sums adds jump by jump instead of by np.add.at
 _LOOP_TERMS = 100
@@ -143,17 +143,17 @@ def _lag_fold(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _jump_weights(family: ResolventFamily, t, jump_times: np.ndarray) -> np.ndarray:
-    """Exact-time jump weights W[..., k] = s(t - tau, gamma_k), and 0 where t - tau < 0.
+    """Exact-time jump weights, mode-major: W[:, k] = s(t - tau, gamma_k).
 
-    t and jump_times broadcast together; one np.interp per mode column of s.
-    For floats the zero test is the test tau > t.
+    t - tau of shape (J, ...) gives W of shape (J, K, ...), one np.interp
+    per mode column of s into its slice.  nodes[0] is 0.0, so left=0.0
+    makes the weight 0 exactly where tau > t; at tau == t it is s(0).
     """
     elapsed = t - jump_times
     nodes, s = family.grid.nodes(), family.s_matrix
-    W = np.empty(elapsed.shape + (family.K,))
+    W = np.empty(elapsed.shape[:1] + (family.K,) + elapsed.shape[1:])
     for k in range(family.K):
-        W[..., k] = np.interp(elapsed, nodes, s[:, k])
-    W[elapsed < 0] = 0.0
+        W[:, k] = np.interp(elapsed, nodes, s[:, k], left=0.0)
     return W
 
 
@@ -161,7 +161,7 @@ def _jump_weight_blocks(family: ResolventFamily, jump_times: np.ndarray, weights
     """Exact-time jump weights for every output node, a block of nodes at a time.
 
     Yields (rows, W) for consecutive slices rows of the grid nodes: W is the
-    (m, nodes, K) weights(family, t, tau) (by default _jump_weights) of the
+    (m, K, nodes) weights(family, t, tau) (by default _jump_weights) of the
     m jump_times tau at those nodes' times t, about _JUMP_BLOCK_ENTRIES
     entries (at least one node).
     """
@@ -191,15 +191,12 @@ def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _mark_sums(W: np.ndarray, marks: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(B, nodes, K) _row_sums of a block's (J, nodes, K) jump weights times their (J, K) marks.
+    """(B, K, nodes) _row_sums of a block's (J, K, nodes) jump weights times their (J, K) marks.
 
-    The one place a jump weight meets its mark: one multiply per mode, then
+    The one place a jump weight meets its mark: one broadcast multiply, then
     each row's terms added to 0.0 left to right.
     """
-    terms = np.empty(W.shape)
-    for k in range(W.shape[2]):
-        np.multiply(W[..., k], marks[:, k, None], out=terms[..., k])
-    return _row_sums(terms, counts)
+    return _row_sums(W * marks[:, :, None], counts)
 
 
 def _node_weights(family: ResolventFamily, rules, i: int, drift: np.ndarray):
@@ -226,7 +223,7 @@ def _jump_sums(family: ResolventFamily, t: float, jumps) -> np.ndarray:
     Each row's terms _jump_weights * mark are added to 0.0 left to right.
     """
     counts, times, marks = jumps
-    return _mark_sums(_jump_weights(family, t, times)[:, None], marks, counts)[:, 0]
+    return _mark_sums(_jump_weights(family, t, times)[:, :, None], marks, counts)[:, :, 0]
 
 
 def _node_values(family: ResolventFamily, i: int, weights, gauss, jumps):
@@ -372,7 +369,7 @@ def _block_routes(family: ResolventFamily, routes, drift: np.ndarray, n_rows: in
         for rows, W in _jump_weight_blocks(family, times):
             for out, rule in zip(outs, routes):
                 out[r0:r1, rows] += (_parts_jump_sums(W, counts, abel) if rule is None
-                                     else _mark_sums(W, marks, counts))
+                                     else _mark_sums(W, marks, counts)).transpose(0, 2, 1)
     return outs
 
 
@@ -404,7 +401,7 @@ def _abel_marks(counts: np.ndarray, marks: np.ndarray):
 
 
 def _parts_jump_sums(W: np.ndarray, counts: np.ndarray, abel) -> np.ndarray:
-    """Abel sums of each row's jumps against the (J, nodes, K) weights W, (B, nodes, K)."""
+    """Abel sums of each row's jumps against the (J, K, nodes) weights W, (B, K, nodes)."""
     hi, lo, last = abel
     steps = np.empty_like(W)  # w_m - w_{m+1} inside a row, w_m at its last jump
     np.subtract(W[:-1], W[1:], out=steps[:-1])

@@ -86,8 +86,8 @@ def _weak_residuals(family: ResolventFamily, x: np.ndarray, z: np.ndarray) -> np
     """weak_solution_residual of B convolutions x against path values z, both (B, n + 1, K).
 
     Each window block of the Toeplitz matrix is copied to contiguous memory
-    once and multiplied with every row in turn, so a row's residual does not
-    depend on the other rows.
+    once and multiplied with all rows in one stacked matmul, the same BLAS
+    product per row, so no row's residual depends on the other rows.
     """
     grid = family.grid
     n, dt = grid.n_steps, grid.dt
@@ -99,8 +99,7 @@ def _weak_residuals(family: ResolventFamily, x: np.ndarray, z: np.ndarray) -> np
     for lo in range(0, n + 1, _TOEPLITZ_BLOCK_ROWS):
         hi = min(lo + _TOEPLITZ_BLOCK_ROWS, n + 1)
         window = np.ascontiguousarray(windows[n - hi + 1 : n - lo + 1, :hi])
-        for r in range(x.shape[0]):
-            quad[r, lo:hi] = (window @ x[r, :hi])[::-1]
+        quad[:, lo:hi] = (window @ x[:, :hi])[:, ::-1]
     # trapezoid end weights: half of a(t_i) Z_R(0) and of a(0) Z_R(t_i)
     quad -= 0.5 * (a_vals[:, None] * x[:, :1]) + 0.5 * a_vals[0] * x
     res = x + family.gammas * (dt * quad) - z
@@ -157,8 +156,8 @@ def _jump_cell_defects(family: ResolventFamily, n_rows: int, jumps) -> np.ndarra
     (theta_m - 1/2) over row r's jumps, with a read by eval_kernel at the
     exact lags, never from the resolvent, so the oracle stays independent
     of the code it checks.  The terms are built a slice of nodes at a time
-    by convolution._jump_weight_blocks, within its jump-weight budget, and
-    summed by _mark_sums; rows without jumps get exact zeros.
+    by convolution._jump_weight_blocks as (jumps, K, nodes) kernel values,
+    within its budget, and summed by _mark_sums; jumpless rows get exact zeros.
     """
     grid = family.grid
     out = np.zeros((n_rows, grid.n_steps + 1, family.K))
@@ -173,10 +172,10 @@ def _jump_cell_defects(family: ResolventFamily, n_rows: int, jumps) -> np.ndarra
         lag = t - tau
         a = eval_kernel(fam.kernel, np.maximum(lag, 0.0))
         a[lag < 0] = 0.0
-        return np.broadcast_to(a[..., None], a.shape + (fam.K,))
+        return np.broadcast_to(a[:, None], a.shape[:1] + (fam.K,) + a.shape[1:])
 
     for rows, A in _jump_weight_blocks(family, times, kernel_at_lags):
-        out[:, rows] = _mark_sums(A, excess, counts)
+        out[:, rows] = _mark_sums(A, excess, counts).transpose(0, 2, 1)
     return family.gammas * (grid.dt * out)
 
 

@@ -435,6 +435,45 @@ class TestVectorizedKernels:
             assert np.max(np.abs(a - b)) <= PARTS_REL_TOL * np.max(np.abs(a))
 
 
+class TestJumpWeights:
+    GRID = TimeGrid(1.0, 40)
+
+    def expected(self, fam, t, taus):
+        """np.interp of every mode at t - tau where tau <= t, and +0.0 where tau > t."""
+        nodes, s = fam.grid.nodes(), fam.s_matrix
+        return [[np.interp(t - tau, nodes, s[:, k]) if tau <= t else 0.0 for k in range(fam.K)]
+                for tau in taus]
+
+    def test_mode_major_against_every_node(self):
+        fam = dirichlet_family(3, self.GRID)
+        nodes = self.GRID.nodes()
+        taus = np.array([nodes[7], 0.3333, nodes[20] + 0.4 * self.GRID.dt, self.GRID.t_end])
+        W = convolution._jump_weights(fam, nodes[None, :], taus[:, None])
+        assert W.shape == (taus.size, fam.K, nodes.size)
+        for i, t in enumerate(nodes):
+            want = np.array(self.expected(fam, t, taus))
+            assert np.array_equal(W[:, :, i], want)
+        later = taus[:, None] > nodes[None, :]  # (J, nodes)
+        assert later.any() and not np.signbit(W.transpose(0, 2, 1)[later]).any()
+        assert np.all(W[0, :, 7] == 1.0)  # a jump on a node weighs s(0) = 1 there
+        assert np.all(W[-1, :, -1] == 1.0)
+
+    def test_scalar_time_gives_jumps_by_modes(self):
+        fam = dirichlet_family(3, self.GRID)
+        t = self.GRID.nodes()[20]
+        taus = np.array([0.1, t, 0.75])
+        W = convolution._jump_weights(fam, t, taus)
+        assert W.shape == (3, fam.K)
+        assert np.array_equal(W, np.array(self.expected(fam, t, taus)))
+        assert np.all(W[1] == 1.0) and not np.signbit(W[2]).any()
+
+    def test_no_jumps_give_an_empty_block(self):
+        fam = dirichlet_family(3, self.GRID)
+        nodes = self.GRID.nodes()
+        W = convolution._jump_weights(fam, nodes[None, :], np.empty((0, 1)))
+        assert W.shape == (0, fam.K, nodes.size)
+
+
 class TestLagFold:
     @staticmethod
     def per_step(w, x):
