@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import levy
 from .convolution import TagRule, _jump_sums, _node_values, _node_weights
-from .grid import _frozen_floats
+from .grid import _frozen_floats, frozen
 from .levy import LevyTriplet, _draw_blocks, _jump_bytes, jump_rule, phi_batch, sample_rng
 from .spectral import ResolventFamily
 
@@ -46,7 +45,7 @@ _PANEL_SALT = 1 << 62
 _LAST_PASS = (None, {})
 
 
-@dataclass(frozen=True)
+@frozen
 class PredictedTriplet:
     """Characterization of Z_R(t): drift, diagonal Gaussian part, jump mass.
 
@@ -237,7 +236,7 @@ def build_panel(K: int, panel_size: int, seed: int) -> np.ndarray:
     return np.array(vecs)
 
 
-@dataclass(frozen=True)
+@frozen
 class EcfRow:
     y: np.ndarray
     predicted: complex
@@ -247,7 +246,7 @@ class EcfRow:
     z: float
 
 
-@dataclass(frozen=True)
+@frozen
 class EcfReport:
     """Panel comparison of predicted vs empirical characteristic functions.
 
@@ -307,7 +306,7 @@ def ecf_comparison(
     return EcfReport(t=t, n_samples=n_samples, seed=seed, tag_rule=tag_rule, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
+@frozen
 class CovarianceCheck:
     """Per-mode sample variance of Z_R(t) against the predicted Q diagonal."""
 

@@ -16,7 +16,6 @@ import argparse
 import datetime
 import sys
 import time
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +259,7 @@ def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int, families: dict) -> d
         "max_abs_z": rep.max_abs_z,
         "frac_within_soft": rep.frac_within_soft,
         "stderr_convention": "z = |ecf - predicted| / (1/sqrt(N))",
-        "rows": [asdict(row) for row in rep.rows],
+        "rows": [vars(row) for row in rep.rows],
     }
     passed = rep.passed
     if cfg.triplet.jump is None and np.any(cfg.triplet.gauss_var > 0):
@@ -366,8 +365,8 @@ def main(argv=None) -> int:
             if not 0 <= args.seed < 2**64:
                 raise ConfigError("--seed must be a 64-bit unsigned value")
             # the reports echo the config, so they echo the seed the run used
-            cfg = replace(cfg, seed=args.seed,
-                          raw={**cfg.raw, "mc": {**cfg.raw["mc"], "seed": args.seed}})
+            cfg = RunConfig(**{**vars(cfg), "seed": args.seed,
+                               "raw": {**cfg.raw, "mc": {**cfg.raw["mc"], "seed": args.seed}}})
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         selected = list(stages) if args.subcommand == "all" else [args.subcommand]

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 
-from .grid import TimeGrid
+from .grid import TimeGrid, frozen
 from .kernels import KernelSpec, eval_kernel
 from .levy import DiscreteMixture, GaussianJumps, JumpPart, LevyTriplet, PointMass
 from .spectral import SpectralModel, build_spectral_model
@@ -90,7 +89,7 @@ def _reals(value, where: str) -> np.ndarray:
         raise ConfigError(f"{where} must be a rectangular array: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@frozen
 class RunConfig:
     """Validated run configuration plus the raw dict echoed into reports."""
 

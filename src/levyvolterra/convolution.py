@@ -50,13 +50,12 @@ and the FFT roundoff would scale with the path instead of with the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .grid import TimeGrid, _frozen_floats
+from .grid import TimeGrid, _frozen_floats, frozen
 from .kernels import certify_resolvent_properties
 from . import levy
 from .levy import SamplePath, _continuous_values, _path_block
@@ -79,7 +78,7 @@ class TagRule(Enum):
     MIDPOINT = "midpoint"
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvolutionPath:
     """Node values of a convolution (or mild solution) on the grid."""
 

@@ -12,19 +12,19 @@ are certified a posteriori on the solved values, all modes at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
 import numpy as np
 
-from .grid import TimeGrid, _frozen_floats
+from .grid import TimeGrid, _frozen_floats, frozen
 
 EXPONENTIAL = "exponential"
 CONSTANT = "constant"
 TABULATED = "tabulated"
 
 
-@dataclass(frozen=True)
+@frozen
 class KernelSpec:
     """A scalar kernel a(t): closed-form family or a tabulated curve.
 
@@ -188,7 +188,7 @@ def _unit_exponential(kernel: KernelSpec) -> bool:
     return kernel.family == EXPONENTIAL and abs(kernel.rate - 1.0) < 1e-15
 
 
-@dataclass(frozen=True)
+@frozen
 class PropertyReport:
     """Certificate of the completely-positive consequences on solved values.
 

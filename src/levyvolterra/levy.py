@@ -37,14 +37,14 @@ which pins the transform within this implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from math import erf, exp, pi, sqrt
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TimeGrid, _frozen_floats
+from .grid import TimeGrid, _frozen_floats, frozen
 
 # Gauss-Hermite nodes per dimension for Gaussian-jump ball expectations
 _HERMITE_NODES = {2: 64, 3: 24, 4: 16}
@@ -57,7 +57,7 @@ _PHILOX_ZEROS = (0, 0, 0, 0)
 _BLOCK_BYTES = 256 * 1024
 
 
-@dataclass(frozen=True)
+@frozen
 class PointMass:
     """Every jump equals the fixed mark vector."""
 
@@ -74,7 +74,7 @@ class PointMass:
         return self.mark.shape[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class DiscreteMixture:
     """Jumps drawn from finitely many atoms with given probabilities."""
 
@@ -102,7 +102,7 @@ class DiscreteMixture:
         return self.atoms.shape[1]
 
 
-@dataclass(frozen=True)
+@frozen
 class GaussianJumps:
     """Jumps drawn from N(mean, diag(var))."""
 
@@ -211,7 +211,7 @@ def sample_jumps(law: JumpLaw, rng: np.random.Generator, count: int) -> np.ndarr
     return law.mean[None, :] + np.sqrt(law.var)[None, :] * rng.standard_normal((count, law.dim))
 
 
-@dataclass(frozen=True)
+@frozen
 class JumpPart:
     """Compound-Poisson jump component: arrival rate and mark law.
 
@@ -236,7 +236,7 @@ class JumpPart:
         return _frozen_floats(jump_mean_inside_unit_ball(self.law))
 
 
-@dataclass(frozen=True)
+@frozen
 class LevyTriplet:
     """Drift vector, diagonal Gaussian variance, optional finite-activity jumps."""
 
@@ -287,7 +287,7 @@ def phi_batch(triplet: LevyTriplet, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class SamplePath:
     """Cadlag piecewise record of Z on a grid with exact jump bookkeeping.
 

@@ -9,17 +9,15 @@ family is one (n_steps + 1, K) array of solved values on one shared grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import TimeGrid, _frozen_floats
+from .grid import TimeGrid, _frozen_floats, frozen
 from .kernels import KernelSpec, eval_kernel, solve_resolvent_modes
 
 DIRICHLET_LAPLACIAN = "dirichlet_laplacian"
 
 
-@dataclass(frozen=True)
+@frozen
 class SpectralModel:
     """K retained modes with eigenvalues mu of -A (strictly increasing > 0)."""
 
@@ -52,7 +50,7 @@ def build_spectral_model(K: int, rule="dirichlet_laplacian") -> SpectralModel:
     return SpectralModel(K=K, mu=mu)
 
 
-@dataclass(frozen=True)
+@frozen
 class ResolventFamily:
     """Diagonal resolvent operators on a shared grid: one s-column per mode.
 
@@ -99,7 +97,7 @@ def identity_resolvent_family(K: int, kernel: KernelSpec, grid: TimeGrid) -> Res
     return build_resolvent_family(model, kernel, grid)
 
 
-@dataclass(frozen=True)
+@frozen
 class ResidualProfile:
     """Per-node, per-mode residuals of one identity; node 0 is exactly 0."""
 

@@ -35,7 +35,6 @@ deliberately not implemented - the end identity above is what gets checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -44,6 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .convolution import (ConvolutionPath, TagRule, _block_routes, _jump_weight_blocks, _mark_sums,
                           _node_values, _node_weights)
+from .grid import frozen
 from .kernels import _unit_exponential, closed_form_exponential_resolvent, eval_kernel
 from .levy import LevyTriplet, SamplePath, _block_values, _draw_blocks, _level_sums
 from .spectral import ResidualProfile, ResolventFamily, _causal_convolution
@@ -188,7 +188,7 @@ def fit_order(dts: Sequence[float], norms: Sequence[float]) -> float:
     return float(np.polyfit(np.log(dts), np.log(norms), 1)[0])
 
 
-@dataclass(frozen=True)
+@frozen
 class StudyConfig:
     """One refinement study: target quantity, levels, and the fixed outcomes.
 
@@ -221,7 +221,7 @@ class StudyConfig:
                              "coarse to fine")
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvergenceStudy:
     """Norms per level; the fitted order is computed when first read.
 

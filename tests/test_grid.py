@@ -1,9 +1,24 @@
+import copy
+import dataclasses
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import levyvolterra
 from levyvolterra import (
+    ConvergenceStudy,
     ConvolutionPath,
+    CovarianceCheck,
     DiscreteMixture,
+    EcfReport,
+    EcfRow,
     GaussianJumps,
     JumpPart,
     KernelSpec,
@@ -14,9 +29,15 @@ from levyvolterra import (
     ResolventFamily,
     SamplePath,
     SpectralModel,
+    StudyConfig,
+    TagRule,
     TimeGrid,
+    build_resolvent_family,
+    certify_resolvent_properties,
 )
+from levyvolterra.config import RunConfig, parse_config
 
+EXAMPLE_CONFIG = Path(__file__).parents[1] / "example-config.json"
 GRID4 = TimeGrid(1.0, 4)
 
 # each value object: a build from the caller's named float arrays, those
@@ -113,3 +134,148 @@ def test_value_objects_hold_read_only_copies(name, view):
         mine[...] = 7.0
     for attr, arr in arrays.items():
         assert np.array_equal(arr, before[attr]), attr
+
+
+# -- the value-class contract ----------------------------------------------------
+
+PACKAGE_MODULES = [importlib.import_module(f"levyvolterra.{info.name}")
+                   for info in pkgutil.iter_modules(levyvolterra.__path__)]
+# every frozen record in the package: each class defines its own __setattr__
+VALUE_CLASSES = sorted({cls for module in PACKAGE_MODULES for cls in vars(module).values()
+                        if isinstance(cls, type) and cls.__module__ == module.__name__
+                        and "__setattr__" in vars(cls)}, key=lambda cls: cls.__name__)
+# fields that __post_init__ derives, so they are not constructor arguments
+NOT_ARGUMENTS = {"DiscreteMixture": {"cdf"}, "SamplePath": {"values"}}
+
+
+def _arguments(cls):
+    return [name for name in cls.__annotations__ if name not in NOT_ARGUMENTS.get(cls.__name__, ())]
+
+
+def _value_class_examples():
+    """One instance of each value class: the VALUE_OBJECTS builds and the rest."""
+    levels = [build_resolvent_family(SpectralModel(2, [1.0, 4.0]), KernelSpec.exponential(),
+                                     GRID4.coarsened(f)) for f in (4, 2, 1)]
+    row = EcfRow(np.array([0.5, 0.0]), 0.9 + 0.1j, 0.88 + 0.11j, 0.03, 0.02, 0.8)
+    examples = [build(inputs) for build, inputs, _ in VALUE_OBJECTS.values()] + [
+        GRID4, row,
+        EcfReport(1.0, 1000, 7, TagRule.LEFT, (row,)),
+        CovarianceCheck(1.0, 1000, 7, np.array([0.3, 0.4]), np.array([0.31, 0.38]),
+                        np.array([0.4, -0.9])),
+        certify_resolvent_properties(levels[-1].s_matrix, 1e-10),
+        parse_config(json.loads(EXAMPLE_CONFIG.read_text())),
+        StudyConfig("resolvent_error", levels),
+        ConvergenceStudy("resolvent_error", np.array([0.5, 0.25, 0.125]),
+                         np.array([1e-2, 2.5e-3, 6e-4]), None),
+    ]
+    return {type(obj): obj for obj in examples}
+
+
+@pytest.fixture(scope="module")
+def examples():
+    return _value_class_examples()
+
+
+def _same(a, b):
+    """Equal field for field: arrays by value, records and tuples recursively."""
+    if "__setattr__" in vars(type(a)):
+        return type(a) is type(b) and all(_same(getattr(a, name), getattr(b, name))
+                                          for name in type(a).__annotations__)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_one_helper_makes_every_value_class(examples):
+    assert set(VALUE_CLASSES) == set(examples)
+    for cls in VALUE_CLASSES:
+        assert cls.__setattr__ is TimeGrid.__setattr__ and not dataclasses.is_dataclass(cls), cls
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_value_class_fields_are_frozen(cls, examples):
+    obj = examples[cls]
+    for name in [*cls.__annotations__, "not_a_field"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_value_class_takes_arguments_by_position_or_keyword(cls, examples):
+    names = _arguments(cls)
+    args = [getattr(examples[cls], name) for name in names]
+    by_position, by_keyword = cls(*args), cls(**dict(zip(names, args)))
+    assert _same(by_position, examples[cls]) and _same(by_keyword, examples[cls])
+    bad_calls = [((*args, 0), {}),  # one too many by position
+                 (args, {"not_a_field": 0}),
+                 (args, {names[0]: args[0]})]  # a name given twice
+    bad_calls += [([], {n: a for n, a in zip(names, args) if n != name})
+                  for name in names if name not in vars(cls)]  # each required argument left out
+    for call_args, call_kwargs in bad_calls:
+        with pytest.raises(TypeError):
+            cls(*call_args, **call_kwargs)
+
+
+def test_derived_fields_are_not_arguments(examples):
+    mixture, path = examples[DiscreteMixture], examples[SamplePath]
+    with pytest.raises(TypeError):
+        DiscreteMixture(mixture.weights, mixture.atoms, cdf=mixture.cdf)
+    with pytest.raises(TypeError):
+        DiscreteMixture(mixture.weights, mixture.atoms, mixture.cdf)
+    with pytest.raises(TypeError):
+        SamplePath(path.grid, path.drift, path.gauss_increments, path.jump_times, path.jump_marks,
+                   values=path.values)
+
+
+def test_value_class_defaults():
+    spec = KernelSpec("exponential")
+    assert (spec.rate, spec.level, spec.times, spec.values) == (1.0, 1.0, None, None)
+    assert spec == KernelSpec.exponential()
+
+
+def test_time_grid_equality_hash_and_repr():
+    grid = TimeGrid(1.0, 1000)
+    assert grid == TimeGrid(t_end=1.0, n_steps=1000) and grid != TimeGrid(1.0, 500)
+    assert grid.coarsened(1) == grid and grid.coarsened(1) is not grid
+    families = {grid: "fine", grid.coarsened(2): "coarse"}
+    assert families[TimeGrid(1.0, 1000)] == "fine" and families[TimeGrid(1.0, 500)] == "coarse"
+    assert repr(grid) == "TimeGrid(t_end=1.0, n_steps=1000)"
+
+
+def test_repr_leaves_out_hidden_fields(examples):
+    assert repr(examples[KernelSpec]) == "KernelSpec(family='tabulated', rate=1.0, level=1.0)"
+    assert "cdf=" not in repr(examples[DiscreteMixture])
+    assert "values=" not in repr(examples[SamplePath])
+
+
+@pytest.mark.parametrize("cls", [RunConfig, SamplePath], ids=lambda cls: cls.__name__)
+def test_deepcopy_stays_frozen_and_equal(cls, examples):
+    original = examples[cls]
+    clone = copy.deepcopy(original)
+    assert clone is not original and _same(clone, original)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(clone, _arguments(cls)[0], None)
+
+
+def test_importing_the_package_generates_no_code():
+    # the stdlib and numpy modules the package imports are loaded first, so
+    # the hook sees only what importing the package itself compiles; source
+    # files compile under their own names, code built from strings as <string>
+    script = (
+        "import argparse, concurrent.futures, csv, dataclasses, datetime, decimal, enum, functools\n"
+        "import io, json, math, os, pathlib, sys, time, typing\n"
+        "import numpy, numpy.lib.stride_tricks\n"
+        "compiled = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and compiled.append(args[1]))\n"
+        "import levyvolterra.cli\n"
+        "print(sum(name == '<string>' for name in compiled))\n")
+    src = Path(levyvolterra.__file__).parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "0"
