@@ -182,24 +182,25 @@ def terminal_values(
 
     t_i, jump_bytes = family.grid.nodes()[i], _jump_bytes(family.K)
 
-    def add_jumps(pending):
-        """Add to out the jump sums of consecutive blocks (b0, b1, jumps) in one _jump_sums pass."""
+    def add_jumps(rows, pending):
+        """Add to rows the jump sums of consecutive blocks (b0, b1, jumps) in one _jump_sums pass."""
         jumps = [np.concatenate(parts) for parts in zip(*(j for _, _, j in pending))]
-        out[pending[0][0] : pending[-1][1]] += _jump_sums(family, t_i, jumps)[:, None, :]
+        rows[pending[0][0] : pending[-1][1]] += _jump_sums(family, t_i, jumps)[:, None, :]
 
     def run_range(lo: int, hi: int):
+        rows = out[lo:hi]
         pending, n_jumps = [], 0  # blocks whose jumps are not yet summed, their jump count
-        for b0, b1, gauss, jumps in _draw_blocks(triplet, family.grid, seed, lo, hi):
+        for b0, b1, gauss, jumps in _draw_blocks(triplet, family.grid, seed, range(lo, hi)):
             steps = None if gauss is None else gauss[:, :, :i]
-            out[b0:b1] = _node_values(family, i, weights, steps, None)
-            if jumps is not None:
+            rows[b0:b1] = _node_values(family, i, weights, steps, None)
+            if triplet.jump is not None:
                 pending.append((b0, b1, jumps))
                 n_jumps += jumps[1].size
                 if n_jumps * jump_bytes >= levy._BLOCK_BYTES:
-                    add_jumps(pending)
+                    add_jumps(rows, pending)
                     pending, n_jumps = [], 0
         if pending:
-            add_jumps(pending)
+            add_jumps(rows, pending)
 
     # jump-only samples hold the interpreter lock for all their work, so
     # threads would only wait on each other

@@ -211,10 +211,9 @@ def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int, families: dict) ->
     n_seeds = min(cfg.n_samples, 20)
     drift = cfg.triplet.pathwise_drift()
     per_seed = []
-    for b0, b1, gauss, jumps in levy._draw_blocks(cfg.triplet, cfg.grid, cfg.seed, 0, n_seeds):
+    for _, _, gauss, jumps in levy._draw_blocks(cfg.triplet, cfg.grid, cfg.seed, range(n_seeds)):
         # both routes on the block's rows, each jump weight built once for both
-        stieltjes, parts = convolution._block_routes(fam, (TagRule.LEFT, None), drift, b1 - b0,
-                                                     gauss, jumps)
+        stieltjes, parts = convolution._block_routes(fam, (TagRule.LEFT, None), drift, gauss, jumps)
         scale = np.maximum(np.max(np.abs(stieltjes), axis=(1, 2)), 1e-300)
         per_seed.extend((np.max(np.abs(stieltjes - parts), axis=(1, 2)) / scale).tolist())
     worst = max(per_seed)

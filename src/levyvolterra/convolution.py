@@ -281,7 +281,7 @@ def stieltjes_convolution(
     float.  It is the one-row _block_routes call.
     """
     _check_shared_grid(family, path)
-    vals = _block_routes(family, (tag_rule,), path.drift, 1, *_path_block(path))[0][0]
+    vals = _block_routes(family, (tag_rule,), path.drift, *_path_block(path))[0][0]
     return ConvolutionPath(grid=family.grid, values=vals, method="stieltjes", tag_rule=tag_rule)
 
 
@@ -321,47 +321,46 @@ def parts_convolution(family: ResolventFamily, path: SamplePath) -> ConvolutionP
     every term.
 
     Both are pure rearrangements of the Stieltjes sums, so the two routes
-    agree to roundoff node by node.  It is the one-row _block_routes call.
+    agree to roundoff node by node.  It is the one-row _block_routes call,
+    after the certificate (ValueError if it fails).
     """
     _check_shared_grid(family, path)
-    vals = _block_routes(family, (None,), path.drift, 1, *_path_block(path))[0][0]
-    return ConvolutionPath(grid=family.grid, values=vals, method="parts", tag_rule=None)
-
-
-def _block_routes(family: ResolventFamily, routes, drift: np.ndarray, n_rows: int, gauss, jumps):
-    """Route values of every row of a levy._draw_blocks block, one (n_rows, n + 1, K) array per route.
-
-    routes holds a TagRule for each Stieltjes route and None for the parts
-    route, whose certificate is checked once per call (ValueError if it
-    fails).  gauss is the block's (n_rows, K, n) increments or None (zero
-    increments), jumps its (counts, times, marks) or None (no jumps).
-    Rows go in passes of about levy._BLOCK_BYTES of FFT spectrum: each
-    route folds a pass's B * K columns in one _lag_fold call, and each node
-    slice of the pass's jump weights is built once for every route.  Every
-    row equals the route's one-path call on that row's SamplePath bit for
-    bit, whatever else the block holds.
-    """
-    cert = certify_resolvent_properties(family.s_matrix, VARIATION_TOL) if None in routes else None
-    if cert is not None and not cert.passed:
+    cert = certify_resolvent_properties(family.s_matrix, VARIATION_TOL)
+    if not cert.passed:
         bad = np.flatnonzero(~cert.mode_passed).tolist()
         raise ValueError(
             "integration by parts inapplicable: monotonicity/variation certificate "
             f"failed for modes {bad} (max increase {cert.max_increase.max():.3e})"
         )
-    n, K = family.grid.n_steps, family.K
+    vals = _block_routes(family, (None,), path.drift, *_path_block(path))[0][0]
+    return ConvolutionPath(grid=family.grid, values=vals, method="parts", tag_rule=None)
+
+
+def _block_routes(family: ResolventFamily, routes, drift: np.ndarray, gauss, jumps):
+    """Route values of every row of a levy._draw_blocks block, one (B, n + 1, K) array per route.
+
+    routes holds a TagRule for each Stieltjes route and None for the parts
+    route, whose certificate the caller has checked.  gauss is the block's
+    (B, K, n) increments or None (zero increments), jumps its (counts,
+    times, marks), and B is counts.size.  Rows go in passes of about
+    levy._BLOCK_BYTES of FFT spectrum: each route folds a pass's B * K
+    columns in one _lag_fold call, and each node slice of the pass's jump
+    weights is built once for every route.  Every row equals the route's
+    one-path call on that row's SamplePath bit for bit, whatever else the
+    block holds.
+    """
+    n, K, n_rows = family.grid.n_steps, family.K, jumps[0].size
     if gauss is None:
         gauss = np.zeros((n_rows, K, n))
     outs = [np.empty((n_rows, n + 1, K)) for _ in routes]
     step = max(1, int(levy._BLOCK_BYTES // (32 * n * K)))
-    ends = None if jumps is None else np.cumsum(jumps[0])
+    ends = np.cumsum(jumps[0])
     for r0 in range(0, n_rows, step):
         r1 = min(r0 + step, n_rows)
         for out, rule in zip(outs, routes):
             cont = (_parts_continuous(family, drift, gauss[r0:r1]) if rule is None
                     else _stieltjes_continuous(family, rule, drift, gauss[r0:r1]))
             out[r0:r1] = cont.transpose(1, 0, 2)
-        if jumps is None:
-            continue
         j0, j1 = ends[r0] - jumps[0][r0], ends[r1 - 1]
         counts, times, marks = jumps[0][r0:r1], jumps[1][j0:j1], jumps[2][j0:j1]
         abel = _abel_marks(counts, marks) if None in routes else None

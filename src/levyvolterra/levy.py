@@ -13,24 +13,27 @@ that keying: it sets the Philox state of a new generator, or of one it
 returned before, which then draws exactly what a new one would.  A Monte
 Carlo worker keeps one generator and re-keys it once per sample; keyed
 streams are the design use of Philox (Salmon, Moraes, Dror & Shaw,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  ``_draw_blocks``
-owns the draw order and the block memory: within one stream Gaussian step
-increments come first (skipped entirely when all Gaussian variances are
-zero), then jump count, jump times, jump marks (none for a point mass,
-whose marks are filled in per block; a mixture draws one uniform per mark
-and looks it up in the law's cdf, as Generator.choice with its weights
-would), and samples are drawn in blocks of about _BLOCK_BYTES.  A block is
-mode-major, (B, K, n): each sample's normals are drawn in stream order into
-row r of a (B, n, K) buffer, and the whole block is scaled and transposed
-in one pass, so every mode's time series is contiguous for the contractions
-that read it; the jump times of a block are formed from its uniforms in one
-pass too.  sample_path and coupled_sample_paths read one-sample blocks and
-_block_path builds their SamplePath; _path_block is the one packer of a
-SamplePath back into a one-row block, which its own values and every
-one-path convolution read.  characterization.terminal_values,
-verification.convergence_study and the verify-parts command read
-multi-sample blocks row for row without building one (_block_values gives
-a block's path values).
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so any index can
+be drawn in any order.  ``_draw_blocks`` owns the draw order and the block
+memory: within one stream Gaussian step increments come first (skipped
+entirely when all Gaussian variances are zero), then jump count, jump
+times, jump marks (none for a point mass, whose marks are filled in per
+block; a mixture draws one uniform per mark and looks it up in the law's
+cdf, as Generator.choice with its weights would), and the samples of any
+index sequence are drawn in blocks of about _BLOCK_BYTES.  A block
+describes itself: its increments are mode-major, (B, K, n), and its jumps
+are always a ragged (counts, times, marks), empty without a jump part, so
+no block function takes a row count.  Each sample's normals are drawn in
+stream order into row r of a (B, n, K) buffer, and the whole block is
+scaled and transposed in one pass, so every mode's time series is
+contiguous for the contractions that read it; the jump times of a block
+are formed from its uniforms in one pass too.  sample_path and
+coupled_sample_paths read one-sample blocks and _block_path builds their
+SamplePath; _path_block is the one packer of a SamplePath back into a
+one-row block, which its own values and every one-path convolution read.
+characterization.terminal_values, verification.convergence_study and the
+verify-parts command read multi-sample blocks row for row without building
+one (_block_values gives a block's path values).
 Gaussian variates use numpy's Generator.standard_normal on that stream,
 which pins the transform within this implementation.
 """
@@ -333,7 +336,7 @@ class SamplePath:
 
     def jump_cumulative(self) -> np.ndarray:
         """(n_steps + 1, K): summed marks with jump time <= t_i, left-fold order."""
-        return _jump_cumulative(self.grid, self.dim, 1, _path_block(self)[1])[0]
+        return _jump_cumulative(self.grid, self.dim, _path_block(self)[1])[0]
 
     def continuous_values(self) -> np.ndarray:
         """Node values of the drift + Gaussian component only."""
@@ -391,40 +394,42 @@ def _sample_bytes(triplet: LevyTriplet, n: int, K: int, t_end: float) -> float:
     return gauss + (1.0 + rate * t_end) * _jump_bytes(K)
 
 
-def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: int):
-    """Samples lo..hi-1 in consecutive blocks: yields (b0, b1, gauss, jumps).
+def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, indices):
+    """Samples indices[b0:b1] of any index sequence, block by block: yields (b0, b1, gauss, jumps).
 
-    The one owner of the stream layout.  One generator is re-keyed per
-    sample by sample_rng and draws, in order, the n * K Gaussian increments
+    The one owner of the stream layout.  The indices are drawn in the order
+    given, repeats and gaps allowed: one generator is re-keyed per sample
+    by sample_rng and draws, in order, the n * K Gaussian increments
     (skipped when every variance is 0), then the jump count, the jump times
     uniform on (0, t_end] and the marks.  gauss is the block's (B, K, n)
     scaled increments, mode-major, in one buffer reused by the next block,
     or None: each sample's normals fill row r of a (B, n, K) buffer in
     stream order, and one multiply scales and transposes the block, the
-    same products a scaled (n, K) row would hold.  jumps is None without a jump
-    part, else (counts (B,), times (J,), marks (J, K)): the block's J jumps
-    row by row, each row's counts[r] jumps in stable time order, so row r
-    holds jumps counts[:r].sum() up to counts[:r + 1].sum().  A block holds
-    about _BLOCK_BYTES (_sample_bytes per sample, at least one sample).
+    same products a scaled (n, K) row would hold.  jumps is always (counts
+    (B,), times (J,), marks (J, K)), all zero counts without a jump part:
+    the block's J jumps row by row, each row's counts[r] jumps in stable
+    time order, so row r holds jumps counts[:r].sum() up to
+    counts[:r + 1].sum().  A block holds about _BLOCK_BYTES (_sample_bytes
+    per sample, at least one sample).
     """
     n, K, t_end, jump = grid.n_steps, triplet.dim, grid.t_end, triplet.jump
     draw_gauss = bool(np.any(triplet.gauss_var > 0.0))
     scale = np.sqrt(triplet.gauss_var * grid.dt)[:, None]
     block = max(1, int(_BLOCK_BYTES // _sample_bytes(triplet, n, K, t_end)))
-    buf = np.empty((min(block, hi - lo), K, n)) if draw_gauss else None
-    normals = np.empty((min(block, hi - lo), n, K)) if draw_gauss else None
+    buf = np.empty((min(block, len(indices)), K, n)) if draw_gauss else None
+    normals = np.empty((min(block, len(indices)), n, K)) if draw_gauss else None
     mean_count = jump.rate * t_end if jump is not None else 0.0
     # point-mass marks draw nothing, so they are filled in once per block
     point_mass = jump is not None and isinstance(jump.law, PointMass)
     rng = None
-    for b0 in range(lo, hi, block):
-        b1 = min(b0 + block, hi)
+    for b0 in range(0, len(indices), block):
+        b1 = min(b0 + block, len(indices))
         # each sample's jump data in draw order, led by an empty entry
         counts, uniforms, marks = [], [np.zeros(0)], [np.zeros((0, K))]
-        for b in range(b0, b1):
-            rng = sample_rng(seed, b, rng)
+        for r, index in enumerate(indices[b0:b1]):
+            rng = sample_rng(seed, index, rng)
             if draw_gauss:
-                rng.standard_normal(out=normals[b - b0])
+                rng.standard_normal(out=normals[r])
             if jump is not None:
                 count = int(rng.poisson(mean_count))
                 counts.append(count)
@@ -436,7 +441,7 @@ def _draw_blocks(triplet: LevyTriplet, grid: TimeGrid, seed: int, lo: int, hi: i
         if draw_gauss:
             gauss = np.multiply(normals[: b1 - b0].transpose(0, 2, 1), scale, out=buf[: b1 - b0])
         if jump is None:
-            yield b0, b1, gauss, None
+            yield b0, b1, gauss, (np.zeros(b1 - b0, int), np.zeros(0), np.zeros((0, K)))
             continue
         counts, times = np.array(counts), t_end * (1.0 - np.concatenate(uniforms))
         # rows are drawn in order, so one stable sort by (row, time) sorts each row
@@ -467,46 +472,42 @@ def _continuous_values(grid: TimeGrid, drift: np.ndarray, gauss: np.ndarray) -> 
     return (drift[None, :] * grid.nodes()[:, None]) + gauss_cum
 
 
-def _jump_cumulative(grid: TimeGrid, K: int, n_rows: int, jumps) -> np.ndarray:
-    """(n_rows, n_steps + 1, K) summed marks with jump time <= t_i of each row's jumps."""
-    out = np.zeros((n_rows, grid.n_steps + 1, K))
-    if jumps is not None:
-        counts, times, marks = jumps
-        ends = np.cumsum(counts)
-        for r in np.flatnonzero(counts):
-            row = slice(ends[r] - counts[r], ends[r])
-            cum = np.vstack([np.zeros((1, K)), np.cumsum(marks[row], axis=0)])
-            out[r] = cum[np.searchsorted(times[row], grid.nodes(), side="right")]
+def _jump_cumulative(grid: TimeGrid, K: int, jumps) -> np.ndarray:
+    """(B, n_steps + 1, K) summed marks with jump time <= t_i of each row's jumps."""
+    counts, times, marks = jumps
+    out = np.zeros((counts.size, grid.n_steps + 1, K))
+    ends = np.cumsum(counts)
+    for r in np.flatnonzero(counts):
+        row = slice(ends[r] - counts[r], ends[r])
+        cum = np.vstack([np.zeros((1, K)), np.cumsum(marks[row], axis=0)])
+        out[r] = cum[np.searchsorted(times[row], grid.nodes(), side="right")]
     return out
 
 
-def _block_values(grid: TimeGrid, drift: np.ndarray, n_rows: int, gauss, jumps) -> np.ndarray:
-    """Node values Z of every row of a _draw_blocks block, (n_rows, n_steps + 1, K).
+def _block_values(grid: TimeGrid, drift: np.ndarray, gauss, jumps) -> np.ndarray:
+    """Node values Z of every row of a _draw_blocks block, (B, n_steps + 1, K).
 
     The continuous part, then plus the jump part: the grouping
     SamplePath.values pins, so row r is that row's SamplePath values bit
-    for bit.  gauss and jumps are as _block_path takes them.
+    for bit.  gauss and jumps are as _draw_blocks yields them.
     """
     K = drift.shape[0]
     if gauss is None:
-        gauss = np.zeros((n_rows, K, grid.n_steps))
-    return _continuous_values(grid, drift, gauss) + _jump_cumulative(grid, K, n_rows, jumps)
+        gauss = np.zeros((jumps[0].size, K, grid.n_steps))
+    return _continuous_values(grid, drift, gauss) + _jump_cumulative(grid, K, jumps)
 
 
-def _block_path(grid: TimeGrid, drift: np.ndarray, gauss, jumps, r: int) -> SamplePath:
-    """Row r of a _draw_blocks block as a SamplePath on grid.
+def _block_path(grid: TimeGrid, drift: np.ndarray, gauss, jumps) -> SamplePath:
+    """The path of a one-row _draw_blocks block on grid.
 
-    gauss is the block's (B, K, n_steps) increments or None (zero
-    increments), jumps its (counts, times, marks) or None (no jumps).
+    gauss is the block's (1, K, n_steps) increments or None (zero
+    increments), jumps its (counts, times, marks).
     """
-    K = drift.shape[0]
-    counts, times, marks = jumps or (np.zeros(r + 1, int), np.zeros(0), np.zeros((0, K)))
-    row = slice(int(counts[:r].sum()), int(counts[: r + 1].sum()))
     return SamplePath(
         grid=grid, drift=drift,
-        gauss_increments=(np.zeros((grid.n_steps, K)) if gauss is None
-                          else np.ascontiguousarray(gauss[r].T)),
-        jump_times=times[row], jump_marks=marks[row])
+        gauss_increments=(np.zeros((grid.n_steps, drift.shape[0])) if gauss is None
+                          else np.ascontiguousarray(gauss[0].T)),
+        jump_times=jumps[1], jump_marks=jumps[2])
 
 
 def sample_path(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: int) -> SamplePath:
@@ -516,8 +517,8 @@ def sample_path(triplet: LevyTriplet, grid: TimeGrid, sample_index: int, seed: i
     count over [0, t_end] is Poisson(rate * t_end) with times uniform on
     (0, t_end] and i.i.d. marks from the jump law.
     """
-    _, _, gauss, jumps = next(_draw_blocks(triplet, grid, seed, sample_index, sample_index + 1))
-    return _block_path(grid, triplet.pathwise_drift(), gauss, jumps, 0)
+    _, _, gauss, jumps = next(_draw_blocks(triplet, grid, seed, (sample_index,)))
+    return _block_path(grid, triplet.pathwise_drift(), gauss, jumps)
 
 
 def coupled_sample_paths(
@@ -533,9 +534,8 @@ def coupled_sample_paths(
     no stage calls and the package does not export (perfbench's tracer
     wraps it by name).
     """
-    _, _, gauss, jumps = next(_draw_blocks(triplet, fine_grid, seed, sample_index,
-                                           sample_index + 1))
+    _, _, gauss, jumps = next(_draw_blocks(triplet, fine_grid, seed, (sample_index,)))
     drift = triplet.pathwise_drift()
     return [_block_path(fine_grid.coarsened(int(f)), drift,
-                        None if gauss is None else _level_sums(gauss, int(f)), jumps, 0)
+                        None if gauss is None else _level_sums(gauss, int(f)), jumps)
             for f in factors]

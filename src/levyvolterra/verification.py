@@ -145,8 +145,8 @@ def _bounded_A_residuals(family: ResolventFamily, x: np.ndarray, z: np.ndarray) 
     return res.transpose(1, 0, 2)
 
 
-def _jump_cell_defects(family: ResolventFamily, n_rows: int, jumps) -> np.ndarray:
-    """(n_rows, n + 1, K) excess of weak_solution_residual's trapezoid over the jump cells.
+def _jump_cell_defects(family: ResolventFamily, jumps) -> np.ndarray:
+    """(B, n + 1, K) excess of weak_solution_residual's trapezoid over the jump cells.
 
     A jump J_m at tau_m = t_j + theta_m * dt, theta_m in (0, 1], makes Z_R
     step inside the cell [t_j, t_{j+1}], where the trapezoid of
@@ -160,10 +160,8 @@ def _jump_cell_defects(family: ResolventFamily, n_rows: int, jumps) -> np.ndarra
     within its budget, and summed by _mark_sums; jumpless rows get exact zeros.
     """
     grid = family.grid
-    out = np.zeros((n_rows, grid.n_steps + 1, family.K))
-    if jumps is None:
-        return out
     counts, times, marks = jumps
+    out = np.zeros((counts.size, grid.n_steps + 1, family.K))
     nodes = grid.nodes()
     theta = (times - nodes[np.searchsorted(nodes, times) - 1]) / grid.dt
     excess = marks * (theta - 0.5)[:, None]
@@ -250,9 +248,9 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
 
     Builds nothing: the dts, the fine grid and the coupling factors of the
     sample paths are read from the grids of config.families.  The outcomes
-    are read from levy._draw_blocks on the fine grid, one call per run of
-    consecutive indices in config.seeds, and each level sums the block's
-    mode-major Gaussian increments by its factor in time order
+    are read from one levy._draw_blocks call over config.seeds as given, on
+    the fine grid, so row r of a block is seed b0 + r; each level sums the
+    block's mode-major Gaussian increments by its factor in time order
     (levy._level_sums) while the jumps are shared exactly, as
     coupled_sample_paths does for one outcome.  tag_discrepancy makes one
     _node_values call per block and level for LEFT and RIGHT together;
@@ -275,7 +273,7 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
             norms.append(np.max(np.abs(fam.s_matrix - exact)))
         return ConvergenceStudy(config.target, dts, np.array(norms), None)
 
-    triplet, K = config.triplet, config.triplet.dim
+    triplet = config.triplet
     drift = triplet.pathwise_drift()
     factors = [fine.n_steps // fam.grid.n_steps for fam in families]
     tag = config.target == "tag_discrepancy"
@@ -284,35 +282,21 @@ def convergence_study(config: StudyConfig) -> ConvergenceStudy:
                    for fam in families]
     per_seed = np.zeros((len(config.seeds), len(families)))
     route_gap = None if tag else 0.0
-    for first, lo, hi in _index_runs(config.seeds):
-        for b0, b1, gauss, jumps in _draw_blocks(triplet, fine, config.seed, lo, hi):
-            rows = range(first + b0 - lo, first + b1 - lo)
-            for li, (fam, f) in enumerate(zip(families, factors)):
-                n_c = fam.grid.n_steps
-                inc = None if gauss is None else _level_sums(gauss, f)
-                if tag:
-                    vals = _node_values(fam, n_c, weights[li], inc, jumps)
-                    diff = np.broadcast_to(vals[..., 0, :] - vals[..., 1, :], (len(rows), K))
-                    for r, row in enumerate(rows):  # each row's norm as the 1-D norm rounds
-                        per_seed[row, li] = float(np.linalg.norm(diff[r]))
-                    continue
-                # weak_residual: the block's rows through the block route and oracles
-                zr = _block_routes(fam, (config.tag_rule,), drift, len(rows), inc, jumps)[0]
-                z = _block_values(fam.grid, drift, len(rows), inc, jumps)
-                weak = _weak_residuals(fam, zr, z)
-                gap = np.max(np.abs(weak - _bounded_A_residuals(fam, zr, z)))
-                route_gap = max(route_gap, float(gap))
-                weak -= _jump_cell_defects(fam, len(rows), jumps)
-                per_seed[rows, li] = np.max(np.abs(weak), axis=(1, 2))
+    for b0, b1, gauss, jumps in _draw_blocks(triplet, fine, config.seed, config.seeds):
+        for li, (fam, f) in enumerate(zip(families, factors)):
+            n_c = fam.grid.n_steps
+            inc = None if gauss is None else _level_sums(gauss, f)
+            if tag:
+                vals = _node_values(fam, n_c, weights[li], inc, jumps)
+                # each row's norm as the 1-D norm rounds
+                per_seed[b0:b1, li] = [np.linalg.norm(d) for d in vals[:, 0] - vals[:, 1]]
+                continue
+            # weak_residual: the block's rows through the block route and oracles
+            zr = _block_routes(fam, (config.tag_rule,), drift, inc, jumps)[0]
+            z = _block_values(fam.grid, drift, inc, jumps)
+            weak = _weak_residuals(fam, zr, z)
+            gap = np.max(np.abs(weak - _bounded_A_residuals(fam, zr, z)))
+            route_gap = max(route_gap, float(gap))
+            weak -= _jump_cell_defects(fam, jumps)
+            per_seed[b0:b1, li] = np.max(np.abs(weak), axis=(1, 2))
     return ConvergenceStudy(config.target, dts, per_seed.mean(axis=0), per_seed, route_gap)
-
-
-def _index_runs(indices):
-    """(position, lo, hi) for each run of consecutive sample indices lo..hi-1 in indices."""
-    runs = []
-    for pos, idx in enumerate(indices):
-        if runs and idx == runs[-1][2]:
-            runs[-1][2] += 1
-        else:
-            runs.append([pos, idx, idx + 1])
-    return runs

@@ -543,7 +543,7 @@ class TestStackedNodeValues:
         weights = _node_weights(fam, rules, i, trip.pathwise_drift())
         assert weights[1].shape == (len(rules), K, i) and weights[1].flags.c_contiguous
         sizes = []
-        for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 5, 0, self.N):
+        for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 5, range(self.N)):
             sizes.append(b1 - b0)
             steps = None if gauss is None else gauss[:, :, :i]
             got = np.broadcast_to(_node_values(fam, i, weights, steps, jumps),
@@ -577,10 +577,10 @@ class TestBlockRows:
                    bounded_A_identity_residual(left, path, fam).residuals]
         return routes, path.values, oracles
 
-    def block_rows(self, fam, trip, gauss, jumps, n_rows):
+    def block_rows(self, fam, trip, gauss, jumps):
         drift = trip.pathwise_drift()
-        routes = _block_routes(fam, self.ROUTES, drift, n_rows, gauss, jumps)
-        values = levy._block_values(fam.grid, drift, n_rows, gauss, jumps)
+        routes = _block_routes(fam, self.ROUTES, drift, gauss, jumps)
+        values = levy._block_values(fam.grid, drift, gauss, jumps)
         oracles = [_weak_residuals(fam, routes[0], values),
                    _bounded_A_residuals(fam, routes[0], values)]
         return routes, values, oracles
@@ -603,12 +603,12 @@ class TestBlockRows:
         if block != "default":
             monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, self.GRID, block))
         sizes = []
-        for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 5, 0, self.N):
+        for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 5, range(self.N)):
             sizes.append(b1 - b0)
-            got = self.block_rows(fam, trip, gauss, jumps, b1 - b0)
+            got = self.block_rows(fam, trip, gauss, jumps)
             self.assert_rows(fam, trip, b0, got)
             if gauss is not None:
-                moved = self.block_rows(fam, trip, misaligned_copy(gauss), jumps, b1 - b0)
+                moved = self.block_rows(fam, trip, misaligned_copy(gauss), jumps)
                 for a, b in zip([*got[0], got[1], *got[2]], [*moved[0], moved[1], *moved[2]]):
                     assert np.array_equal(a, b)
         assert sizes == {1: [1] * self.N, 3: [3, 3, 1], "default": [self.N]}[block]
@@ -619,9 +619,9 @@ class TestBlockRows:
         # and the rows are the default-budget rows
         trip = BLOCKED_TRIPLETS[name]
         fam = dirichlet_family(trip.dim, self.GRID)
-        blocks = list(levy._draw_blocks(trip, self.GRID, 5, 0, self.N))
-        whole = [_block_routes(fam, self.ROUTES, trip.pathwise_drift(), b1 - b0, gauss, jumps)
-                 for b0, b1, gauss, jumps in blocks]
+        blocks = list(levy._draw_blocks(trip, self.GRID, 5, range(self.N)))
+        whole = [_block_routes(fam, self.ROUTES, trip.pathwise_drift(), gauss, jumps)
+                 for _, _, gauss, jumps in blocks]
         most = max(jumps[1].size for *_, jumps in blocks)
         bound = 4 * trip.dim * max(most, 1)
         monkeypatch.setattr(convolution, "_JUMP_BLOCK_ENTRIES", bound)
@@ -633,8 +633,8 @@ class TestBlockRows:
             return W
 
         monkeypatch.setattr(convolution, "_jump_weights", recording)
-        for (b0, b1, gauss, jumps), want in zip(blocks, whole):
-            got = _block_routes(fam, self.ROUTES, trip.pathwise_drift(), b1 - b0, gauss, jumps)
+        for (_, _, gauss, jumps), want in zip(blocks, whole):
+            got = _block_routes(fam, self.ROUTES, trip.pathwise_drift(), gauss, jumps)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
         assert max(sizes) <= bound

@@ -336,30 +336,52 @@ class TestStreamLayout:
         n, K = self.GRID.n_steps, trip.dim
         monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, self.GRID, 3))
         bounds, buffers = [], []
-        for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 8, 5, 16):
+        for b0, b1, gauss, jumps in levy._draw_blocks(trip, self.GRID, 8, range(5, 16)):
             bounds.append((b0, b1))
             assert (gauss is None) == (not np.any(trip.gauss_var > 0.0))
-            assert (jumps is None) == (trip.jump is None)
             if gauss is not None:
                 buffers.append(gauss)
                 assert np.shares_memory(gauss, buffers[0])  # one buffer for every block
                 # mode-major: each mode's time series is one contiguous row
                 assert gauss.shape == (b1 - b0, K, n) and gauss.flags.c_contiguous
-            if jumps is not None:
-                # flat: the rows' jumps one after another, no slot beyond them
-                counts, times, marks = jumps
-                assert counts.shape == (b1 - b0,)
-                assert times.shape == (counts.sum(),) and marks.shape == (counts.sum(), K)
-                starts = np.concatenate([[0], np.cumsum(counts)])
-            for row, b in enumerate(range(b0, b1)):
+            # flat: the rows' jumps one after another, no slot beyond them
+            counts, times, marks = jumps
+            assert counts.shape == (b1 - b0,)
+            assert times.shape == (counts.sum(),) and marks.shape == (counts.sum(), K)
+            assert trip.jump is not None or times.size == 0
+            starts = np.concatenate([[0], np.cumsum(counts)])
+            for row, b in enumerate(range(5 + b0, 5 + b1)):
                 path = sample_path(trip, self.GRID, b, seed=8)
                 if gauss is not None:
                     assert np.array_equal(gauss[row], path.gauss_increments.T)
-                if jumps is not None:
-                    rows = slice(starts[row], starts[row + 1])
-                    assert np.array_equal(times[rows], path.jump_times)
-                    assert np.array_equal(marks[rows], path.jump_marks)
-        assert bounds == [(5, 8), (8, 11), (11, 14), (14, 16)]
+                rows = slice(starts[row], starts[row + 1])
+                assert np.array_equal(times[rows], path.jump_times)
+                assert np.array_equal(marks[rows], path.jump_marks)
+        assert bounds == [(0, 3), (3, 6), (6, 9), (9, 11)]
+
+    @pytest.mark.parametrize("name", ["gaussian", "mixed"])
+    def test_blocks_of_any_index_sequence(self, monkeypatch, name):
+        # a gap, a repeat and a descending step, in blocks of 3: each row
+        # is its index's sample_path, wherever the index falls
+        trip, indices = BLOCKED_TRIPLETS[name], (9, 3, 4, 4)
+        K = trip.dim
+        monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, self.GRID, 3))
+        bounds = []
+        for b0, b1, gauss, (counts, times, marks) in levy._draw_blocks(trip, self.GRID, 8,
+                                                                       indices):
+            bounds.append((b0, b1))
+            if trip.jump is None:  # the empty jump triple, typed as a drawn one
+                assert counts.shape == (b1 - b0,) and counts.dtype.kind == "i"
+                assert np.all(counts == 0)
+                assert times.shape == (0,) and marks.shape == (0, K)
+            starts = np.concatenate([[0], np.cumsum(counts)])
+            for row, index in enumerate(indices[b0:b1]):
+                path = sample_path(trip, self.GRID, index, seed=8)
+                assert np.array_equal(gauss[row], path.gauss_increments.T), (b0 + row, index)
+                rows = slice(starts[row], starts[row + 1])
+                assert np.array_equal(times[rows], path.jump_times), (b0 + row, index)
+                assert np.array_equal(marks[rows], path.jump_marks), (b0 + row, index)
+        assert bounds == [(0, 3), (3, 4)]
 
     @pytest.mark.parametrize("name", sorted(BLOCKED_TRIPLETS))
     def test_block_budget_gives_the_samples_it_names(self, monkeypatch, name):
@@ -368,7 +390,8 @@ class TestStreamLayout:
             grid = TimeGrid(1.0, n)
             for k in (2, 3, 5, 7):
                 monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, grid, k))
-                blocks = [(b0, b1) for b0, b1, _, _ in levy._draw_blocks(trip, grid, 3, 0, 2 * k)]
+                blocks = [(b0, b1) for b0, b1, _, _ in levy._draw_blocks(trip, grid, 3,
+                                                                         range(2 * k))]
                 assert blocks == [(0, k), (k, 2 * k)], (n, k)
 
     def test_block_sized_by_what_a_sample_holds(self):

@@ -221,7 +221,7 @@ def levels(model, fine_grid, factors, kernel=KERNEL):
 
 def jump_cell_defects(fam, path):
     """The weak study's jump-cell correction of one path, the one-row call."""
-    return verification._jump_cell_defects(fam, 1, levy._path_block(path)[1])[0]
+    return verification._jump_cell_defects(fam, levy._path_block(path)[1])[0]
 
 
 class TestJumpCellDefects:
@@ -239,14 +239,14 @@ class TestJumpCellDefects:
         level, j, mark = 0.7, 17, np.array([1.2, -0.4])
         fam, nodes, dt = self.family(level), self.GRID.nodes(), self.GRID.dt
         tau = nodes[j + 1] if theta == 1.0 else nodes[j] + theta * dt
-        c = verification._jump_cell_defects(
-            fam, 2, (np.array([1, 0]), np.array([tau]), mark[None]))
+        c = verification._jump_cell_defects(fam, (np.array([1, 0]), np.array([tau]), mark[None]))
         expected = fam.gammas * dt * level * mark * (theta - 0.5)
         assert np.all(c[0, : j + 1] == 0.0) and np.all(c[1] == 0.0)
         assert np.allclose(c[0, j + 1 :], expected, rtol=1e-9, atol=1e-15)
 
     def test_no_jumps_are_exact_zeros(self):
-        c = verification._jump_cell_defects(self.family(1.0), 3, None)
+        no_jumps = (np.zeros(3, int), np.zeros(0), np.zeros((0, 2)))
+        c = verification._jump_cell_defects(self.family(1.0), no_jumps)
         assert c.shape == (3, 51, 2) and np.all(c == 0.0)
 
     def test_node_slices_change_no_bit(self, monkeypatch):
@@ -254,10 +254,10 @@ class TestJumpCellDefects:
         # jump-weight budget; a budget of 3 nodes gives the same floats
         fam = build_resolvent_family(build_spectral_model(2, "dirichlet_laplacian"), KERNEL,
                                      TimeGrid(1.0, 100))
-        _, _, _, jumps = next(levy._draw_blocks(mixed_triplet(), fam.grid, 5, 0, 4))
-        whole = verification._jump_cell_defects(fam, 4, jumps)
+        _, _, _, jumps = next(levy._draw_blocks(mixed_triplet(), fam.grid, 5, range(4)))
+        whole = verification._jump_cell_defects(fam, jumps)
         monkeypatch.setattr(convolution, "_JUMP_BLOCK_ENTRIES", 3 * jumps[1].size * fam.K)
-        assert np.array_equal(verification._jump_cell_defects(fam, 4, jumps), whole)
+        assert np.array_equal(verification._jump_cell_defects(fam, jumps), whole)
         assert np.any(whole != 0.0)
 
 
@@ -330,20 +330,16 @@ class TestConvergenceStudy:
                               seed=16).jump_times.size for idx in (3, 4, 9)]
         assert 0 in counts and max(counts) > 1
 
-    @pytest.mark.parametrize("seeds, runs", [
-        ((3, 4, 9), [(3, 5), (9, 10)]),
-        (tuple(range(7)), [(0, 7)]),
-        ((5, 4, 4), [(5, 6), (4, 5), (4, 5)]),
-    ])
-    def test_one_draw_per_run_of_consecutive_indices(self, monkeypatch, seeds, runs):
+    @pytest.mark.parametrize("seeds", [(3, 4, 9), tuple(range(7)), (5, 4, 4)])
+    def test_one_draw_over_the_seeds_as_given(self, monkeypatch, seeds):
         from levyvolterra import verification
 
         calls = []
         real = verification._draw_blocks
 
-        def recording(triplet, grid, seed, lo, hi):
-            calls.append((lo, hi))
-            return real(triplet, grid, seed, lo, hi)
+        def recording(triplet, grid, seed, indices):
+            calls.append(indices)
+            return real(triplet, grid, seed, indices)
 
         monkeypatch.setattr(verification, "_draw_blocks", recording)
         trip = mixed_triplet()
@@ -351,7 +347,7 @@ class TestConvergenceStudy:
                       (4, 2, 1))
         study = convergence_study(StudyConfig(target="tag_discrepancy", families=fams,
                                               triplet=trip, seeds=seeds, seed=3))
-        assert calls == runs
+        assert len(calls) == 1 and calls[0] is seeds
         assert np.array_equal(study.per_seed,
                               per_sample_tag_study(trip, fams, (4, 2, 1), seeds, 3))
 
@@ -389,7 +385,7 @@ class TestConvergenceStudy:
     @pytest.mark.parametrize("seeds", [(0, 1, 2, 3, 4, 5), (3, 4, 9)], ids=["0-5", "3-4-9"])
     @pytest.mark.parametrize("name", sorted(STUDY_TRIPLETS))
     def test_weak_study_equals_per_path_loop(self, monkeypatch, name, seeds):
-        # samples of 2 per _draw_blocks block, so runs span several blocks
+        # samples of 2 per _draw_blocks block, so the seeds span several blocks
         trip, seed = STUDY_TRIPLETS[name], 16
         fams = levels(build_spectral_model(2, "dirichlet_laplacian"), TimeGrid(1.0, 100),
                       (25, 5, 1))
