@@ -4,7 +4,11 @@
                  [--workers N]
 
 Subcommands: resolvent, simulate, verify-parts, verify-weak, verify-ecf,
-study, all.  Exit codes: 0 all checks pass, 1 a check failed (reports are
+study, all.  Stages compute and main writes: each cmd_*(cfg, families,
+workers) writes no file and returns (results, passed, thresholds, tables),
+tables mapping CSV file names to column dicts; main writes each stage's
+tables (if output.formats has "csv") and report, summary.json and
+run_meta.json.  Exit codes: 0 all checks pass, 1 a check failed (reports are
 still written), 2 usage or config error.  Reports are timestamp-free and
 byte-identical for identical (config, seed) at any worker count; wall-clock
 metadata goes to run_meta.json.
@@ -30,7 +34,7 @@ from .kernels import (
     closed_form_exponential_resolvent,
 )
 from .levy import LevyTriplet, sample_path
-from .reports import series_csv, write_csv, write_json
+from .reports import series_csv, write_json
 from .spectral import build_resolvent_family, resolvent_equation_residual
 from .verification import StudyConfig, convergence_study
 
@@ -116,8 +120,8 @@ _REPORT_FILES = {
 
 
 def _write_report(out: Path, cfg: RunConfig, subcommand: str, results: dict, passed: bool,
-                  thresholds=None) -> dict:
-    """Write the subcommand's report to its file in out and return it."""
+                  thresholds=None):
+    """Write the subcommand's report to its file in out."""
     report = {
         "schema_version": 1,
         "subcommand": subcommand,
@@ -128,17 +132,14 @@ def _write_report(out: Path, cfg: RunConfig, subcommand: str, results: dict, pas
     if thresholds is not None:
         report["thresholds"] = thresholds
     write_json(out / _REPORT_FILES[subcommand], report)
-    return report
 
 
-def _mode_columns(cfg: RunConfig, prefix: str, values: np.ndarray) -> dict:
-    """CSV columns t, <prefix>_1, ..., <prefix>_K of one (n_steps + 1, K) array."""
-    cols = {"t": cfg.grid.nodes()}
-    cols.update((f"{prefix}_{k + 1}", values[:, k]) for k in range(values.shape[1]))
-    return cols
+def _mode_columns(first: dict, prefix: str, values: np.ndarray) -> dict:
+    """CSV columns: first's, then <prefix>_1, ..., <prefix>_K of one (rows, K) array."""
+    return {**first, **{f"{prefix}_{k + 1}": values[:, k] for k in range(values.shape[1])}}
 
 
-def cmd_resolvent(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
+def cmd_resolvent(cfg: RunConfig, families: dict, workers: int):
     fam = _family(cfg, families)
     cert = certify_resolvent_properties(fam.s_matrix, CERTIFICATE_TOL)
     resid = resolvent_equation_residual(fam)
@@ -158,56 +159,50 @@ def cmd_resolvent(cfg: RunConfig, out: Path, workers: int, families: dict) -> di
     passed = cert.passed and resid.max_abs <= RESIDUAL_TOL
     if closed is not None:
         passed = passed and closed["passed"]
-    if "csv" in cfg.formats:
-        series_csv(out / "resolvent_table.csv", _mode_columns(cfg, "s", fam.s_matrix))
-    return _write_report(out, cfg, "resolvent", {
+    return {
         "gammas": fam.gammas,
         "total_variation": cert.total_variation,
         "monotone_violations": cert.max_increase,
         "residual_max_per_mode": resid.max_per_mode,
         "closed_form": closed,
-    }, passed, thresholds={
+    }, passed, {
         "certificate_tolerance": CERTIFICATE_TOL,
         "residual_max": RESIDUAL_TOL,
         "closed_form_strict_tolerance": RESOLVENT_ERROR_TOL,
         "closed_form_envelope": "0.2 * (1 + mu)^3 * dt^3 + 1e-12",
-    })
+    }, {"resolvent_table.csv": _mode_columns({"t": cfg.grid.nodes()}, "s", fam.s_matrix)}
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
+def cmd_simulate(cfg: RunConfig, families: dict, workers: int):
     path = sample_path(cfg.triplet, cfg.grid, 0, cfg.seed)
     fam = _family(cfg, families)
     zr = stieltjes_convolution(fam, path, TagRule.LEFT)
-    if "csv" in cfg.formats:
-        series_csv(out / "path.csv", _mode_columns(cfg, "Z", path.values))
-        jump_rows = [
-            [path.jump_times[m]] + list(path.jump_marks[m]) for m in range(path.jump_times.size)
-        ]
-        write_csv(out / "path_jumps.csv",
-                  ["time"] + [f"mark_{k + 1}" for k in range(path.dim)], jump_rows)
-        n_nodes = cfg.grid.n_steps + 1
-        series_csv(out / "convolution.csv", {**_mode_columns(cfg, "X", zr.values),
-                                             "method": [zr.method] * n_nodes,
-                                             "tag_rule": [zr.tag_rule.value] * n_nodes})
-    return _write_report(out, cfg, "simulate", {
+    t, n_nodes = {"t": cfg.grid.nodes()}, cfg.grid.n_steps + 1
+    return {
         "n_jumps": int(path.jump_times.size),
         "terminal_Z": path.values[-1],
         "terminal_Z_R": zr.values[-1],
-    }, True)
+    }, True, None, {
+        "path.csv": _mode_columns(t, "Z", path.values),
+        "path_jumps.csv": _mode_columns({"time": path.jump_times}, "mark", path.jump_marks),
+        "convolution.csv": {**_mode_columns(t, "X", zr.values),
+                            "method": [zr.method] * n_nodes,
+                            "tag_rule": [zr.tag_rule.value] * n_nodes},
+    }
 
 
-def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
+def cmd_verify_parts(cfg: RunConfig, families: dict, workers: int):
     fam = _family(cfg, families)
     thresholds = {"max_relative_discrepancy": PARTS_REL_TOL}
     # the parts route needs a monotone s in [0, 1]: without one there is
     # nothing to compare, so the check fails instead of the run
     cert = certify_resolvent_properties(fam.s_matrix, convolution.VARIATION_TOL)
     if not cert.passed:
-        return _write_report(out, cfg, "verify-parts", {
+        return {
             "certificate_tolerance": convolution.VARIATION_TOL,
             "failing_modes": np.flatnonzero(~cert.mode_passed),
             "max_increase": float(np.max(cert.max_increase)),
-        }, False, thresholds=thresholds)
+        }, False, thresholds, {}
     n_seeds = min(cfg.n_samples, 20)
     drift = cfg.triplet.pathwise_drift()
     per_seed = []
@@ -217,12 +212,12 @@ def cmd_verify_parts(cfg: RunConfig, out: Path, workers: int, families: dict) ->
         scale = np.maximum(np.max(np.abs(stieltjes), axis=(1, 2)), 1e-300)
         per_seed.extend((np.max(np.abs(stieltjes - parts), axis=(1, 2)) / scale).tolist())
     worst = max(per_seed)
-    return _write_report(out, cfg, "verify-parts", {
+    return {
         "n_seeds": n_seeds, "per_seed": per_seed, "max_relative_discrepancy": worst,
-    }, worst <= PARTS_REL_TOL, thresholds=thresholds)
+    }, worst <= PARTS_REL_TOL, thresholds, {}
 
 
-def cmd_verify_weak(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
+def cmd_verify_weak(cfg: RunConfig, families: dict, workers: int):
     factors = _weak_factors(cfg)
     study = convergence_study(StudyConfig(
         target="weak_residual",
@@ -234,21 +229,20 @@ def cmd_verify_weak(cfg: RunConfig, out: Path, workers: int, families: dict) -> 
     exact = np.all(study.per_seed == 0.0, axis=1)
     monotone = bool(not np.all(exact)
                     and np.all(np.diff(study.per_seed[~exact], axis=1) < 0.0))
-    return _write_report(out, cfg, "verify-weak", {
+    return {
         "factors": list(factors),
         "dts": study.dts,
         "sup_residuals": study.per_seed,
         "exact_seeds": int(np.sum(exact)),
         "monotone_decreasing_all_seeds": monotone,
         "route_consistency_gap": study.route_gap,
-    }, monotone and study.route_gap <= ROUTE_CONSISTENCY_TOL, thresholds={
+    }, monotone and study.route_gap <= ROUTE_CONSISTENCY_TOL, {
         "route_consistency": ROUTE_CONSISTENCY_TOL,
         "per_seed_monotone_decrease": True,
-    })
+    }, {}
 
 
-def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
-    _ecf_samples(cfg)
+def cmd_verify_ecf(cfg: RunConfig, families: dict, workers: int):
     fam = _family(cfg, families)
     rep = ecf_comparison(fam, cfg.triplet, cfg.grid.t_end, cfg.panel_size,
                          cfg.n_samples, cfg.seed, TagRule.LEFT, workers=workers)
@@ -271,25 +265,19 @@ def cmd_verify_ecf(cfg: RunConfig, out: Path, workers: int, families: dict) -> d
             "max_abs_z": cov.max_abs_z,
         }
         passed = passed and cov.max_abs_z <= COVARIANCE_Z_TOL
-    if "csv" in cfg.formats:
-        header = [f"y_{k + 1}" for k in range(fam.K)] + [
-            "pred_re", "pred_im", "emp_re", "emp_im", "stderr", "stderr_component_bound", "z",
-        ]
-        rows = [
-            list(r.y) + [r.predicted.real, r.predicted.imag, r.empirical.real, r.empirical.imag,
-                         r.stderr, r.stderr_component_bound, r.z]
-            for r in rep.rows
-        ]
-        write_csv(out / "ecf_panel.csv", header, rows)
-    return _write_report(out, cfg, "verify-ecf", results, passed, thresholds={
+    column = {name: np.array([getattr(r, name) for r in rep.rows]) for name in vars(rep.rows[0])}
+    pred, emp = column.pop("predicted"), column.pop("empirical")
+    panel = {**_mode_columns({}, "y", column.pop("y")), "pred_re": pred.real, "pred_im": pred.imag,
+             "emp_re": emp.real, "emp_im": emp.imag, **column}
+    return results, passed, {
         "z_soft": characterization.ECF_Z_SOFT,
         "z_hard": characterization.ECF_Z_HARD,
         "frac_within_soft": characterization.ECF_FRACTION,
         "covariance_z": COVARIANCE_Z_TOL,
-    })
+    }, {"ecf_panel.csv": panel}
 
 
-def cmd_study(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
+def cmd_study(cfg: RunConfig, families: dict, workers: int):
     levels = [_family(cfg, families, cfg.grid.coarsened(f)) for f in _study_factors(cfg)]
     plans = {}
     if _unit_exponential(cfg.kernel):
@@ -302,10 +290,10 @@ def cmd_study(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
     plans["weak_residual"] = StudyConfig(
         target="weak_residual", families=levels, triplet=det_triplet, seeds=(0,),
         seed=cfg.seed, tag_rule=TagRule.MIDPOINT)
-    studies, results = {}, {}
+    results = {}
     for name, plan in plans.items():
         try:
-            study = studies[name] = convergence_study(plan)
+            study = convergence_study(plan)
             order = study.fitted_order
         except ValueError as exc:  # a norm of exactly 0
             raise ConfigError(f"study {name}: {exc}") from exc
@@ -316,13 +304,12 @@ def cmd_study(cfg: RunConfig, out: Path, workers: int, families: dict) -> dict:
             "order_threshold": ORDER_THRESHOLDS[name],
             "passed": order >= ORDER_THRESHOLDS[name],
         }
-    if "csv" in cfg.formats:
-        rows = [[name, dt, norm] for name, study in studies.items()
-                for dt, norm in zip(study.dts, study.norms)]
-        write_csv(out / "study_series.csv", ["target", "dt", "norm"], rows)
-    return _write_report(out, cfg, "study", results,
-                         all(r["passed"] for r in results.values()),
-                         thresholds={"orders": ORDER_THRESHOLDS})
+    return results, all(r["passed"] for r in results.values()), {"orders": ORDER_THRESHOLDS}, {
+        "study_series.csv": {
+            "target": [name for name, r in results.items() for _ in r["dts"]],
+            "dt": np.concatenate([r["dts"] for r in results.values()]),
+            "norm": np.concatenate([r["norms"] for r in results.values()]),
+        }}
 
 
 def _write_meta(out: Path, argv, timings: dict):
@@ -378,7 +365,12 @@ def main(argv=None) -> int:
         verdicts = {}
         for name in selected:
             wall, cpu = time.perf_counter(), time.process_time()
-            verdicts[name] = bool(stages[name](cfg, out, args.workers, families)["passed"])
+            results, passed, thresholds, tables = stages[name](cfg, families, args.workers)
+            if "csv" in cfg.formats:
+                for file_name, columns in tables.items():
+                    series_csv(out / file_name, columns)
+            _write_report(out, cfg, name, results, passed, thresholds)
+            verdicts[name] = bool(passed)
             timings[name] = {"wall_s": time.perf_counter() - wall,
                              "cpu_s": time.process_time() - cpu}
         if args.subcommand == "all":

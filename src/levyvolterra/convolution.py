@@ -162,12 +162,13 @@ def _jump_weight_blocks(family: ResolventFamily, jump_times: np.ndarray, weights
     Yields (rows, W) for consecutive slices rows of the grid nodes: W is the
     (m, K, nodes) weights(family, t, tau) (by default _jump_weights) of the
     m jump_times tau at those nodes' times t, about _JUMP_BLOCK_ENTRIES
-    entries (at least one node).
+    entries (at least one node).  With no jump_times it yields nothing:
+    every weighted sum is then 0 and left out.
     """
     t = family.grid.nodes()
     weights = weights or _jump_weights
     block = max(1, _JUMP_BLOCK_ENTRIES // max(1, jump_times.size * family.K))
-    for r0 in range(0, t.size, block):
+    for r0 in range(0, t.size if jump_times.size else 0, block):
         rows = slice(r0, r0 + block)
         yield rows, weights(family, t[None, rows], jump_times[:, None])
 
@@ -363,7 +364,7 @@ def _block_routes(family: ResolventFamily, routes, drift: np.ndarray, gauss, jum
             out[r0:r1] = cont.transpose(1, 0, 2)
         j0, j1 = ends[r0] - jumps[0][r0], ends[r1 - 1]
         counts, times, marks = jumps[0][r0:r1], jumps[1][j0:j1], jumps[2][j0:j1]
-        abel = _abel_marks(counts, marks) if None in routes else None
+        abel = _abel_marks(counts, marks) if None in routes and times.size else None
         for rows, W in _jump_weight_blocks(family, times):
             for out, rule in zip(outs, routes):
                 out[r0:r1, rows] += (_parts_jump_sums(W, counts, abel) if rule is None

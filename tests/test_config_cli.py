@@ -754,19 +754,25 @@ class TestStageTable:
             assert json.loads((out / "summary.json").read_text())["verdicts"]["verify-parts"] is False
             assert sorted(json.loads((out / "run_meta.json").read_text())["timings"]) == sorted(STAGES)
 
-    @pytest.mark.parametrize("where, value, message", [
-        (("mc", "n_samples"), 500, "verify-ecf needs mc.n_samples >= 1000, got 500"),
-        (("grid", "n_steps"), 1002, "grid.n_steps admits no 3-level refinement"),
-        (("triplet",), ZERO_NOISE, "study needs a nonzero pathwise drift or gauss_var"),
-        (("triplet",), JUMPS_ONLY, "study needs a nonzero pathwise drift or gauss_var"),
-    ])
-    def test_all_refuses_before_it_writes(self, tmp_path, capsys, where, value, message):
-        # a later stage's precondition fails: no earlier stage writes a report
-        path = write_config(tmp_path, example_with((where, value)))
-        rc, out = example_out(tmp_path, "out", ["all"], path)
+    @pytest.mark.parametrize("changes, args, message", [
+        ([(("mc", "n_samples"), 500)], [], "verify-ecf needs mc.n_samples >= 1000, got 500"),
+        ([(("grid", "n_steps"), 1002)], [], "grid.n_steps admits no 3-level refinement"),
+        ([(("triplet",), ZERO_NOISE)], [], "study needs a nonzero pathwise drift or gauss_var"),
+        ([(("triplet",), JUMPS_ONLY)], [], "study needs a nonzero pathwise drift or gauss_var"),
+        # verify-weak refines 27 steps by (9, 3, 1); study needs divisibility by 4
+        ([(("grid", "n_steps"), 27)], [], "grid.n_steps must be divisible by 4"),
+        ([], ["--seed", "-1"], "--seed must be a 64-bit unsigned value"),
+        ([], ["--seed", str(2**64)], "--seed must be a 64-bit unsigned value"),
+        ([], ["--workers", "0"], "--workers must be >= 1"),
+    ], ids=["few-samples", "n_steps-1002", "zero-noise", "jumps-only", "n_steps-27",
+            "seed-negative", "seed-2**64", "workers-0"])
+    def test_all_refuses_before_it_writes(self, tmp_path, capsys, changes, args, message):
+        # a later stage's precondition or an option fails: no stage writes a report
+        path = write_config(tmp_path, example_with(*changes))
+        rc, out = example_out(tmp_path, "out", ["all", *args], path)
         assert rc == 2
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        assert f"config error: {message}" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_stage_runs_when_its_own_precondition_holds(self, tmp_path):

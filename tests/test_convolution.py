@@ -613,6 +613,27 @@ class TestBlockRows:
                     assert np.array_equal(a, b)
         assert sizes == {1: [1] * self.N, 3: [3, 3, 1], "default": [self.N]}[block]
 
+    @pytest.mark.parametrize("name", ["gaussian", "rare-jumps"])
+    def test_jumpless_block_does_no_jump_work(self, monkeypatch, name):
+        # a Gaussian-only block, and a rare-jump block none of whose rows drew
+        # a jump: no node slice of jump weights and no jump sum, and every row
+        # is still its one-path call
+        trip = BLOCKED_TRIPLETS[name]
+        fam = dirichlet_family(trip.dim, self.GRID)
+        monkeypatch.setattr(levy, "_BLOCK_BYTES", block_budget(trip, self.GRID, 3))
+        b0, _, gauss, jumps = next(block for block in levy._draw_blocks(trip, self.GRID, 5,
+                                                                        range(self.N))
+                                   if not np.any(block[3][0]))
+        assert jumps[0].size == 3 and jumps[1].size == 0
+
+        def refuse(*args):
+            raise AssertionError("jump work on an empty jump triple")
+
+        for target in ("_jump_weights", "_mark_sums", "_abel_marks"):
+            monkeypatch.setattr(convolution, target, refuse)
+        assert list(_jump_weight_blocks(fam, jumps[1])) == []
+        self.assert_rows(fam, trip, b0, self.block_rows(fam, trip, gauss, jumps))
+
     @pytest.mark.parametrize("name", sorted(n for n, t in BLOCKED_TRIPLETS.items() if t.jump))
     def test_small_jump_weight_budget(self, monkeypatch, name):
         # node slices of a few nodes each: no weight array above the bound,
@@ -637,6 +658,6 @@ class TestBlockRows:
             got = _block_routes(fam, self.ROUTES, trip.pathwise_drift(), gauss, jumps)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-        assert max(sizes) <= bound
-        if most:  # weights came a few nodes at a time
-            assert len(sizes) > self.GRID.n_steps // 4
+        assert max(sizes, default=0) <= bound
+        # weights came a few nodes at a time, and none without a jump
+        assert len(sizes) > self.GRID.n_steps // 4 if most else sizes == []

@@ -16,12 +16,22 @@ def test_series_csv_writes_the_row_path_bytes(tmp_path):
         "bool": np.arange(n) % 2 == 0,
         "str": ["stieltjes", "a,b", 'say "x"', "", "left", "right", "midpoint"],
     }
-    series_csv(tmp_path / "series.csv", columns)
-    write_csv(tmp_path / "rows.csv", list(columns),
-              zip(*(np.asarray(c) for c in columns.values())))
-    data = (tmp_path / "series.csv").read_bytes()
-    assert data == (tmp_path / "rows.csv").read_bytes()
-    assert data.count(b"\r\n") == n + 1
+    # a path with no jumps: a header and no row
+    no_marks = np.zeros((0, 2))
+    empty = {"time": np.zeros(0), "mark_1": no_marks[:, 0], "mark_2": no_marks[:, 1]}
+    # complex values, one column each for the real and the imaginary parts
+    z = np.array([0.5 - 0.25j, complex(-0.0, 1e-300), np.exp(1j * np.pi / 3) / 3, -2.5e17j])
+    cases = [
+        (columns, zip(*(np.asarray(c) for c in columns.values())), n),
+        (empty, [], 0),
+        ({"re": z.real, "im": z.imag}, [[c.real, c.imag] for c in z.tolist()], z.size),
+    ]
+    for case, (cols, rows, n_rows) in enumerate(cases):
+        series_csv(tmp_path / f"series-{case}.csv", cols)
+        write_csv(tmp_path / f"rows-{case}.csv", list(cols), rows)
+        data = (tmp_path / f"series-{case}.csv").read_bytes()
+        assert data == (tmp_path / f"rows-{case}.csv").read_bytes(), case
+        assert data.count(b"\r\n") == n_rows + 1
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
